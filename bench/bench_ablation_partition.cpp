@@ -1,12 +1,13 @@
 // Ablation: partition policy — profile-guided two-pass rebalancing.
 //
-// The static policies spread vertices across tiles blindly: round-robin
-// by id, or contiguous blocks. Profile-guided partitioning closes the
+// Round-robin and block spread vertices across tiles blindly, by id or in
+// contiguous ranges; degree-greedy LPT-packs out-degree + 1 as a static
+// guess at each vertex's work. Profile-guided partitioning closes the
 // loop instead. Pass 1 runs round-robin with the attribution sink on and
 // the hotspot table sized to the whole graph, so every vertex's measured
-// GPE cycles are exact. Pass 2 feeds those loads to
-// graph::make_profile_partition (LPT greedy: heaviest vertex onto the
-// lightest tile) and reruns with the explicit assignment. The sweep
+// GPE cycles are exact. Pass 2 LPT-packs those loads
+// (graph::partition_work: heaviest vertex onto the lightest tile) and
+// reruns with the resulting split. The sweep
 // prints total cycles and the attribution imbalance metrics for every
 // policy, per workload — the two-pass win shows up as a busy max/mean
 // near 1.000 and a lower cycle count than round-robin wherever the
@@ -59,7 +60,7 @@ struct PolicyResult {
 accel::RunStats run_once(const sim::Session::Resolved& prog,
                          const accel::AcceleratorConfig& cfg,
                          graph::PartitionPolicy policy,
-                         const std::vector<TileId>* owners,
+                         std::vector<double> profile,
                          const benchutil::EnvTrace& env_trace,
                          NodeId total_vertices) {
   accel::AcceleratorSim sim(cfg, policy);
@@ -70,7 +71,7 @@ accel::RunStats run_once(const sim::Session::Resolved& prog,
   // carry no sketch approximation.
   opts.attribution_top_k = total_vertices;
   sim.set_trace(opts);
-  if (owners != nullptr) sim.set_work_owners(*owners);
+  sim.set_profile_loads(std::move(profile));
   return sim.run(*prog.program, *prog.dataset);
 }
 
@@ -85,10 +86,13 @@ void sweep(const sim::Session::Resolved& prog,
   std::vector<PolicyResult> results;
   results.push_back({"round-robin",
                      run_once(prog, cfg, graph::PartitionPolicy::kRoundRobin,
-                              nullptr, env_trace, total_vertices)});
+                              {}, env_trace, total_vertices)});
   results.push_back({"block",
-                     run_once(prog, cfg, graph::PartitionPolicy::kBlock,
-                              nullptr, env_trace, total_vertices)});
+                     run_once(prog, cfg, graph::PartitionPolicy::kBlock, {},
+                              env_trace, total_vertices)});
+  results.push_back({"degree-greedy",
+                     run_once(prog, cfg, graph::PartitionPolicy::kDegreeGreedy,
+                              {}, env_trace, total_vertices)});
 
   // Two-pass: measured per-vertex GPE cycles from the round-robin run
   // drive the LPT rebalance of the rerun.
@@ -97,13 +101,9 @@ void sweep(const sim::Session::Resolved& prog,
   for (const auto& v : pass1.vertices) {
     if (v.vertex < loads.size()) loads[v.vertex] = v.busy;
   }
-  const graph::Partition part = graph::make_profile_partition(
-      total_vertices, static_cast<TileId>(cfg.num_tiles()), loads);
-  std::vector<TileId> owners(total_vertices, 0);
-  for (NodeId v = 0; v < total_vertices; ++v) owners[v] = part.owner(v);
   results.push_back({"profile-guided",
-                     run_once(prog, cfg, graph::PartitionPolicy::kRoundRobin,
-                              &owners, env_trace, total_vertices)});
+                     run_once(prog, cfg, graph::PartitionPolicy::kProfileGuided,
+                              std::move(loads), env_trace, total_vertices)});
 
   const auto base = static_cast<double>(results[0].stats.cycles);
   Table t({"Policy", "Cycles", "vs round-robin", "Busy max/mean",

@@ -1,10 +1,8 @@
-// Host-side microbenchmarks (google-benchmark): how fast the simulator
-// itself runs. Useful when extending the model — a regression here makes
-// the Fig 8 sweep painful.
+// Host-side microbenchmarks (google-benchmark) of the simulator's building
+// blocks. End-to-end simulator speed is measured by perfbench/
+// (`python3 perfbench/run.py`).
 #include <benchmark/benchmark.h>
 
-#include "accel/compiler.hpp"
-#include "accel/simulator.hpp"
 #include "common/rng.hpp"
 #include "dataflow/spatial.hpp"
 #include "gnn/functional.hpp"
@@ -89,28 +87,6 @@ void BM_FunctionalGcn(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FunctionalGcn);
-
-void BM_SimulatedCyclesPerSecond(benchmark::State& state) {
-  // End-to-end simulator throughput on a small GCN workload.
-  Rng rng(5);
-  graph::Dataset ds;
-  ds.spec = {"bench", 1, 200, 600, 16, 0, 4};
-  ds.graphs.push_back(graph::generate_random_graph(rng, 200, 600));
-  ds.undirected.push_back(ds.graphs[0].symmetrized());
-  ds.node_features.emplace_back(200 * 16, 0.5F);
-  ds.edge_features.emplace_back();
-  const auto prog =
-      accel::ProgramCompiler{}.compile(gnn::make_gcn(16, 4, 8), ds);
-  std::uint64_t cycles = 0;
-  for (auto _ : state) {
-    accel::AcceleratorSim sim(accel::AcceleratorConfig::cpu_iso_bw());
-    const accel::RunStats rs = sim.run(prog, ds);
-    cycles += rs.cycles;
-  }
-  state.counters["sim_cycles_per_s"] = benchmark::Counter(
-      static_cast<double>(cycles), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_SimulatedCyclesPerSecond);
 
 }  // namespace
 

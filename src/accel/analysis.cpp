@@ -55,28 +55,6 @@ std::vector<std::uint64_t> per_vertex_loads(const CompiledProgram& prog,
   return loads;
 }
 
-/// Tile owning work item `v` under the partition the simulator will apply.
-/// Round-robin and block mirror AcceleratorSim::run exactly; degree-greedy
-/// is not wired into the work distribution (it falls back to round-robin
-/// there), and profile-guided owners depend on a prior run's profile, so
-/// those are modeled as round-robin / balanced respectively by the caller.
-std::uint32_t modeled_owner(std::uint64_t v, std::uint64_t n,
-                            std::uint32_t num_tiles,
-                            graph::PartitionPolicy partition) {
-  if (partition == graph::PartitionPolicy::kBlock) {
-    const std::uint64_t per = (n + num_tiles - 1) / num_tiles;
-    return per == 0 ? 0 : static_cast<std::uint32_t>(v / per);
-  }
-  return static_cast<std::uint32_t>(v % num_tiles);
-}
-
-/// Whether the partition's owner assignment is statically known (so
-/// per-tile maxima are exact) as opposed to profile-dependent (where only
-/// the balanced total/T lower bound is safe).
-bool partition_is_static(graph::PartitionPolicy partition) {
-  return partition != graph::PartitionPolicy::kProfileGuided;
-}
-
 struct MemTraffic {
   std::uint64_t served = 0;    // line-rounded bytes the data bus moves
   std::uint64_t payload = 0;   // unrounded bytes the NoC carries
@@ -211,7 +189,6 @@ class PhaseAnalyzer {
   [[nodiscard]] std::tuple<double, double, double> compute_terms(
       std::uint32_t num_tiles) {
     const std::uint64_t n = prog_.total_vertices();
-    const std::uint64_t n_graphs = prog_.graphs.size();
     const double L = tp_.cost_loop_iter;
     const double I = tp_.cost_issue_load;
     const double A = tp_.cost_alloc;
@@ -227,15 +204,20 @@ class PhaseAnalyzer {
     };
 
     if (ph_.per_graph) {
-      // Work items are graphs, distributed round-robin over the tiles.
+      // Work items are graphs, split over the tiles exactly as the
+      // simulator splits them (per-graph owners need no dataset).
       // Per graph: bind (L), DNQ alloc (A or L), AGG alloc (A), one wide
       // load (I); DNA processes one pooled entry per graph; the AGG
       // reduces the graph's whole state block.
+      const graph::Partition part = phase_partition(
+          prog_, ph_, options_.dataset, num_tiles, options_.partition);
       const double gpe_per = L + (ph_.has_dna() ? A : L) + A + I;
-      double gpe = 0.0, dna = 0.0, agg = 0.0;
-      const std::uint64_t per_tile =
-          num_tiles > 0 ? (n_graphs + num_tiles - 1) / num_tiles : n_graphs;
-      gpe = static_cast<double>(per_tile) * gpe_per;
+      double dna = 0.0, agg = 0.0;
+      std::uint64_t per_tile = 0;
+      for (const auto& items : part.by_tile()) {
+        per_tile = std::max<std::uint64_t>(per_tile, items.size());
+      }
+      const double gpe = static_cast<double>(per_tile) * gpe_per;
       if (ph_.has_dna() && per_tile > 0) {
         // The last entry's result drains through the DNA pipeline after
         // its array slot; the phase barrier waits for it, so one fill/
@@ -246,10 +228,10 @@ class PhaseAnalyzer {
       }
       if (ph_.has_agg() && tp_.agg_alus > 0) {
         // Whole-block words land on the owning tile; bound with the
-        // heaviest graph block round-robin would place on one tile.
+        // heaviest tile's graph blocks.
         std::vector<double> tile_words(num_tiles, 0.0);
-        for (std::size_t g = 0; g < prog_.graphs.size(); ++g) {
-          tile_words[g % num_tiles] +=
+        for (NodeId g = 0; g < prog_.graphs.size(); ++g) {
+          tile_words[part.owner(g)] +=
               static_cast<double>(prog_.graphs[g].num_nodes) *
               ph_.gather.width_words;
         }
@@ -320,27 +302,26 @@ class PhaseAnalyzer {
       }
     }
 
-    // Per-tile vertex and contribution counts under the modeled
-    // partition (exact for round-robin/block/degree-greedy — the latter
-    // falls back to round-robin in the work distribution — balanced for
-    // profile-guided).
+    // Per-tile vertex and contribution counts under the simulator's split
+    // (phase_partition). Without a profile or, for degree-greedy, a bound
+    // dataset the model's split is round-robin, so it keeps those vertex
+    // counts and the balanced contribution mean, still a lower bound.
     std::vector<std::uint64_t> tile_vertices(num_tiles, 0);
     std::vector<std::uint64_t> tile_contribs(num_tiles, 0);
     // Evaluate the predicate once and branch on the local: GCC 12's VRP
     // mis-folds a repeated `enum != constant` test on the uint8_t enum
     // loaded through the reference member (observed at -O2/-O3).
-    const bool static_partition = partition_is_static(options_.partition);
-    const graph::PartitionPolicy vertex_partition =
-        static_partition ? options_.partition
-                         : graph::PartitionPolicy::kRoundRobin;
-    for (std::uint64_t v = 0; v < n; ++v) {
-      tile_vertices[modeled_owner(v, n, num_tiles, vertex_partition) %
-                    num_tiles] += 1;
-    }
+    const graph::PartitionPolicy policy = options_.partition;
+    const bool static_partition =
+        policy != graph::PartitionPolicy::kProfileGuided &&
+        (policy != graph::PartitionPolicy::kDegreeGreedy ||
+         options_.dataset != nullptr);
+    const graph::Partition part =
+        phase_partition(prog_, ph_, options_.dataset, num_tiles, policy);
+    for (NodeId v = 0; v < n; ++v) tile_vertices[part.owner(v)] += 1;
     if (!loads.empty() && static_partition) {
-      for (std::uint64_t v = 0; v < n; ++v) {
-        tile_contribs[modeled_owner(v, n, num_tiles, vertex_partition) %
-                      num_tiles] += loads[v];
+      for (NodeId v = 0; v < n; ++v) {
+        tile_contribs[part.owner(v)] += loads[v];
       }
       imbalance_ = imbalance_of(tile_contribs);
     } else {
@@ -649,9 +630,7 @@ std::vector<PerfDiagnostic> perf_lints(const CompiledProgram& prog,
       std::ostringstream os;
       os << "modeled per-tile load imbalance (max/mean) is "
          << m.imbalance << " under the "
-         << (options.partition == graph::PartitionPolicy::kBlock
-                 ? "block"
-                 : "round-robin")
+         << graph::partition_name(options.partition)
          << " partition: the heaviest tile does " << m.imbalance
          << "x the mean work and bounds the phase";
       out.push_back({LintCode::kPartitionImbalance, pi, os.str()});
@@ -837,19 +816,9 @@ std::vector<FixSuggestion> suggest_fixes(const CompiledProgram& prog,
         break;
       }
     }
-    const auto partition_token = [](graph::PartitionPolicy p) {
-      switch (p) {
-        case graph::PartitionPolicy::kBlock:
-          return "block";
-        case graph::PartitionPolicy::kProfileGuided:
-          return "profile-guided";
-        default:
-          return "round-robin";
-      }
-    };
     const std::string snippet =
         "tile_dnq_queue0_sixteenths=" + std::to_string(best_s) +
-        "\npartition=" + std::string(partition_token(chosen)) + "\n";
+        "\npartition=" + std::string(graph::partition_name(chosen)) + "\n";
     AnalysisOptions chosen_options = options;
     chosen_options.partition = chosen;
     const auto relint = perf_lints(prog, patched, chosen_options);
@@ -866,7 +835,7 @@ std::vector<FixSuggestion> suggest_fixes(const CompiledProgram& prog,
       desc << "joint split x partition fix: dnq_queue0_sixteenths "
            << tp.dnq_queue0_sixteenths << "/16 -> " << best_s
            << "/16 (every active queue >= " << best_min
-           << " concurrent entries) with the " << partition_token(chosen)
+           << " concurrent entries) with the " << graph::partition_name(chosen)
            << " partition"
            << (chosen == graph::PartitionPolicy::kProfileGuided
                    ? " (add attribution_from=<profile.json> to the "

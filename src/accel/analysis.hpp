@@ -115,10 +115,11 @@ struct AnalysisOptions {
   /// loads (exact per-tile compute terms, GV204). Without one the model
   /// falls back to aggregate counts from the layout table.
   const graph::Dataset* dataset = nullptr;
-  /// Partition policy the simulator will apply. Round-robin and block are
-  /// modeled exactly; profile-guided (whose owners depend on a prior
-  /// run's profile) is modeled as perfectly balanced — still a valid
-  /// lower bound.
+  /// Partition policy the simulator will apply (phase_partition).
+  /// Round-robin, block and — given a dataset — degree-greedy are modeled
+  /// exactly; profile-guided (whose owners depend on a prior run's
+  /// profile) is modeled as perfectly balanced — still a valid lower
+  /// bound.
   graph::PartitionPolicy partition = graph::PartitionPolicy::kRoundRobin;
 };
 

@@ -612,6 +612,13 @@ std::uint64_t content_hash(const CompiledProgram& prog) {
   return hash_text(serialize(prog));
 }
 
+std::string hash_hex(std::uint64_t hash) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(hash));
+  return buf;
+}
+
 CompiledProgram load_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {

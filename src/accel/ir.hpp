@@ -72,6 +72,9 @@ class IrParseError : public std::runtime_error {
 /// what the session program cache dedupes on.
 [[nodiscard]] std::uint64_t content_hash(const CompiledProgram& prog);
 
+/// A hash as the 16 hex digits the tools and the stats JSON print.
+[[nodiscard]] std::string hash_hex(std::uint64_t hash);
+
 /// Read and parse a .gnna file. Throws std::runtime_error if the file
 /// cannot be opened, IrParseError on bad content.
 [[nodiscard]] CompiledProgram load_file(const std::string& path);

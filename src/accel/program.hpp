@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -18,6 +19,8 @@
 #include "common/fixed_point.hpp"
 #include "common/types.hpp"
 #include "dataflow/spatial.hpp"
+#include "graph/dataset.hpp"
+#include "graph/partition.hpp"
 
 namespace gnna::accel {
 
@@ -216,5 +219,16 @@ struct CompiledProgram {
   /// Graph index owning global vertex `v` (graphs are laid out in order).
   [[nodiscard]] std::size_t graph_of(NodeId v) const;
 };
+
+/// The tile split of `phase`'s work items (vertices, or graphs in per-graph
+/// phases) that AcceleratorSim::run executes and accel::analysis models.
+/// Degree-greedy packs out-degree + 1 per vertex of `ds`'s symmetrized
+/// graphs (per graph: its vertices plus edges); profile-guided packs
+/// `profile`, a prior run's per-vertex busy cycles. Without those loads
+/// (no `ds`, or a per-graph phase's profile) the split is round-robin.
+[[nodiscard]] graph::Partition phase_partition(
+    const CompiledProgram& prog, const PhaseSpec& phase,
+    const graph::Dataset* ds, std::uint32_t num_tiles,
+    graph::PartitionPolicy policy, std::span<const double> profile = {});
 
 }  // namespace gnna::accel

@@ -232,26 +232,10 @@ RunStats AcceleratorSim::run(const CompiledProgram& prog,
 
   for (const PhaseSpec& phase : prog.phases) {
     // Work distribution (the shared in-memory work queues of Algorithm 1,
-    // realized as a static round-robin split across GPEs).
-    const std::uint32_t num_items =
-        phase.per_graph ? static_cast<std::uint32_t>(prog.graphs.size())
-                        : prog.total_vertices();
-    std::vector<std::vector<std::uint32_t>> work(num_tiles);
-    if (!phase.per_graph && work_owners_.size() == num_items) {
-      // Explicit profile-guided assignment: owners[v] names the tile.
-      for (std::uint32_t i = 0; i < num_items; ++i) {
-        work[work_owners_[i] % num_tiles].push_back(i);
-      }
-    } else if (partition_ == graph::PartitionPolicy::kBlock) {
-      const std::uint32_t per = (num_items + num_tiles - 1) / num_tiles;
-      for (std::uint32_t i = 0; i < num_items; ++i) {
-        work[per == 0 ? 0 : i / per].push_back(i);
-      }
-    } else {
-      for (std::uint32_t i = 0; i < num_items; ++i) {
-        work[i % num_tiles].push_back(i);
-      }
-    }
+    // realized as a static split of the phase's items across tiles).
+    const graph::Partition part = phase_partition(
+        prog, phase, &ds, num_tiles, partition_, profile_loads_);
+    std::vector<std::vector<std::uint32_t>> work = part.by_tile();
 
     const Cycle phase_start = net_->now();
     // Phase markers: pure observation (no tick happens here), so enabling
@@ -301,7 +285,7 @@ RunStats AcceleratorSim::run(const CompiledProgram& prog,
     for (const auto& m : mems_) served += m->stats().bytes_served.value();
     ps.mem_bytes_served = served - mem_served_before_phase;
     mem_served_before_phase = served;
-    ps.tasks = num_items;
+    ps.tasks = part.num_nodes();
     rs.phases.push_back(std::move(ps));
   }
 

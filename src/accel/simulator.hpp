@@ -162,13 +162,11 @@ class AcceleratorSim {
   /// Attach observability outputs; must be called before run().
   void set_trace(TraceOptions opts) { trace_ = std::move(opts); }
 
-  /// Explicit per-vertex tile assignment (profile-guided partitioning):
-  /// `owners[v]` is the tile that runs vertex v. Applied to per-vertex
-  /// phases whose work-item count equals owners.size(); per-graph phases
-  /// keep their round-robin distribution. Overrides the policy passed to
-  /// the constructor for matching phases.
-  void set_work_owners(std::vector<TileId> owners) {
-    work_owners_ = std::move(owners);
+  /// Measured per-vertex loads (e.g. a prior run's attribution busy
+  /// cycles) that PartitionPolicy::kProfileGuided packs; see
+  /// phase_partition. Ignored by the other policies.
+  void set_profile_loads(std::vector<double> loads) {
+    profile_loads_ = std::move(loads);
   }
 
   /// Full simulator state snapshot (every tile's unit state, memory queue
@@ -201,8 +199,7 @@ class AcceleratorSim {
   // NoC endpoint id -> owning tile (trace::Attribution::kNoTile for
   // memory endpoints); filled by build().
   std::vector<std::uint32_t> ep_to_tile_;
-  // Optional explicit vertex->tile assignment (set_work_owners).
-  std::vector<TileId> work_owners_;
+  std::vector<double> profile_loads_;
 
   // Periodic-sampler state (valid during run()).
   Cycle next_sample_ = 0;

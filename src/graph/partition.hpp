@@ -1,15 +1,18 @@
-// Vertex -> tile assignment for multi-tile accelerator configurations.
+// Work-item -> tile assignment for multi-tile accelerator configurations.
 //
-// The paper shares the work queues across all GPEs; how vertices land on
-// tiles determines NoC traffic locality. We provide the round-robin policy
-// used by the evaluation plus alternatives exercised by the ablation
-// benches.
+// The paper shares the work queues across all GPEs; how work items
+// (vertices, or whole graphs in per-graph phases) land on tiles determines
+// load balance and NoC traffic locality. partition_work() is the one split:
+// the simulator executes it, the static model (accel::analysis) and the
+// GV204 lint evaluate it, and the ablation benches sweep its policies.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <numeric>
+#include <optional>
+#include <span>
 #include <stdexcept>
+#include <string_view>
 #include <vector>
 
 #include "common/types.hpp"
@@ -18,13 +21,29 @@
 namespace gnna::graph {
 
 enum class PartitionPolicy : std::uint8_t {
-  kRoundRobin,    // vertex v -> tile v % T
-  kBlock,         // contiguous ranges of ~N/T vertices
-  kDegreeGreedy,  // heaviest-degree-first onto the lightest tile
-  kProfileGuided  // rebalance from a prior run's measured per-vertex load
+  kRoundRobin,    // item i -> tile i % T
+  kBlock,         // contiguous ranges of ceil(N/T) items
+  kDegreeGreedy,  // LPT over out-degree + 1 loads
+  kProfileGuided  // LPT over a prior run's measured per-item loads
 };
 
-/// Assignment of every vertex to a tile.
+/// Policy names as the run options spell them, in PartitionPolicy order.
+inline constexpr std::string_view kPartitionNames[] = {
+    "round-robin", "block", "degree-greedy", "profile-guided"};
+
+[[nodiscard]] constexpr std::string_view partition_name(PartitionPolicy p) {
+  return kPartitionNames[static_cast<std::size_t>(p)];
+}
+
+[[nodiscard]] inline std::optional<PartitionPolicy> partition_by_name(
+    std::string_view name) {
+  for (std::size_t i = 0; i < std::size(kPartitionNames); ++i) {
+    if (kPartitionNames[i] == name) return static_cast<PartitionPolicy>(i);
+  }
+  return std::nullopt;
+}
+
+/// Assignment of every work item to a tile.
 class Partition {
  public:
   Partition(std::vector<TileId> owner, TileId num_tiles)
@@ -36,7 +55,7 @@ class Partition {
     return static_cast<NodeId>(owner_.size());
   }
 
-  /// Vertices owned by each tile, in ascending order.
+  /// Items owned by each tile, in ascending order.
   [[nodiscard]] std::vector<std::vector<NodeId>> by_tile() const {
     std::vector<std::vector<NodeId>> out(num_tiles_);
     for (NodeId v = 0; v < owner_.size(); ++v) out[owner_[v]].push_back(v);
@@ -48,93 +67,75 @@ class Partition {
   TileId num_tiles_;
 };
 
-/// Partition `g`'s vertices over `num_tiles` tiles.
-[[nodiscard]] inline Partition make_partition(const Graph& g, TileId num_tiles,
-                                              PartitionPolicy policy) {
+/// Split `num_items` work items over `num_tiles` tiles.
+///
+/// Block gives each tile a contiguous range of ceil(N/T) items. The other
+/// policies are one greedy LPT packing ("longest processing time first"):
+/// heaviest item first onto the least-loaded tile, equal loads taken in
+/// ascending item order and equal tile loads resolved to the lowest tile
+/// id, so the split is a pure function of the load sequence. Items without
+/// a positive load (past the end of `loads`, or zero — e.g. vertices a
+/// bounded profile did not capture) go round-robin over the tiles in item
+/// order. Round-robin is the packing with no loads at all.
+[[nodiscard]] inline Partition partition_work(
+    std::size_t num_items, TileId num_tiles, PartitionPolicy policy,
+    std::span<const double> loads = {}) {
   if (num_tiles == 0) throw std::invalid_argument("num_tiles must be >= 1");
-  const NodeId n = g.num_nodes();
-  std::vector<TileId> owner(n, 0);
-  switch (policy) {
-    case PartitionPolicy::kRoundRobin:
-      for (NodeId v = 0; v < n; ++v) {
-        owner[v] = static_cast<TileId>(v % num_tiles);
-      }
-      break;
-    case PartitionPolicy::kBlock: {
-      const NodeId per = (n + num_tiles - 1) / num_tiles;
-      for (NodeId v = 0; v < n; ++v) {
-        owner[v] = static_cast<TileId>(per == 0 ? 0 : v / per);
-      }
-      break;
+  std::vector<TileId> owner(num_items, 0);
+  if (policy == PartitionPolicy::kBlock) {
+    const std::size_t per = (num_items + num_tiles - 1) / num_tiles;
+    for (std::size_t i = 0; i < num_items; ++i) {
+      owner[i] = static_cast<TileId>(i / per);
     }
-    case PartitionPolicy::kDegreeGreedy: {
-      std::vector<NodeId> order(n);
-      std::iota(order.begin(), order.end(), NodeId{0});
-      // Deterministic ordering: equal degrees break ties by lowest vertex
-      // id, and std::min_element's first-minimum scan gives equal loads to
-      // the lowest tile id. The assignment is therefore a pure function of
-      // the degree sequence — identical across platforms and libstdc++
-      // sort implementations.
-      std::sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
-        const auto da = g.out_degree(a);
-        const auto db = g.out_degree(b);
-        return da != db ? da > db : a < b;
-      });
-      std::vector<std::uint64_t> load(num_tiles, 0);
-      for (const NodeId v : order) {
-        const auto lightest = static_cast<TileId>(std::distance(
-            load.begin(), std::min_element(load.begin(), load.end())));
-        owner[v] = lightest;
-        load[lightest] += g.out_degree(v) + 1;
-      }
-      break;
-    }
-    case PartitionPolicy::kProfileGuided:
-      // Needs measured per-vertex loads — use make_profile_partition().
-      // Without a profile there is nothing to guide; fall back to the
-      // round-robin baseline the profiling pass itself uses.
-      for (NodeId v = 0; v < n; ++v) {
-        owner[v] = static_cast<TileId>(v % num_tiles);
-      }
-      break;
+    return {std::move(owner), num_tiles};
+  }
+  if (policy == PartitionPolicy::kRoundRobin) loads = {};
+  const auto loaded = [&](std::size_t i) {
+    return i < loads.size() && loads[i] > 0.0;
+  };
+  std::vector<NodeId> order;
+  for (std::size_t i = 0; i < num_items; ++i) {
+    if (loaded(i)) order.push_back(static_cast<NodeId>(i));
+  }
+  std::sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
+    return loads[a] != loads[b] ? loads[a] > loads[b] : a < b;
+  });
+  std::vector<double> tile_load(num_tiles, 0.0);
+  for (const NodeId i : order) {
+    const auto lightest = static_cast<TileId>(std::distance(
+        tile_load.begin(),
+        std::min_element(tile_load.begin(), tile_load.end())));
+    owner[i] = lightest;
+    tile_load[lightest] += loads[i];
+  }
+  std::size_t next = 0;
+  for (std::size_t i = 0; i < num_items; ++i) {
+    if (!loaded(i)) owner[i] = static_cast<TileId>(next++ % num_tiles);
   }
   return {std::move(owner), num_tiles};
 }
 
-/// Profile-guided partition: `loads[v]` is vertex v's measured cost from a
-/// prior run's attribution block (e.g. GPE busy cycles). Heaviest vertex
-/// first onto the currently-lightest tile (LPT greedy), ties broken
-/// deterministically (equal loads: lowest vertex id first; equal tile
-/// loads: lowest tile id). Vertices missing from the profile (loads
-/// shorter than `n`, or zero entries — e.g. nodes added since the
-/// profiling run, or vertices evicted from the bounded top-K table) fall
-/// back to round-robin over the tiles so they stay evenly spread.
-[[nodiscard]] inline Partition make_profile_partition(
-    NodeId n, TileId num_tiles, const std::vector<double>& loads) {
-  if (num_tiles == 0) throw std::invalid_argument("num_tiles must be >= 1");
-  std::vector<TileId> owner(n, 0);
-  std::vector<NodeId> profiled;
-  profiled.reserve(std::min<std::size_t>(n, loads.size()));
-  for (NodeId v = 0; v < n; ++v) {
-    if (v < loads.size() && loads[v] > 0.0) profiled.push_back(v);
+/// Out-degree + 1 of every vertex of `graphs`, in global vertex order: the
+/// per-vertex load degree-greedy packs.
+[[nodiscard]] inline std::vector<double> degree_loads(
+    std::span<const Graph> graphs) {
+  std::vector<double> loads;
+  for (const Graph& g : graphs) {
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      loads.push_back(static_cast<double>(g.out_degree(v)) + 1.0);
+    }
   }
-  std::sort(profiled.begin(), profiled.end(), [&](NodeId a, NodeId b) {
-    return loads[a] != loads[b] ? loads[a] > loads[b] : a < b;
-  });
-  std::vector<double> load(num_tiles, 0.0);
-  for (const NodeId v : profiled) {
-    const auto lightest = static_cast<TileId>(std::distance(
-        load.begin(), std::min_element(load.begin(), load.end())));
-    owner[v] = lightest;
-    load[lightest] += loads[v];
-  }
-  NodeId next = 0;
-  for (NodeId v = 0; v < n; ++v) {
-    if (v < loads.size() && loads[v] > 0.0) continue;
-    owner[v] = static_cast<TileId>(next % num_tiles);
-    ++next;
-  }
-  return {std::move(owner), num_tiles};
+  return loads;
+}
+
+/// Partition `g`'s vertices: partition_work over its degree loads.
+[[nodiscard]] inline Partition make_partition(const Graph& g, TileId num_tiles,
+                                              PartitionPolicy policy) {
+  const std::vector<double> loads =
+      policy == PartitionPolicy::kDegreeGreedy
+          ? degree_loads(std::span<const Graph>(&g, 1))
+          : std::vector<double>{};
+  return partition_work(g.num_nodes(), num_tiles, policy, loads);
 }
 
 }  // namespace gnna::graph

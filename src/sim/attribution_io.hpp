@@ -1,7 +1,7 @@
 // Reader for the "attribution" block of a stats-JSON file (schema v5, see
 // sim/stats_json.cpp): turns a prior run's per-vertex hotspot table into
 // the dense load vector profile-guided partitioning consumes
-// (graph::make_profile_partition). Accepts both shapes gnnasim emits — a
+// (graph::partition_work). Accepts both shapes gnnasim emits — a
 // single run object and a batch array (first non-error run with an
 // attribution block wins).
 #pragma once

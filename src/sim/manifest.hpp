@@ -1,4 +1,5 @@
-// Batch-manifest parsing for `gnnasim --batch <file>`.
+// Batch-manifest parsing for `gnnasim --batch <file>` (and the manifests
+// gnnaverify lints).
 //
 // One run per line; blank lines and `#` comments are skipped. Each line is
 // whitespace-separated `key=value` tokens:
@@ -8,61 +9,30 @@
 //   benchmark=GCN/Cora mem_scheduler=frfcfs mem_banks=8 mem_row_bytes=2048
 //   benchmark=GCN/Cora program=progs/gcn_cora.gnna
 //
-// `benchmark` is required; every other key defaults to the CLI-level
-// default passed in (so `gnnasim --batch runs.txt --config gpu-iso-bw`
-// applies to lines that don't override it). `repeat=N` expands the line
-// into N identical runs. Unknown keys, malformed values, and unknown names
-// are hard errors with the line number in the message.
-//
-// `program=<file>` loads a GNNA-IR .gnna program instead of compiling; the
-// benchmark still supplies the dataset (and the seed still selects its
-// variant), and the loaded program runs through accel::verify before
-// simulation.
-//
-// Memory-controller keys (mem_scheduler, mem_banks, mem_row_bytes,
-// mem_row_hit_ns, mem_row_miss_ns, mem_window, mem_bank_interleave_bytes,
-// mem_bank_xor) and tile
-// scratchpad keys (tile_agg_data_bytes, tile_dnq_data_bytes,
-// tile_dnq_queue0_sixteenths — what `gnnaverify --fix` suggests) override
-// fields of the line's configuration; since `config=` replaces the whole
-// configuration, put it before any mem_*/tile_* token on the same line.
-//
-// Attribution keys: `attribution=1` turns on the per-vertex/per-tile work
-// attribution sink for the line (`attribution_top_k=N` bounds its hotspot
-// table), and `partition=profile-guided attribution_from=<stats.json>`
-// rebalances the line's vertices from a prior run's attribution block:
-//
-//   benchmark=GCN/Cora config=gpu-iso-bw attribution=1
-//   benchmark=GCN/Cora partition=profile-guided attribution_from=p1.json
+// `benchmark` is required (with `program=` it names the dataset the
+// program runs against); `repeat=N` expands the line into N identical
+// runs. Every other key is a run option (sim/options.hpp, listed by
+// `gnnasim --help-batch`) that defaults to the caller's command line; mem_*
+// and tile_* keys override the line's config wherever they appear. Unknown
+// keys and bad values are errors with the line number in the message.
+// Paths cannot contain whitespace.
 #pragma once
 
 #include <istream>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "sim/session.hpp"
+#include "sim/options.hpp"
 
 namespace gnna::sim {
 
-// Strict value parsers shared by the manifest and the gnnasim CLI: reject
-// garbage, trailing junk, and (for integers) negative signs, instead of
-// taking whatever strtoull salvages.
-[[nodiscard]] std::optional<std::uint64_t> parse_u64(const std::string& s);
-[[nodiscard]] std::optional<double> parse_f64(const std::string& s);
-[[nodiscard]] std::optional<gnn::Benchmark> benchmark_by_name(
-    const std::string& name);
-[[nodiscard]] std::optional<accel::AcceleratorConfig> config_by_name(
-    const std::string& name);
-[[nodiscard]] std::optional<graph::PartitionPolicy> partition_by_name(
-    const std::string& name);
-
-/// Parse `in` into run requests, using `defaults` for unset keys (its
-/// workload fields are ignored; each line must name its own benchmark).
+/// Parse `in` into run requests. Each line starts from `defaults` (its
+/// workload fields are ignored; each line names its own benchmark) with
+/// `options` (minus benchmark and program) under the line's own tokens.
 /// Throws std::invalid_argument with "<source>:<line>: <reason>" on any
 /// malformed line.
 [[nodiscard]] std::vector<RunRequest> parse_batch_manifest(
     std::istream& in, const RunRequest& defaults,
-    const std::string& source = "manifest");
+    const std::string& source = "manifest", const RunOptions& options = {});
 
 }  // namespace gnna::sim

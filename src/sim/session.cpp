@@ -102,25 +102,38 @@ Session::Resolved Session::resolve_base(const RunRequest& req) {
   if (req.benchmark) {
     auto ds = dataset(gnn::benchmark_dataset(*req.benchmark), req.seed);
     const MemoKey key{*req.benchmark, req.seed};
+    std::promise<std::uint64_t> compiled;
     {
-      std::lock_guard<std::mutex> lock(mu_);
+      std::unique_lock<std::mutex> lock(mu_);
       if (const auto it = memo_.find(key); it != memo_.end()) {
+        // Compiled, or being compiled by another thread: wait for that
+        // one compile (get() rethrows its failure) and share the result.
+        const std::shared_future<std::uint64_t> pending = it->second;
+        lock.unlock();
+        const std::uint64_t h = pending.get();
+        lock.lock();
         ++program_hits_;
-        return Resolved{std::move(ds), store_.at(it->second), it->second,
-                        "hit"};
+        return Resolved{std::move(ds), store_.at(h), h, "hit"};
       }
+      memo_.emplace(key, compiled.get_future().share());
     }
-    // Compile outside the lock: the dataset cache has its own, and two
-    // threads racing on one key just do the work twice — the results are
-    // identical and first-insert wins.
-    auto prog = std::make_shared<const accel::CompiledProgram>(
-        accel::ProgramCompiler{}.compile(gnn::make_benchmark_model(
-                                             *req.benchmark),
-                                         *ds));
+    // Compile outside the lock: other keys proceed in parallel, and
+    // requests for this key wait on `compiled`.
+    std::shared_ptr<const accel::CompiledProgram> prog;
+    try {
+      prog = std::make_shared<const accel::CompiledProgram>(
+          accel::ProgramCompiler{}.compile(
+              gnn::make_benchmark_model(*req.benchmark), *ds));
+    } catch (...) {
+      std::lock_guard<std::mutex> lock(mu_);
+      memo_.erase(key);  // a later request retries the compile
+      compiled.set_exception(std::current_exception());
+      throw;
+    }
     const std::uint64_t h = accel::ir::content_hash(*prog);
     std::lock_guard<std::mutex> lock(mu_);
-    memo_[key] = h;
     auto [it, inserted] = store_.emplace(h, std::move(prog));
+    compiled.set_value(h);
     if (inserted) {
       ++program_misses_;
       return Resolved{std::move(ds), it->second, h, "miss"};
@@ -142,28 +155,15 @@ Session::Resolved Session::resolve_base(const RunRequest& req) {
 accel::RunStats Session::run(const RunRequest& req) {
   const Resolved r = resolve(req);
 
-  accel::AcceleratorConfig cfg = req.config;
-  if (req.clock_ghz) cfg = cfg.with_core_clock(*req.clock_ghz);
-  if (req.threads) cfg.tile_params.gpe_threads = *req.threads;
-
-  const std::uint32_t num_tiles = cfg.num_tiles();
-  accel::AcceleratorSim sim(std::move(cfg), req.partition);
+  accel::AcceleratorSim sim(req.effective_config(), req.partition);
   if (req.watchdog_cycles) sim.set_watchdog_cycles(*req.watchdog_cycles);
   sim.set_verify(req.verify);
   sim.set_trace(req.trace);
   if (req.partition == graph::PartitionPolicy::kProfileGuided &&
       !req.attribution_from.empty()) {
-    // Rebalance from the prior run's measured per-vertex load; unprofiled
-    // vertices stay round-robin (make_profile_partition's fallback).
-    const AttributionProfile prof =
-        load_attribution_profile(req.attribution_from);
-    NodeId total_vertices = 0;
-    for (const auto& g : r.dataset->graphs) total_vertices += g.num_nodes();
-    const graph::Partition part = graph::make_profile_partition(
-        total_vertices, static_cast<TileId>(num_tiles), prof.vertex_busy);
-    std::vector<TileId> owners(total_vertices, 0);
-    for (NodeId v = 0; v < total_vertices; ++v) owners[v] = part.owner(v);
-    sim.set_work_owners(std::move(owners));
+    // Rebalance from the prior run's measured per-vertex load.
+    sim.set_profile_loads(
+        load_attribution_profile(req.attribution_from).vertex_busy);
   }
 
   accel::RunStats rs = sim.run(*r.program, *r.dataset);

@@ -11,12 +11,13 @@
 // to construct, single-use, fully independent) is rebuilt.
 //
 // Thread-safety: resolve()/run() may be called concurrently from
-// BatchRunner workers. The caches are mutex-guarded; the simulators
-// themselves share nothing mutable, so concurrent runs are bit-identical
-// to serial runs.
+// BatchRunner workers. The caches are mutex-guarded and compile each
+// (benchmark, seed) once; the simulators themselves share nothing
+// mutable, so concurrent runs are bit-identical to serial runs.
 #pragma once
 
 #include <cstdint>
+#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -61,10 +62,9 @@ struct RunRequest {
   /// Profile-guided partitioning input: path to a prior run's stats JSON
   /// (written with TraceOptions::attribution on). With partition ==
   /// kProfileGuided, Session::run loads its per-vertex busy cycles and
-  /// rebalances heavy vertices onto underloaded tiles
-  /// (graph::make_profile_partition); vertices the profile does not cover
-  /// fall back to round-robin. Empty with kProfileGuided degrades to plain
-  /// round-robin (nothing to guide).
+  /// LPT-packs them onto the tiles (graph::partition_work); vertices the
+  /// profile does not cover fall back to round-robin. Empty with
+  /// kProfileGuided degrades to plain round-robin (nothing to guide).
   std::string attribution_from;
   /// Dataset seed (benchmark form only; explicit datasets carry their own).
   std::uint64_t seed = 2020;
@@ -86,6 +86,15 @@ struct RunRequest {
   accel::TraceOptions trace;
   /// Optional display name; overrides the program name in the stats.
   std::string label;
+
+  /// The configuration the run executes on: `config` with the clock and
+  /// thread overrides applied.
+  [[nodiscard]] accel::AcceleratorConfig effective_config() const {
+    accel::AcceleratorConfig cfg = config;
+    if (clock_ghz) cfg = cfg.with_core_clock(*clock_ghz);
+    if (threads) cfg.tile_params.gpe_threads = *threads;
+    return cfg;
+  }
 };
 
 class Session {
@@ -106,10 +115,11 @@ class Session {
 
   /// Cache-hit accounting (for tests and cache-effectiveness reports).
   /// The program cache is two-level: a (benchmark, seed) memo in front of
-  /// a content-hash store. `program_hits` counts memo hits (no compile),
-  /// `program_dedupes` counts compiles whose IR hash matched an existing
-  /// program (compiled, then shared), `program_misses` counts fresh
-  /// inserts.
+  /// a content-hash store. `program_hits` counts memo hits (no compile,
+  /// including callers that waited on another thread's compile of the
+  /// same key), `program_dedupes` counts compiles whose IR hash matched an
+  /// existing program (compiled, then shared), `program_misses` counts
+  /// fresh inserts.
   struct CacheCounters {
     std::uint64_t dataset_hits = 0;
     std::uint64_t dataset_misses = 0;
@@ -163,8 +173,10 @@ class Session {
 
   mutable std::mutex mu_;
   /// (benchmark, seed) -> IR content hash: answers "have we compiled this
-  /// request before" without recompiling.
-  std::map<MemoKey, std::uint64_t> memo_;
+  /// request before" without recompiling. The entry is inserted before the
+  /// compile starts (single flight): concurrent requests for the key wait
+  /// on the one compile instead of repeating it.
+  std::map<MemoKey, std::shared_future<std::uint64_t>> memo_;
   /// IR content hash -> the one shared program instance. Entries come from
   /// benchmark compiles and .gnna file loads alike.
   std::map<std::uint64_t, std::shared_ptr<const accel::CompiledProgram>>

@@ -6,11 +6,11 @@
 #include <string>
 
 #include "accel/analysis.hpp"
+#include "accel/ir.hpp"
 #include "trace/attribution.hpp"
 #include "trace/profiler.hpp"
 
 namespace gnna::sim {
-namespace {
 
 std::string json_escape(const std::string& s) {
   std::string out;
@@ -34,6 +34,8 @@ std::string json_escape(const std::string& s) {
   }
   return out;
 }
+
+namespace {
 
 std::string json_double(double v) {
   if (!std::isfinite(v)) return "null";
@@ -231,19 +233,13 @@ void write_run_stats_json(std::ostream& os, const accel::RunStats& rs,
   // GNNA-IR content hash (hex) and cache provenance of the executed
   // program; empty/absent when the simulator was driven directly.
   if (!rs.program_cache.empty()) {
-    char hash_buf[32];
-    std::snprintf(hash_buf, sizeof hash_buf, "%016llx",
-                  static_cast<unsigned long long>(rs.program_hash));
-    w.str("program_hash", hash_buf);
+    w.str("program_hash", accel::ir::hash_hex(rs.program_hash));
     w.str("program_cache", rs.program_cache);
   }
   if (rs.optimized_from != 0) {
     // Provenance of an optimizer-rewritten program: the content hash of
     // the program the accel::opt pipeline started from.
-    char hash_buf[32];
-    std::snprintf(hash_buf, sizeof hash_buf, "%016llx",
-                  static_cast<unsigned long long>(rs.optimized_from));
-    w.str("optimized_from", hash_buf);
+    w.str("optimized_from", accel::ir::hash_hex(rs.optimized_from));
   }
   w.str("config", rs.config_name);
   w.num("core_clock_ghz", rs.core_clock_ghz);

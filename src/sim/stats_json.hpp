@@ -3,6 +3,7 @@
 #pragma once
 
 #include <ostream>
+#include <string>
 #include <vector>
 
 #include "accel/simulator.hpp"
@@ -40,5 +41,8 @@ void write_run_stats_json(std::ostream& os, const accel::RunStats& rs,
 /// A batch as a JSON array, in request order. Failed runs become
 /// {"error": "..."} entries so indices still line up with the manifest.
 void write_batch_json(std::ostream& os, const std::vector<RunResult>& results);
+
+/// `s` escaped for use inside a JSON string literal.
+[[nodiscard]] std::string json_escape(const std::string& s);
 
 }  // namespace gnna::sim

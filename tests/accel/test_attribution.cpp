@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "accel/analysis.hpp"
 #include "accel/simulator.hpp"
 #include "common/rng.hpp"
 #include "gnn/model.hpp"
@@ -208,27 +210,72 @@ TEST(AttributionSim, SinkIsPureObservation) {
   ASSERT_TRUE(attr.attribution);
 }
 
-TEST(AttributionSim, WorkOwnersOverrideMovesWork) {
+TEST(AttributionSim, ProfileLoadsMoveWork) {
   sim::Session session;
   const sim::Session::Resolved r = compile_small(session);
   accel::AcceleratorSim sim(accel::AcceleratorConfig::gpu_iso_bw(),
-                            graph::PartitionPolicy::kRoundRobin);
+                            graph::PartitionPolicy::kProfileGuided);
   accel::TraceOptions opts;
   opts.attribution = true;
   sim.set_trace(opts);
-  // Pile every vertex onto tile 3: the attribution must show tile 3 owning
-  // all the task retirements.
-  sim.set_work_owners(std::vector<TileId>(256, TileId{3}));
+  // Vertex 0 outweighs the other 255 together: LPT gives it tile 0 alone
+  // and packs everything else onto the remaining tiles.
+  std::vector<double> loads(256, 1.0);
+  loads[0] = 1000.0;
+  sim.set_profile_loads(loads);
   const accel::RunStats rs = sim.run(*r.program, *r.dataset);
   ASSERT_TRUE(rs.attribution);
-  for (std::size_t t = 0; t < rs.attribution->tiles.size(); ++t) {
-    if (t == 3) {
-      EXPECT_GT(rs.attribution->tiles[t].tasks, 0U);
-    } else {
-      EXPECT_EQ(rs.attribution->tiles[t].tasks, 0U);
-    }
+  const std::size_t phases = r.program->phases.size();
+  EXPECT_EQ(rs.attribution->tiles[0].tasks, phases);
+  std::uint64_t others = 0;
+  for (std::size_t t = 1; t < rs.attribution->tiles.size(); ++t) {
+    others += rs.attribution->tiles[t].tasks;
   }
+  EXPECT_EQ(others, 255U * phases);
 }
+
+class PartitionedRun
+    : public ::testing::TestWithParam<graph::PartitionPolicy> {};
+
+TEST_P(PartitionedRun, TileTasksFollowMakePartition) {
+  // The simulator runs exactly the split graph::make_partition computes:
+  // every GAT/Cora phase is per-vertex, so each tile retires its bucket
+  // once per phase.
+  sim::Session session;
+  sim::RunRequest req;
+  req.benchmark = gnn::Benchmark::kGatCora;
+  req.config = accel::AcceleratorConfig::gpu_iso_bw();
+  req.partition = GetParam();
+  req.trace.attribution = true;
+  const sim::Session::Resolved r = session.resolve(req);
+  const accel::RunStats rs = session.run(req);
+  ASSERT_TRUE(rs.attribution);
+  ASSERT_TRUE(rs.static_model);
+
+  const auto buckets =
+      graph::make_partition(r.dataset->undirected[0],
+                            static_cast<TileId>(req.config.num_tiles()),
+                            GetParam())
+          .by_tile();
+  const std::size_t phases = r.program->phases.size();
+  ASSERT_EQ(rs.attribution->tiles.size(), buckets.size());
+  for (std::size_t t = 0; t < buckets.size(); ++t) {
+    EXPECT_EQ(rs.attribution->tiles[t].tasks, buckets[t].size() * phases)
+        << "tile " << t;
+  }
+  EXPECT_LE(rs.static_model->bound_cycles, static_cast<double>(rs.cycles));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    GatCoraGpuIsoBw, PartitionedRun,
+    ::testing::Values(graph::PartitionPolicy::kRoundRobin,
+                      graph::PartitionPolicy::kBlock,
+                      graph::PartitionPolicy::kDegreeGreedy),
+    [](const auto& info) {
+      std::string name(graph::partition_name(info.param));
+      std::erase(name, '-');
+      return name;
+    });
 
 }  // namespace
 }  // namespace gnna

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <span>
 #include <tuple>
 
 #include "common/rng.hpp"
@@ -127,10 +128,63 @@ TEST(Partition, ProfileGuidedWithoutLoadsFallsBackToRoundRobin) {
   }
 }
 
+TEST(Partition, DegreeGreedyIsLptOverDegreeLoads) {
+  // Degree-greedy is LPT over out-degree + 1, and so the same packing as
+  // profile-guided over those loads.
+  const Graph g = test_graph();
+  const std::vector<double> loads =
+      degree_loads(std::span<const Graph>(&g, 1));
+  ASSERT_EQ(loads.size(), g.num_nodes());
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    EXPECT_EQ(loads[v], g.out_degree(v) + 1.0);
+  }
+  for (const TileId tiles : {TileId{1}, TileId{3}, TileId{8}}) {
+    // Reference LPT: heaviest vertex first (lowest id on ties) onto the
+    // least-loaded tile (lowest id on ties).
+    std::vector<NodeId> order(g.num_nodes());
+    std::iota(order.begin(), order.end(), NodeId{0});
+    std::stable_sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
+      return loads[a] > loads[b];
+    });
+    std::vector<double> tile_load(tiles, 0.0);
+    std::vector<TileId> expected(g.num_nodes());
+    for (const NodeId v : order) {
+      TileId best = 0;
+      for (TileId t = 1; t < tiles; ++t) {
+        if (tile_load[t] < tile_load[best]) best = t;
+      }
+      expected[v] = best;
+      tile_load[best] += loads[v];
+    }
+    const Partition greedy =
+        make_partition(g, tiles, PartitionPolicy::kDegreeGreedy);
+    const Partition profiled = partition_work(
+        g.num_nodes(), tiles, PartitionPolicy::kProfileGuided, loads);
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      EXPECT_EQ(greedy.owner(v), expected[v]) << "vertex " << v;
+      EXPECT_EQ(profiled.owner(v), expected[v]) << "vertex " << v;
+    }
+  }
+}
+
+TEST(Partition, NamesRoundTrip) {
+  for (const PartitionPolicy p :
+       {PartitionPolicy::kRoundRobin, PartitionPolicy::kBlock,
+        PartitionPolicy::kDegreeGreedy, PartitionPolicy::kProfileGuided}) {
+    EXPECT_EQ(partition_by_name(partition_name(p)), p);
+  }
+  EXPECT_FALSE(partition_by_name("hash").has_value());
+}
+
+Partition profile_partition(std::size_t n, TileId tiles,
+                            const std::vector<double>& loads) {
+  return partition_work(n, tiles, PartitionPolicy::kProfileGuided, loads);
+}
+
 TEST(ProfilePartition, LptBalancesMeasuredLoads) {
   // Loads 8,7,..,1 over 2 tiles: LPT packs {8,5,4,1} vs {7,6,3,2} = 18/18.
   const std::vector<double> loads = {8, 7, 6, 5, 4, 3, 2, 1};
-  const Partition p = make_profile_partition(8, 2, loads);
+  const Partition p = profile_partition(8, 2, loads);
   std::vector<double> tile_load(2, 0.0);
   for (NodeId v = 0; v < 8; ++v) tile_load[p.owner(v)] += loads[v];
   EXPECT_DOUBLE_EQ(tile_load[0], 18.0);
@@ -143,7 +197,7 @@ TEST(ProfilePartition, UnprofiledVerticesRoundRobin) {
   // Only vertices 0..3 carry loads; 4..11 are missing from the profile
   // (loads vector shorter than n) and must spread round-robin.
   const std::vector<double> loads = {4, 3, 2, 1};
-  const Partition p = make_profile_partition(12, 4, loads);
+  const Partition p = profile_partition(12, 4, loads);
   std::vector<std::size_t> count(4, 0);
   for (NodeId v = 4; v < 12; ++v) ++count[p.owner(v)];
   for (const std::size_t c : count) EXPECT_EQ(c, 2U);
@@ -152,22 +206,21 @@ TEST(ProfilePartition, UnprofiledVerticesRoundRobin) {
 TEST(ProfilePartition, ZeroLoadEntriesCountAsUnprofiled) {
   // Zero entries (evicted from the bounded top-K table) take the fallback
   // path too, not a tile-0 pile-up.
+  // All zero, the split is exactly round-robin.
   const std::vector<double> loads = {0, 0, 0, 0, 0, 0, 0, 0};
-  const Partition p = make_profile_partition(8, 4, loads);
-  std::vector<std::size_t> count(4, 0);
-  for (NodeId v = 0; v < 8; ++v) ++count[p.owner(v)];
-  for (const std::size_t c : count) EXPECT_EQ(c, 2U);
+  const Partition p = profile_partition(8, 4, loads);
+  for (NodeId v = 0; v < 8; ++v) EXPECT_EQ(p.owner(v), v % 4);
 }
 
 TEST(ProfilePartition, EmptyLoadsIsPureRoundRobin) {
-  const Partition p = make_profile_partition(10, 3, {});
+  const Partition p = profile_partition(10, 3, {});
   for (NodeId v = 0; v < 10; ++v) {
     EXPECT_EQ(p.owner(v), v % 3);
   }
 }
 
 TEST(ProfilePartition, ZeroTilesThrows) {
-  EXPECT_THROW(make_profile_partition(4, 0, {1, 2, 3, 4}),
+  EXPECT_THROW(profile_partition(4, 0, {1, 2, 3, 4}),
                std::invalid_argument);
 }
 

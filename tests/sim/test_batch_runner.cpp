@@ -167,11 +167,11 @@ TEST(BatchRunner, SharedSessionCachesAcrossBatch) {
   const Session::CacheCounters cc = session.cache_counters();
   // The dataset cache generates inside its lock: exactly one miss.
   EXPECT_EQ(cc.dataset_misses, 1U);
-  // Program compilation happens outside the cache lock, so concurrent
-  // first requests may each count a miss (first insert wins); what must
-  // hold is that every request was accounted and at least one missed.
-  EXPECT_GE(cc.program_misses, 1U);
-  EXPECT_EQ(cc.program_hits + cc.program_misses, 4U);
+  // The compile is single-flight: one request compiles, the three
+  // concurrent others wait on it and count as hits, none recompiles.
+  EXPECT_EQ(cc.program_misses, 1U);
+  EXPECT_EQ(cc.program_hits, 3U);
+  EXPECT_EQ(cc.program_dedupes, 0U);
 }
 
 }  // namespace

@@ -174,6 +174,26 @@ TEST(Manifest, RejectsMalformedValues) {
   EXPECT_FALSE(parse_error("benchmark=GCN/Cora benchmark\n").empty());
 }
 
+TEST(Manifest, ConfigOverridesApplyWhateverTheTokenOrder) {
+  // mem_* and tile_* tokens override the line's config even when they
+  // come before `config=`, which would otherwise replace them.
+  const auto reqs = parse(
+      "benchmark=GCN/Cora mem_banks=4 tile_dnq_data_bytes=4096 "
+      "config=gpu-iso-bw\n"
+      "benchmark=GCN/Cora config=gpu-iso-bw mem_banks=4 "
+      "tile_dnq_data_bytes=4096\n");
+  ASSERT_EQ(reqs.size(), 2U);
+  for (const RunRequest& r : reqs) {
+    EXPECT_EQ(r.config.name, accel::AcceleratorConfig::gpu_iso_bw().name);
+    EXPECT_EQ(r.config.mem_params.banks, 4U);
+    EXPECT_EQ(r.config.tile_params.dnq_data_bytes, 4096U);
+  }
+  EXPECT_EQ(describe(reqs[0]), describe(reqs[1]));
+  EXPECT_EQ(describe(reqs[0]),
+            "benchmark=GCN/Cora config=gpu-iso-bw mem_banks=4 "
+            "tile_dnq_data_bytes=4096");
+}
+
 TEST(Manifest, EmptyManifestYieldsNoRuns) {
   EXPECT_TRUE(parse("").empty());
   EXPECT_TRUE(parse("# only comments\n\n").empty());

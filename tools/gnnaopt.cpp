@@ -18,7 +18,6 @@
 // plus a final end-to-end proof of the whole pipeline (original vs.
 // emitted program), so the artifact documents *why* the rewrite is safe.
 
-#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -44,17 +43,16 @@ void usage(std::ostream& os) {
         "  --bind <benchmark>    dataset the program runs against; enables\n"
         "                        the topology-dependent proof obligations\n"
         "                        (walk-tree recomputation, GV012)\n"
-        "  --config <name>       cpu-iso-bw | gpu-iso-bw | gpu-iso-flops\n"
-        "                        (default cpu-iso-bw; sets the scratchpad\n"
-        "                        footprint bound for fusion and the\n"
-        "                        cycle-bound obligation)\n"
-        "  --seed <n>            dataset seed for --bind (default 2020)\n"
         "  --passes <a,b,...>    pass subset, run in the given order\n"
         "                        (default: the full pipeline)\n"
         "  --report <file>       also write the validation report here\n"
         "  --list-passes         print the pass catalog\n"
         "  --quiet               only print errors\n"
-        "  --help                this text\n";
+        "  --help                this text\n"
+        "run options (gnnasim's; the effective config bounds scratchpad\n"
+        "footprints for fusion and the cycle-bound obligation, --seed picks\n"
+        "the --bind dataset, and the rest change nothing here):\n";
+  sim::print_run_options(os);
 }
 
 std::vector<std::string> split_passes(const std::string& csv) {
@@ -74,88 +72,65 @@ int main(int argc, char** argv) {
   std::string output;
   std::string report_path;
   std::optional<gnn::Benchmark> bind;
-  accel::AcceleratorConfig cfg = accel::AcceleratorConfig::cpu_iso_bw();
-  std::uint64_t seed = 2020;
+  sim::RunOptions options;
   std::vector<std::string> passes;
   bool quiet = false;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> std::optional<std::string> {
-      if (i + 1 >= argc) return std::nullopt;
-      return std::string(argv[++i]);
-    };
-    if (arg == "--help" || arg == "-h") {
-      usage(std::cout);
-      return 0;
+  sim::RunRequest run;
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      // The value of a tool-local flag; exits 2 when it is missing.
+      auto next = [&](const char* what) -> std::string {
+        if (i + 1 >= argc || argv[i + 1][0] == '\0') {
+          throw std::invalid_argument(arg + " needs " + what);
+        }
+        return argv[++i];
+      };
+      if (arg == "--help" || arg == "-h") {
+        usage(std::cout);
+        return 0;
+      }
+      if (arg == "--list-passes") {
+        for (const auto& p : accel::opt::pass_catalog()) {
+          std::cout << p.name << "\n    " << p.summary << "\n";
+        }
+        return 0;
+      }
+      if (arg == "-o") {
+        output = next("a file path");
+      } else if (arg == "--bind") {
+        bind = sim::benchmark_by_name(next("a benchmark name"));
+        if (!bind) {
+          throw std::invalid_argument(
+              "--bind needs a known benchmark name (try gnnasim --list)");
+        }
+      } else if (options.parse_flag(argc, argv, i)) {
+        continue;
+      } else if (arg == "--passes") {
+        passes = split_passes(next("a comma-separated list"));
+      } else if (arg == "--report") {
+        report_path = next("a file path");
+      } else if (arg == "--quiet") {
+        quiet = true;
+      } else if (!arg.empty() && arg[0] == '-') {
+        std::cerr << "error: unknown flag '" << arg << "'\n";
+        usage(std::cerr);
+        return 2;
+      } else {
+        if (!input.empty()) {
+          std::cerr << "error: exactly one input .gnna file\n";
+          return 2;
+        }
+        input = arg;
+      }
     }
-    if (arg == "--list-passes") {
-      for (const auto& p : accel::opt::pass_catalog()) {
-        std::cout << p.name << "\n    " << p.summary << "\n";
-      }
-      return 0;
-    }
-    if (arg == "-o") {
-      const auto v = next();
-      if (!v) {
-        std::cerr << "error: -o needs a file path\n";
-        return 2;
-      }
-      output = *v;
-    } else if (arg == "--bind") {
-      const auto v = next();
-      const auto b = v ? sim::benchmark_by_name(*v) : std::nullopt;
-      if (!b) {
-        std::cerr << "error: --bind needs a known benchmark name (try"
-                     " gnnasim --list)\n";
-        return 2;
-      }
-      bind = *b;
-    } else if (arg == "--config") {
-      const auto v = next();
-      const auto c = v ? sim::config_by_name(*v) : std::nullopt;
-      if (!c) {
-        std::cerr << "error: --config needs cpu-iso-bw | gpu-iso-bw |"
-                     " gpu-iso-flops\n";
-        return 2;
-      }
-      cfg = *c;
-    } else if (arg == "--seed") {
-      const auto v = next();
-      const auto n = v ? sim::parse_u64(*v) : std::nullopt;
-      if (!n) {
-        std::cerr << "error: --seed needs a number\n";
-        return 2;
-      }
-      seed = *n;
-    } else if (arg == "--passes") {
-      const auto v = next();
-      if (!v || v->empty()) {
-        std::cerr << "error: --passes needs a comma-separated list\n";
-        return 2;
-      }
-      passes = split_passes(*v);
-    } else if (arg == "--report") {
-      const auto v = next();
-      if (!v) {
-        std::cerr << "error: --report needs a file path\n";
-        return 2;
-      }
-      report_path = *v;
-    } else if (arg == "--quiet") {
-      quiet = true;
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::cerr << "error: unknown flag '" << arg << "'\n";
-      usage(std::cerr);
-      return 2;
-    } else {
-      if (!input.empty()) {
-        std::cerr << "error: exactly one input .gnna file\n";
-        return 2;
-      }
-      input = arg;
-    }
+    options.apply(run);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "error: " << e.what() << '\n';
+    return 2;
   }
+  const accel::AcceleratorConfig cfg = run.effective_config();
   if (input.empty()) {
     std::cerr << "error: no input file\n";
     usage(std::cerr);
@@ -163,12 +138,10 @@ int main(int argc, char** argv) {
   }
   if (output.empty()) {
     const std::string ext = accel::ir::kIrExtension;
-    std::string stem = input;
-    if (stem.size() > ext.size() &&
-        stem.compare(stem.size() - ext.size(), ext.size(), ext) == 0) {
-      stem.resize(stem.size() - ext.size());
-    }
-    output = stem + ".opt" + ext;
+    output = (input.ends_with(ext) && input.size() > ext.size()
+                  ? input.substr(0, input.size() - ext.size())
+                  : input) +
+             ".opt" + ext;
   }
 
   accel::CompiledProgram prog;
@@ -182,7 +155,8 @@ int main(int argc, char** argv) {
 
   std::shared_ptr<const graph::Dataset> ds;
   if (bind) {
-    ds = sim::Session::global().dataset(gnn::benchmark_dataset(*bind), seed);
+    ds = sim::Session::global().dataset(gnn::benchmark_dataset(*bind),
+                                       run.seed);
   }
 
   accel::opt::OptimizeOptions oo;
@@ -199,36 +173,29 @@ int main(int argc, char** argv) {
   }
 
   std::ostringstream report;
+  const auto indented = [&](const std::string& text) {
+    std::istringstream lines(text);
+    for (std::string line; std::getline(lines, line);) {
+      report << "  " << line << "\n";
+    }
+  };
+  const auto refuse = [&](const std::string& why) {
+    report << "REFUSED: " << why << "\n";
+    if (!report_path.empty()) std::ofstream(report_path) << report.str();
+    std::cerr << report.str()
+              << "gnnaopt: refusing to emit an unproven program\n";
+    return 1;
+  };
   report << "program: " << prog.name << "\n"
-         << "input:   " << input << " (hash ";
-  {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%016llx",
-                  static_cast<unsigned long long>(
-                      accel::ir::content_hash(prog)));
-    report << buf << ")\n";
-  }
+         << "input:   " << input << " (hash "
+         << accel::ir::hash_hex(accel::ir::content_hash(prog)) << ")\n";
   for (const auto& po : res.passes) {
     report << "pass " << po.pass << ": "
            << (po.changed ? "changed" : "no change") << " — " << po.summary
            << "\n";
-    if (po.changed) {
-      std::istringstream lines(po.validation.to_string());
-      std::string line;
-      while (std::getline(lines, line)) report << "  " << line << "\n";
-    }
+    if (po.changed) indented(po.validation.to_string());
   }
-
-  if (!res.validated) {
-    report << "REFUSED: " << res.failure << "\n";
-    if (!report_path.empty()) {
-      std::ofstream rf(report_path);
-      rf << report.str();
-    }
-    std::cerr << report.str();
-    std::cerr << "gnnaopt: refusing to emit an unproven program\n";
-    return 1;
-  }
+  if (!res.validated) return refuse(res.failure);
 
   // End-to-end proof of the whole pipeline: original vs. emitted program.
   // Stepwise proofs already gate each pass; this documents the composed
@@ -239,21 +206,8 @@ int main(int argc, char** argv) {
   const auto whole =
       accel::validate::validate_transform(prog, res.program, vo);
   report << "end-to-end:\n";
-  {
-    std::istringstream lines(whole.to_string());
-    std::string line;
-    while (std::getline(lines, line)) report << "  " << line << "\n";
-  }
-  if (!whole.equivalent) {
-    report << "REFUSED: end-to-end proof failed\n";
-    if (!report_path.empty()) {
-      std::ofstream rf(report_path);
-      rf << report.str();
-    }
-    std::cerr << report.str();
-    std::cerr << "gnnaopt: refusing to emit an unproven program\n";
-    return 1;
-  }
+  indented(whole.to_string());
+  if (!whole.equivalent) return refuse("end-to-end proof failed");
 
   try {
     accel::ir::save_file(res.program, output);
@@ -262,14 +216,9 @@ int main(int argc, char** argv) {
               << "\n";
     return 1;
   }
-  {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%016llx",
-                  static_cast<unsigned long long>(
-                      accel::ir::content_hash(res.program)));
-    report << "output:  " << output << " (hash " << buf << ", "
-           << (res.changed() ? "optimized" : "already optimal") << ")\n";
-  }
+  report << "output:  " << output << " (hash "
+         << accel::ir::hash_hex(accel::ir::content_hash(res.program)) << ", "
+         << (res.changed() ? "optimized" : "already optimal") << ")\n";
 
   if (!report_path.empty()) {
     std::ofstream rf(report_path);

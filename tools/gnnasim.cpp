@@ -12,7 +12,6 @@
 // --jobs worker threads, and reports per-run latencies (machine-readable
 // with --json).
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <functional>
@@ -42,108 +41,41 @@ using namespace gnna;
 void usage(std::ostream& os) {
   os << "usage: gnnasim [options]\n"
         "  --list                     list benchmarks and configurations\n"
-        "  --benchmark <name>         e.g. GCN/Cora (required unless --list"
-        " or --batch)\n"
-        "  --program <file>           run a GNNA-IR .gnna program instead of\n"
-        "                             compiling; --benchmark still names the\n"
-        "                             dataset it runs against\n"
-        "  --emit-program <file>      compile the benchmark, write it as\n"
-        "                             GNNA-IR text, and exit (no simulation)\n"
-        "  --config <name>            cpu-iso-bw | gpu-iso-bw | gpu-iso-flops"
-        " (default cpu-iso-bw)\n"
-        "  --clock <ghz>              core clock in GHz (default 2.4)\n"
-        "  --threads <n>              GPE software threads (default 16)\n"
-        "  --partition <policy>       round-robin | block | degree-greedy |\n"
-        "                             profile-guided (default round-robin;\n"
-        "                             profile-guided needs"
-        " --attribution-from)\n"
-        "  --seed <n>                 dataset seed (default 2020)\n"
+        "  --emit-program <file>      write --benchmark's GNNA-IR; no run\n"
         "  --energy                   print the energy breakdown\n"
-        "  --batch <manifest>         run one simulation per manifest line\n"
-        "                             (key=value tokens; `gnnasim --help-batch'"
-        " for the format);\n"
-        "                             CLI flags above become per-line"
-        " defaults\n"
+        "  --batch <manifest>         one run per line (see --help-batch)\n"
         "  --jobs <n>                 worker threads for --batch (default 1)\n"
-        "  --json <file>              write run stats as JSON (object for a\n"
-        "                             single run, array for --batch)\n"
-        "  --profile[=<file>]         aggregate a per-phase/per-unit profile;\n"
-        "                             printed after the report, embedded in\n"
-        "                             --json output, and (with =<file>) also\n"
-        "                             written there as JSON for gnnatrace\n"
-        "  --attribution[=<file>]     charge work to owning vertices/tiles;\n"
-        "                             per-tile totals + top-K hotspots are\n"
-        "                             embedded in --json output and (with\n"
-        "                             =<file>) also written there as JSON\n"
-        "                             for gnnatrace hotspots\n"
-        "  --attribution-top-k <n>    hotspot-table bound (default 64; use\n"
-        "                             >= the vertex count for an exact\n"
-        "                             profiling pass)\n"
-        "  --attribution-from <file>  prior run's stats JSON consumed by\n"
-        "                             --partition profile-guided\n"
-        "  --trace <file>             write a Chrome-trace JSON event log\n"
-        "                             (open in chrome://tracing or Perfetto;\n"
-        "                             per-run files <file>.runN in --batch)\n"
-        "  --sample-every <cycles>    periodic utilization/occupancy samples\n"
-        "  --sample-file <file>       CSV sidecar for the samples (default\n"
-        "                             stderr; per-run files in --batch)\n"
-        "  --watchdog <cycles>        progress watchdog threshold\n"
+        "  --json <file>              run stats JSON (an array for --batch)\n"
+        "  --profile[=<file>]         per-phase profile, also to <file>\n"
+        "  --attribution=<file>       --attribution, stats JSON to <file>\n"
+        "  --trace <file>             Chrome-trace event log (<file>.runN\n"
+        "                             per run in --batch)\n"
+        "  --sample-every <cycles>    periodic utilization samples\n"
+        "  --sample-file <file>       CSV for the samples (default stderr)\n"
         "  --deadlock-report <file>   also write watchdog diagnostics here\n"
-        "  --verify / --no-verify     static program verification before\n"
-        "                             simulating (default on; lint errors\n"
-        "                             abort the run — see gnnaverify)\n"
-        "  --optimize                 run the program through the GNNA-IR\n"
-        "                             pass pipeline (accel::opt), gated by\n"
-        "                             the translation validator; the run\n"
-        "                             aborts if any pass output cannot be\n"
-        "                             proved equivalent (see gnnaopt)\n"
-        "  --mem-scheduler <name>     in_order (default; the paper's model)\n"
-        "                             | frfcfs (banked open-row reordering\n"
-        "                             controller, DESIGN.md §11)\n"
-        "  --mem-banks <n>            FR-FCFS: DRAM banks (default 8)\n"
-        "  --mem-row-bytes <n>        FR-FCFS: open-row size (default 2048)\n"
-        "  --mem-row-hit-ns <ns>      FR-FCFS: open-row access latency\n"
-        "                             (default 10)\n"
-        "  --mem-row-miss-ns <ns>     FR-FCFS: closed-row access latency\n"
-        "                             (default 30)\n"
-        "  --mem-window <n>           FR-FCFS: scheduling-window entries\n"
-        "                             (default 16)\n"
-        "  --mem-bank-xor             FR-FCFS: XOR-permute the bank index\n"
-        "                             with the row index so strided access\n"
-        "                             patterns spread across banks\n"
-        "  --tile-agg-data-bytes <n>  per-tile AGG scratchpad bytes (what\n"
-        "                             gnnaverify --fix suggests for GV201)\n"
-        "  --tile-dnq-data-bytes <n>  per-tile DNQ scratchpad bytes\n"
-        "  --tile-dnq-queue0-sixteenths <n>\n"
-        "                             DNQ virtual-queue split: sixteenths of\n"
-        "                             the DNQ scratchpad given to queue 0\n"
-        "  --help                     this text\n";
+        "  --help-batch               the batch manifest format\n"
+        "  --help                     this text\n"
+        "run options (each is also a manifest key: --mem-banks 4 is"
+        " mem_banks=4;\nin --batch they default every line):\n";
+  sim::print_run_options(os);
 }
 
 void usage_batch(std::ostream& os) {
   os << "batch manifest format: one run per line, `#' comments, tokens\n"
         "  benchmark=GCN/Cora config=gpu-iso-bw clock=1.2 threads=32 \\\n"
         "      partition=block seed=7 repeat=4 verify=0\n"
-        "`benchmark' is required per line; other keys default to the CLI\n"
-        "flags; `repeat=N' expands the line into N identical runs;\n"
-        "`verify=0|1' toggles static program verification per line;\n"
-        "`optimize=0|1' toggles the validator-gated GNNA-IR optimizer;\n"
-        "`program=<file>' loads a GNNA-IR .gnna program instead of\n"
-        "compiling (benchmark= still names the dataset).\n"
-        "Memory keys mem_scheduler=in_order|frfcfs, mem_banks=N,\n"
-        "mem_row_bytes=N, mem_row_hit_ns=X, mem_row_miss_ns=X, mem_window=N,\n"
-        "mem_bank_xor=0|1 and tile scratchpad keys tile_agg_data_bytes=N,\n"
-        "tile_dnq_data_bytes=N, tile_dnq_queue0_sixteenths=N override the\n"
-        "line's configuration; put them after any config= token (config=\n"
-        "replaces the whole configuration).\n"
-        "Attribution keys: attribution=0|1 toggles the per-vertex/per-tile\n"
-        "work-attribution sink, attribution_top_k=N bounds its hotspot\n"
-        "table, and partition=profile-guided attribution_from=<stats.json>\n"
-        "rebalances the line from a prior run's attribution block.\n";
+        "`benchmark' is required per line (with program=, it names the\n"
+        "dataset); `repeat=N' expands the line into N identical runs. Every\n"
+        "other key is a run option that defaults to the command line's\n"
+        "value; mem_* and tile_* keys override the line's config wherever\n"
+        "they appear on the line. Keys:\n";
+  sim::print_run_options(os, /*manifest_keys=*/true);
 }
 
-/// "t.json" -> "t.run3.json" (suffix before the extension, if any).
+/// "t.json" -> "t.run3.json" (suffix before the extension, if any); ""
+/// stays "".
 std::string per_run_path(const std::string& path, std::size_t index) {
+  if (path.empty()) return path;
   const auto slash = path.find_last_of('/');
   const auto dot = path.find_last_of('.');
   const std::string suffix = ".run" + std::to_string(index);
@@ -152,6 +84,14 @@ std::string per_run_path(const std::string& path, std::size_t index) {
     return path + suffix;
   }
   return path.substr(0, dot) + suffix + path.substr(dot);
+}
+
+/// Opens `path` for writing into `out`; false, with a message on stderr,
+/// when it cannot.
+bool open_for_writing(std::ofstream& out, const std::string& path) {
+  out.open(path);
+  if (!out) std::cerr << "error: cannot open " << path << " for writing\n";
+  return static_cast<bool>(out);
 }
 
 /// Owns the streams and sinks behind one run's TraceOptions; must outlive
@@ -167,23 +107,14 @@ struct TraceFiles {
             Cycle sample_every, const std::string& deadlock_path,
             accel::TraceOptions& opts) {
     if (!trace_path.empty()) {
-      trace_file.open(trace_path);
-      if (!trace_file) {
-        std::cerr << "error: cannot open " << trace_path << " for writing\n";
-        return false;
-      }
+      if (!open_for_writing(trace_file, trace_path)) return false;
       sink.emplace(trace_file);
       opts.sink = &*sink;
     }
     if (sample_every > 0) {
       opts.sample_every = sample_every;
       if (!sample_path.empty()) {
-        sample_file.open(sample_path);
-        if (!sample_file) {
-          std::cerr << "error: cannot open " << sample_path
-                    << " for writing\n";
-          return false;
-        }
+        if (!open_for_writing(sample_file, sample_path)) return false;
         opts.sample_out = &sample_file;
       } else {
         opts.sample_out = &std::cerr;
@@ -196,11 +127,10 @@ struct TraceFiles {
 
 void print_single_run_report(const accel::RunStats& rs, gnn::Benchmark b,
                              const accel::AcceleratorConfig& cfg,
-                             double clock_ghz, std::uint32_t threads,
                              bool want_energy) {
   std::cout << "benchmark : " << gnn::benchmark_name(b) << '\n';
-  std::cout << "config    : " << cfg.name << " @ " << clock_ghz << " GHz, "
-            << threads << " GPE threads\n\n";
+  std::cout << "config    : " << cfg.name << " @ " << cfg.core_clock.ghz()
+            << " GHz, " << cfg.tile_params.gpe_threads << " GPE threads\n\n";
 
   Table t({"Metric", "Value"});
   t.add_row({"latency", format_double(rs.millis, 3) + " ms (" +
@@ -257,371 +187,138 @@ void print_single_run_report(const accel::RunStats& rs, gnn::Benchmark b,
   }
 }
 
-bool write_json_file(const std::string& path,
-                     const std::function<void(std::ostream&)>& emit) {
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "error: cannot open " << path << " for writing\n";
-    return false;
+/// Writes `emit`'s JSON to every non-empty path in `paths`.
+bool write_json_files(const std::vector<std::string>& paths,
+                      const std::function<void(std::ostream&)>& emit) {
+  for (const std::string& path : paths) {
+    if (path.empty()) continue;
+    std::ofstream out;
+    if (!open_for_writing(out, path)) return false;
+    emit(out);
+    if (!out.good()) return false;
   }
-  emit(out);
-  return out.good();
+  return true;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::optional<gnn::Benchmark> benchmark;
-  accel::AcceleratorConfig cfg = accel::AcceleratorConfig::cpu_iso_bw();
-  graph::PartitionPolicy partition = graph::PartitionPolicy::kRoundRobin;
-  double clock_ghz = 2.4;
-  std::uint32_t threads = 16;
-  std::uint64_t seed = 2020;
+  sim::RunOptions options;
   bool want_energy = false;
   std::string batch_path;
   std::string json_path;
   bool profile = false;
   std::string profile_path;
-  bool attribution = false;
   std::string attribution_path;
-  std::optional<std::size_t> attribution_top_k;
-  std::string attribution_from;
   unsigned jobs = 1;
   std::string trace_path;
   std::string sample_path;
   std::string deadlock_path;
   Cycle sample_every = 0;
-  std::optional<Cycle> watchdog;
-  bool verify = true;
-  bool optimize = false;
-  std::optional<mem::MemScheduler> mem_scheduler;
-  std::optional<std::uint32_t> mem_banks;
-  std::optional<std::uint32_t> mem_row_bytes;
-  std::optional<double> mem_row_hit_ns;
-  std::optional<double> mem_row_miss_ns;
-  std::optional<std::uint32_t> mem_window;
-  bool mem_bank_xor = false;
-  std::optional<std::uint32_t> tile_agg_data_bytes;
-  std::optional<std::uint32_t> tile_dnq_data_bytes;
-  std::optional<std::uint32_t> tile_dnq_queue0_sixteenths;
-  std::string program_path;
   std::string emit_program_path;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> std::optional<std::string> {
-      if (i + 1 >= argc) return std::nullopt;
-      return std::string(argv[++i]);
-    };
-    if (arg == "--help" || arg == "-h") {
-      usage(std::cout);
-      return 0;
-    }
-    if (arg == "--help-batch") {
-      usage_batch(std::cout);
-      return 0;
-    }
-    if (arg == "--list") {
-      std::cout << "benchmarks:\n";
-      for (const gnn::Benchmark b : gnn::kAllBenchmarks) {
-        std::cout << "  " << gnn::benchmark_name(b) << '\n';
-      }
-      std::cout << "configurations:\n  cpu-iso-bw\n  gpu-iso-bw\n"
-                   "  gpu-iso-flops\n";
-      return 0;
-    }
-    if (arg == "--benchmark") {
-      const auto v = next();
-      if (!v || !(benchmark = sim::benchmark_by_name(*v))) {
-        std::cerr << "error: unknown benchmark; try --list\n";
-        return 2;
-      }
-    } else if (arg == "--config") {
-      const auto v = next();
-      const auto c = v ? sim::config_by_name(*v) : std::nullopt;
-      if (!c) {
-        std::cerr << "error: unknown config; try --list\n";
-        return 2;
-      }
-      cfg = *c;
-    } else if (arg == "--clock") {
-      const auto v = next();
-      const auto parsed = v ? sim::parse_f64(*v) : std::nullopt;
-      if (!parsed) {
-        std::cerr << "error: --clock needs a number (GHz)\n";
-        return 2;
-      }
-      clock_ghz = *parsed;
-      if (clock_ghz <= 0.0 || clock_ghz > 2.4 + 1e-9) {
-        std::cerr << "error: clock must be in (0, 2.4] GHz (the NoC runs "
-                     "at 2.4)\n";
-        return 2;
-      }
-    } else if (arg == "--threads") {
-      const auto v = next();
-      const auto parsed = v ? sim::parse_u64(*v) : std::nullopt;
-      if (!parsed) {
-        std::cerr << "error: --threads needs a count\n";
-        return 2;
-      }
-      threads = static_cast<std::uint32_t>(*parsed);
-    } else if (arg == "--partition") {
-      const auto v = next();
-      const auto p = v ? sim::partition_by_name(*v) : std::nullopt;
-      if (!p) {
-        std::cerr << "error: unknown partition policy\n";
-        return 2;
-      }
-      partition = *p;
-    } else if (arg == "--seed") {
-      const auto v = next();
-      const auto parsed = v ? sim::parse_u64(*v) : std::nullopt;
-      if (!parsed) {
-        std::cerr << "error: --seed needs a number\n";
-        return 2;
-      }
-      seed = *parsed;
-    } else if (arg == "--energy") {
-      want_energy = true;
-    } else if (arg == "--batch") {
-      const auto v = next();
-      if (!v) {
-        std::cerr << "error: --batch needs a manifest file\n";
-        return 2;
-      }
-      batch_path = *v;
-    } else if (arg == "--jobs") {
-      const auto v = next();
-      const auto parsed = v ? sim::parse_u64(*v) : std::nullopt;
-      if (!parsed || *parsed < 1 || *parsed > 1024) {
-        std::cerr << "error: --jobs needs a count in [1, 1024], got '"
-                  << v.value_or("") << "'\n";
-        return 2;
-      }
-      jobs = static_cast<unsigned>(*parsed);
-    } else if (arg == "--json") {
-      const auto v = next();
-      if (!v) {
-        std::cerr << "error: --json needs a file name\n";
-        return 2;
-      }
-      json_path = *v;
-    } else if (arg == "--profile") {
-      profile = true;
-    } else if (arg.rfind("--profile=", 0) == 0) {
-      profile = true;
-      profile_path = arg.substr(std::strlen("--profile="));
-      if (profile_path.empty()) {
-        std::cerr << "error: --profile= needs a file name\n";
-        return 2;
-      }
-    } else if (arg == "--attribution") {
-      attribution = true;
-    } else if (arg.rfind("--attribution=", 0) == 0) {
-      attribution = true;
-      attribution_path = arg.substr(std::strlen("--attribution="));
-      if (attribution_path.empty()) {
-        std::cerr << "error: --attribution= needs a file name\n";
-        return 2;
-      }
-    } else if (arg == "--attribution-top-k") {
-      const auto v = next();
-      const auto parsed = v ? sim::parse_u64(*v) : std::nullopt;
-      if (!parsed || *parsed == 0 || *parsed > (1ULL << 24)) {
-        std::cerr << "error: --attribution-top-k needs a count in "
-                     "[1, 2^24]\n";
-        return 2;
-      }
-      attribution_top_k = static_cast<std::size_t>(*parsed);
-    } else if (arg == "--attribution-from") {
-      const auto v = next();
-      if (!v || v->empty()) {
-        std::cerr << "error: --attribution-from needs a stats JSON file\n";
-        return 2;
-      }
-      attribution_from = *v;
-    } else if (arg == "--trace") {
-      const auto v = next();
-      if (!v) {
-        std::cerr << "error: --trace needs a file name\n";
-        return 2;
-      }
-      trace_path = *v;
-    } else if (arg == "--sample-every") {
-      const auto v = next();
-      const auto parsed = v ? sim::parse_u64(*v) : std::nullopt;
-      if (!parsed) {
-        std::cerr << "error: --sample-every needs a cycle count\n";
-        return 2;
-      }
-      sample_every = *parsed;
-    } else if (arg == "--sample-file") {
-      const auto v = next();
-      if (!v) {
-        std::cerr << "error: --sample-file needs a file name\n";
-        return 2;
-      }
-      sample_path = *v;
-    } else if (arg == "--watchdog") {
-      const auto v = next();
-      const auto parsed = v ? sim::parse_u64(*v) : std::nullopt;
-      if (!parsed) {
-        std::cerr << "error: --watchdog needs a cycle count\n";
-        return 2;
-      }
-      watchdog = *parsed;
-    } else if (arg == "--deadlock-report") {
-      const auto v = next();
-      if (!v) {
-        std::cerr << "error: --deadlock-report needs a file name\n";
-        return 2;
-      }
-      deadlock_path = *v;
-    } else if (arg == "--verify") {
-      verify = true;
-    } else if (arg == "--no-verify") {
-      verify = false;
-    } else if (arg == "--optimize") {
-      optimize = true;
-    } else if (arg == "--mem-scheduler") {
-      const auto v = next();
-      const auto s = v ? mem::mem_scheduler_by_name(*v) : std::nullopt;
-      if (!s) {
-        std::cerr << "error: --mem-scheduler needs in_order | frfcfs\n";
-        return 2;
-      }
-      mem_scheduler = *s;
-    } else if (arg == "--mem-banks") {
-      const auto v = next();
-      const auto parsed = v ? sim::parse_u64(*v) : std::nullopt;
-      if (!parsed || *parsed == 0 || *parsed > 1024) {
-        std::cerr << "error: --mem-banks needs a count in [1, 1024]\n";
-        return 2;
-      }
-      mem_banks = static_cast<std::uint32_t>(*parsed);
-    } else if (arg == "--mem-row-bytes") {
-      const auto v = next();
-      const auto parsed = v ? sim::parse_u64(*v) : std::nullopt;
-      if (!parsed || *parsed == 0 || *parsed > (1ULL << 30)) {
-        std::cerr << "error: --mem-row-bytes needs a size in [1, 2^30]\n";
-        return 2;
-      }
-      mem_row_bytes = static_cast<std::uint32_t>(*parsed);
-    } else if (arg == "--mem-row-hit-ns" || arg == "--mem-row-miss-ns") {
-      const auto v = next();
-      const auto parsed = v ? sim::parse_f64(*v) : std::nullopt;
-      if (!parsed || *parsed < 0.0) {
-        std::cerr << "error: " << arg << " needs a latency >= 0 (ns)\n";
-        return 2;
-      }
-      if (arg == "--mem-row-hit-ns") {
-        mem_row_hit_ns = *parsed;
-      } else {
-        mem_row_miss_ns = *parsed;
-      }
-    } else if (arg == "--mem-window") {
-      const auto v = next();
-      const auto parsed = v ? sim::parse_u64(*v) : std::nullopt;
-      if (!parsed || *parsed == 0 || *parsed > 4096) {
-        std::cerr << "error: --mem-window needs a count in [1, 4096]\n";
-        return 2;
-      }
-      mem_window = static_cast<std::uint32_t>(*parsed);
-    } else if (arg == "--mem-bank-xor") {
-      mem_bank_xor = true;
-    } else if (arg == "--tile-agg-data-bytes" ||
-               arg == "--tile-dnq-data-bytes") {
-      const auto v = next();
-      const auto parsed = v ? sim::parse_u64(*v) : std::nullopt;
-      if (!parsed || *parsed == 0 || *parsed > (1ULL << 30)) {
-        std::cerr << "error: " << arg << " needs a size in [1, 2^30]\n";
-        return 2;
-      }
-      if (arg == "--tile-agg-data-bytes") {
-        tile_agg_data_bytes = static_cast<std::uint32_t>(*parsed);
-      } else {
-        tile_dnq_data_bytes = static_cast<std::uint32_t>(*parsed);
-      }
-    } else if (arg == "--tile-dnq-queue0-sixteenths") {
-      const auto v = next();
-      const auto parsed = v ? sim::parse_u64(*v) : std::nullopt;
-      if (!parsed || *parsed > 16) {
-        std::cerr << "error: --tile-dnq-queue0-sixteenths needs a value in "
-                     "[0, 16]\n";
-        return 2;
-      }
-      tile_dnq_queue0_sixteenths = static_cast<std::uint32_t>(*parsed);
-    } else if (arg == "--program") {
-      const auto v = next();
-      if (!v || v->empty()) {
-        std::cerr << "error: --program needs a .gnna file\n";
-        return 2;
-      }
-      program_path = *v;
-    } else if (arg == "--emit-program") {
-      const auto v = next();
-      if (!v || v->empty()) {
-        std::cerr << "error: --emit-program needs an output file\n";
-        return 2;
-      }
-      emit_program_path = *v;
-    } else {
-      std::cerr << "error: unknown option " << arg << "\n";
-      usage(std::cerr);
-      return 2;
-    }
-  }
-
-  // Memory overrides apply on top of whichever --config was chosen
-  // (flag order doesn't matter).
-  if (mem_scheduler) cfg.mem_params.scheduler = *mem_scheduler;
-  if (mem_banks) cfg.mem_params.banks = *mem_banks;
-  if (mem_row_bytes) cfg.mem_params.row_bytes = *mem_row_bytes;
-  if (mem_row_hit_ns) cfg.mem_params.row_hit_ns = *mem_row_hit_ns;
-  if (mem_row_miss_ns) cfg.mem_params.row_miss_ns = *mem_row_miss_ns;
-  if (mem_window) cfg.mem_params.window_entries = *mem_window;
-  if (mem_bank_xor) cfg.mem_params.bank_xor = true;
-  if (tile_agg_data_bytes) {
-    cfg.tile_params.agg_data_bytes = *tile_agg_data_bytes;
-  }
-  if (tile_dnq_data_bytes) {
-    cfg.tile_params.dnq_data_bytes = *tile_dnq_data_bytes;
-  }
-  if (tile_dnq_queue0_sixteenths) {
-    cfg.tile_params.dnq_queue0_sixteenths = *tile_dnq_queue0_sixteenths;
-  }
+  sim::RunRequest req;
   try {
-    mem::validate(cfg.mem_params);
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      // The value of a tool-local flag; exits 2 when it is missing.
+      auto next = [&](const char* what) -> std::string {
+        if (i + 1 >= argc || argv[i + 1][0] == '\0') {
+          throw std::invalid_argument(arg + " needs " + what);
+        }
+        return argv[++i];
+      };
+      // A tool-local count in [lo, hi]; exits 2 otherwise.
+      auto count = [&](std::uint64_t lo, std::uint64_t hi, const char* what) {
+        const std::string v = i + 1 < argc ? argv[++i] : "";
+        const auto n = sim::parse_u64(v);
+        if (!n || *n < lo || *n > hi) {
+          throw std::invalid_argument(arg + " needs " + what + ", got '" + v +
+                                      "'");
+        }
+        return *n;
+      };
+      if (arg == "--help" || arg == "-h") {
+        usage(std::cout);
+        return 0;
+      }
+      if (arg == "--help-batch") {
+        usage_batch(std::cout);
+        return 0;
+      }
+      if (arg == "--list") {
+        std::cout << "benchmarks:\n";
+        for (const gnn::Benchmark b : gnn::kAllBenchmarks) {
+          std::cout << "  " << gnn::benchmark_name(b) << '\n';
+        }
+        std::cout << "configurations:\n  cpu-iso-bw\n  gpu-iso-bw\n"
+                     "  gpu-iso-flops\n";
+        return 0;
+      }
+      if (options.parse_flag(argc, argv, i)) continue;
+      if (arg == "--energy") {
+        want_energy = true;
+      } else if (arg == "--batch") {
+        batch_path = next("a manifest file");
+      } else if (arg == "--jobs") {
+        jobs = static_cast<unsigned>(count(1, 1024, "a count in [1, 1024]"));
+      } else if (arg == "--json") {
+        json_path = next("a file name");
+      } else if (arg == "--profile") {
+        profile = true;
+      } else if (arg.rfind("--profile=", 0) == 0) {
+        profile = true;
+        profile_path = arg.substr(std::strlen("--profile="));
+        if (profile_path.empty()) {
+          throw std::invalid_argument("--profile= needs a file name");
+        }
+      } else if (arg.rfind("--attribution=", 0) == 0) {
+        options.set("attribution", "1");
+        attribution_path = arg.substr(std::strlen("--attribution="));
+        if (attribution_path.empty()) {
+          throw std::invalid_argument("--attribution= needs a file name");
+        }
+      } else if (arg == "--trace") {
+        trace_path = next("a file name");
+      } else if (arg == "--sample-every") {
+        sample_every = count(0, UINT64_MAX, "a cycle count");
+      } else if (arg == "--sample-file") {
+        sample_path = next("a file name");
+      } else if (arg == "--deadlock-report") {
+        deadlock_path = next("a file name");
+      } else if (arg == "--emit-program") {
+        emit_program_path = next("an output file");
+      } else {
+        std::cerr << "error: unknown option " << arg << "\n";
+        usage(std::cerr);
+        return 2;
+      }
+    }
+    options.apply(req);
   } catch (const std::invalid_argument& e) {
     std::cerr << "error: " << e.what() << '\n';
     return 2;
   }
+  req.trace.profile = profile;
 
   sim::Session& session = sim::Session::global();
 
   // ---- Compile-only mode: emit the benchmark's program as GNNA-IR text.
   if (!emit_program_path.empty()) {
-    if (!benchmark) {
+    if (!req.benchmark) {
       std::cerr << "error: --emit-program needs --benchmark\n";
       return 2;
     }
-    if (!batch_path.empty() || !program_path.empty()) {
+    if (!batch_path.empty() || !req.program_file.empty()) {
       std::cerr << "error: --emit-program excludes --batch and --program\n";
       return 2;
     }
-    sim::RunRequest req;
-    req.benchmark = benchmark;
-    req.config = cfg.with_core_clock(clock_ghz);
-    req.partition = partition;
-    req.seed = seed;
     try {
       const sim::Session::Resolved r = session.resolve(req);
       accel::ir::save_file(*r.program, emit_program_path);
-      char hash_buf[32];
-      std::snprintf(hash_buf, sizeof hash_buf, "%016llx",
-                    static_cast<unsigned long long>(r.hash));
       std::cout << "wrote " << emit_program_path << " ("
-                << r.program->name << ", hash " << hash_buf << ")\n";
+                << r.program->name << ", hash " << accel::ir::hash_hex(r.hash)
+                << ")\n";
     } catch (const std::exception& e) {
       std::cerr << "error: " << e.what() << '\n';
       return 1;
@@ -631,7 +328,7 @@ int main(int argc, char** argv) {
 
   // ---- Batch mode: manifest -> BatchRunner -> summary table / JSON.
   if (!batch_path.empty()) {
-    if (!program_path.empty()) {
+    if (!req.program_file.empty()) {
       std::cerr << "error: --program is single-run only; use program= "
                    "manifest tokens in --batch mode\n";
       return 2;
@@ -642,23 +339,11 @@ int main(int argc, char** argv) {
       return 2;
     }
     sim::RunRequest defaults;
-    defaults.config = cfg;
-    defaults.clock_ghz = clock_ghz;
-    defaults.threads = threads;
-    defaults.partition = partition;
-    defaults.seed = seed;
-    defaults.watchdog_cycles = watchdog;
-    defaults.verify = verify;
-    defaults.optimize = optimize;
-    defaults.trace.attribution = attribution;
-    if (attribution_top_k) {
-      defaults.trace.attribution_top_k = *attribution_top_k;
-    }
-    defaults.attribution_from = attribution_from;
-
+    defaults.trace.profile = profile;
     std::vector<sim::RunRequest> requests;
     try {
-      requests = sim::parse_batch_manifest(manifest, defaults, batch_path);
+      requests = sim::parse_batch_manifest(manifest, defaults, batch_path,
+                                           options);
     } catch (const std::invalid_argument& e) {
       std::cerr << "error: " << e.what() << '\n';
       return 2;
@@ -671,9 +356,6 @@ int main(int argc, char** argv) {
       std::cerr << "warning: --energy is single-run only; ignored in "
                    "--batch mode\n";
     }
-    if (profile) {
-      for (sim::RunRequest& rq : requests) rq.trace.profile = true;
-    }
 
     // Per-run observability files (a shared sink would interleave events
     // from unrelated runs; per-run files keep each trace self-contained).
@@ -681,13 +363,9 @@ int main(int argc, char** argv) {
     if (!trace_path.empty() || sample_every > 0 || !deadlock_path.empty()) {
       for (std::size_t i = 0; i < requests.size(); ++i) {
         trace_files[i] = std::make_unique<TraceFiles>();
-        const std::string tp =
-            trace_path.empty() ? "" : per_run_path(trace_path, i);
-        const std::string sp =
-            sample_path.empty() ? "" : per_run_path(sample_path, i);
-        const std::string dp =
-            deadlock_path.empty() ? "" : per_run_path(deadlock_path, i);
-        if (!trace_files[i]->open(tp, sp, sample_every, dp,
+        if (!trace_files[i]->open(per_run_path(trace_path, i),
+                                  per_run_path(sample_path, i), sample_every,
+                                  per_run_path(deadlock_path, i),
                                   requests[i].trace)) {
           return 2;
         }
@@ -716,9 +394,10 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < results.size(); ++i) {
       const sim::RunRequest& rq = requests[i];
       const sim::RunResult& r = results[i];
+      const accel::AcceleratorConfig cfg = rq.effective_config();
       t.add_row({std::to_string(i), gnn::benchmark_name(*rq.benchmark),
-                 rq.config.name, format_double(rq.clock_ghz.value_or(2.4), 1),
-                 std::to_string(rq.threads.value_or(16)),
+                 cfg.name, format_double(cfg.core_clock.ghz(), 1),
+                 std::to_string(cfg.tile_params.gpe_threads),
                  std::to_string(rq.seed),
                  r.ok() ? format_double(r.stats.millis, 3) : "error",
                  r.ok() ? std::to_string(r.stats.cycles) : r.error});
@@ -733,22 +412,10 @@ int main(int argc, char** argv) {
               << " program hits, " << cc.program_dedupes
               << " deduped by IR hash\n";
 
-    if (!json_path.empty() &&
-        !write_json_file(json_path, [&](std::ostream& os) {
-          sim::write_batch_json(os, results);
-        })) {
-      return 2;
-    }
-    if (!profile_path.empty() &&
-        !write_json_file(profile_path, [&](std::ostream& os) {
-          sim::write_batch_json(os, results);
-        })) {
-      return 2;
-    }
-    if (!attribution_path.empty() &&
-        !write_json_file(attribution_path, [&](std::ostream& os) {
-          sim::write_batch_json(os, results);
-        })) {
+    if (!write_json_files({json_path, profile_path, attribution_path},
+                          [&](std::ostream& os) {
+                            sim::write_batch_json(os, results);
+                          })) {
       return 2;
     }
     if (failures > 0) {
@@ -760,8 +427,8 @@ int main(int argc, char** argv) {
   }
 
   // ---- Single-run mode.
-  if (!benchmark) {
-    if (!program_path.empty()) {
+  if (!req.benchmark) {
+    if (!req.program_file.empty()) {
       std::cerr << "error: --program also needs --benchmark (it names the "
                    "dataset the program runs against)\n";
       return 2;
@@ -769,23 +436,6 @@ int main(int argc, char** argv) {
     usage(std::cerr);
     return 2;
   }
-
-  cfg = cfg.with_core_clock(clock_ghz);
-  cfg.tile_params.gpe_threads = threads;
-
-  sim::RunRequest req;
-  req.benchmark = benchmark;
-  req.program_file = program_path;
-  req.config = cfg;
-  req.partition = partition;
-  req.seed = seed;
-  req.watchdog_cycles = watchdog;
-  req.verify = verify;
-  req.optimize = optimize;
-  req.trace.profile = profile;
-  req.trace.attribution = attribution;
-  if (attribution_top_k) req.trace.attribution_top_k = *attribution_top_k;
-  req.attribution_from = attribution_from;
 
   // Observability outputs. The streams must outlive run(); the trace
   // sink's destructor closes the JSON document.
@@ -810,7 +460,7 @@ int main(int argc, char** argv) {
               << trace_path << '\n';
   }
 
-  print_single_run_report(rs, *benchmark, cfg, clock_ghz, threads,
+  print_single_run_report(rs, *req.benchmark, req.effective_config(),
                           want_energy);
 
   if (rs.profile) {
@@ -831,13 +481,7 @@ int main(int argc, char** argv) {
     sim::write_run_stats_json(os, rs);
     os << '\n';
   };
-  if (!json_path.empty() && !write_json_file(json_path, emit_run)) return 2;
-  if (!profile_path.empty() && !write_json_file(profile_path, emit_run)) {
-    return 2;
-  }
-  if (!attribution_path.empty() &&
-      !write_json_file(attribution_path, emit_run)) {
-    return 2;
-  }
-  return 0;
+  const bool written =
+      write_json_files({json_path, profile_path, attribution_path}, emit_run);
+  return written ? 0 : 2;
 }

@@ -23,7 +23,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <map>
 #include <optional>
@@ -33,6 +32,7 @@
 
 #include "common/table.hpp"
 #include "sim/json.hpp"
+#include "sim/options.hpp"
 #include "trace/attribution.hpp"
 #include "trace/profiler.hpp"
 #include "trace/trace.hpp"
@@ -635,14 +635,6 @@ int cmd_diff(const LoadedRun& a, const LoadedRun& b,
   return 0;
 }
 
-bool parse_size(const char* s, std::size_t& out) {
-  char* end = nullptr;
-  const long long v = std::strtoll(s, &end, 10);
-  if (end == s || *end != '\0' || v < 0) return false;
-  out = static_cast<std::size_t>(v);
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -657,7 +649,7 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
+    auto next = [&]() -> std::string {
       if (i + 1 >= argc) {
         std::cerr << "error: " << arg << " needs a value\n";
         std::exit(2);
@@ -668,32 +660,23 @@ int main(int argc, char** argv) {
       usage(std::cout);
       return 0;
     }
-    if (arg == "--run") {
-      if (!parse_size(next(), run_index)) {
-        std::cerr << "error: --run needs a non-negative integer\n";
+    if (arg == "--run" || arg == "--top") {
+      const auto n = gnna::sim::parse_u64(next());
+      if (!n) {
+        std::cerr << "error: " << arg << " needs a non-negative integer\n";
         return 2;
       }
-    } else if (arg == "--top") {
-      if (!parse_size(next(), top_n)) {
-        std::cerr << "error: --top needs a non-negative integer\n";
-        return 2;
-      }
+      (arg == "--run" ? run_index : top_n) = static_cast<std::size_t>(*n);
     } else if (arg == "--threshold" || arg == "--imbalance-threshold" ||
                arg == "--model-tolerance") {
-      char* end = nullptr;
-      const char* v = next();
-      const double t = std::strtod(v, &end);
-      if (end == v || *end != '\0' || !std::isfinite(t)) {
+      const auto t = gnna::sim::parse_f64(next());
+      if (!t) {
         std::cerr << "error: " << arg << " needs a percentage\n";
         return 2;
       }
-      if (arg == "--threshold") {
-        threshold = t;
-      } else if (arg == "--imbalance-threshold") {
-        imbalance_threshold = t;
-      } else {
-        model_tolerance = t;
-      }
+      (arg == "--threshold"             ? threshold
+       : arg == "--imbalance-threshold" ? imbalance_threshold
+                                        : model_tolerance) = *t;
     } else if (arg == "--collapsed") {
       collapsed = true;
     } else if (arg == "--csv") {

@@ -26,11 +26,11 @@
 // manifest snippet that applies it. Every suggestion is re-linted before
 // printing; "verified" means the patched config no longer fires the code.
 
-#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <optional>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -39,6 +39,7 @@
 #include "accel/verify.hpp"
 #include "sim/manifest.hpp"
 #include "sim/session.hpp"
+#include "sim/stats_json.hpp"
 
 namespace {
 
@@ -54,18 +55,7 @@ void usage(std::ostream& os) {
         "  --bind <benchmark>    dataset the .gnna files are checked\n"
         "                        against; without it the topology checks\n"
         "                        are skipped and GV107 warns\n"
-        "  --benchmark <name>    lint one benchmark (repeatable)\n"
         "  --all                 lint every built-in benchmark\n"
-        "  --config <name>       cpu-iso-bw | gpu-iso-bw | gpu-iso-flops\n"
-        "                        (default cpu-iso-bw; sets the tile\n"
-        "                        parameters programs are checked against\n"
-        "                        and the mesh/memory shape GV108 and the\n"
-        "                        GV2xx perf lints check)\n"
-        "  --partition <policy>  round-robin | block | degree-greedy |\n"
-        "                        profile-guided (default round-robin;\n"
-        "                        modeled by the GV204 imbalance lint)\n"
-        "  --threads <n>         GPE software-thread override\n"
-        "  --seed <n>            dataset seed (default 2020)\n"
         "  --fix                 for each GV2xx perf lint, search a minimal\n"
         "                        config adjustment that clears it and print\n"
         "                        the patched manifest snippet\n"
@@ -74,7 +64,12 @@ void usage(std::ostream& os) {
         "  --werror              treat warnings as errors\n"
         "  --quiet               print only programs with findings\n"
         "  --list-codes          print the lint-code catalog and exit\n"
-        "  --help                this text\n";
+        "  --help                this text\n"
+        "run options (gnnasim's; they set the run each program is checked\n"
+        "for and default every manifest line; --benchmark may repeat;\n"
+        "options that only steer simulation, such as --watchdog, change\n"
+        "nothing here):\n";
+  sim::print_run_options(os);
 }
 
 void print_codes(std::ostream& os) {
@@ -93,65 +88,6 @@ void print_codes(std::ostream& os) {
   }
 }
 
-const char* partition_name(graph::PartitionPolicy p) {
-  switch (p) {
-    case graph::PartitionPolicy::kRoundRobin: return "round-robin";
-    case graph::PartitionPolicy::kBlock: return "block";
-    case graph::PartitionPolicy::kDegreeGreedy: return "degree-greedy";
-    case graph::PartitionPolicy::kProfileGuided: return "profile-guided";
-  }
-  return "?";
-}
-
-/// Dedup key: two requests with the same workload and tile parameters
-/// produce the same report (repeat=N manifest lines collapse to one lint).
-/// Also the program's name in --json output, so keep it readable.
-std::string request_key(const sim::RunRequest& req) {
-  std::string k = req.benchmark ? gnn::benchmark_name(*req.benchmark) : "?";
-  if (!req.program_file.empty()) k += "|program=" + req.program_file;
-  k += "|seed=" + std::to_string(req.seed);
-  k += "|config=" + req.config.name;
-  if (req.threads) k += "|threads=" + std::to_string(*req.threads);
-  k += std::string("|partition=") + partition_name(req.partition);
-  // Manifest mem_*/tile_* tokens override config fields without changing
-  // its name; fold the lint-relevant ones into the key (only when they
-  // differ from the pristine named config) so such lines don't collapse
-  // into the base config's report.
-  const accel::AcceleratorConfig* base = nullptr;
-  static const accel::AcceleratorConfig kBases[] = {
-      accel::AcceleratorConfig::cpu_iso_bw(),
-      accel::AcceleratorConfig::gpu_iso_bw(),
-      accel::AcceleratorConfig::gpu_iso_flops()};
-  for (const auto& b : kBases) {
-    if (b.name == req.config.name) base = &b;
-  }
-  const accel::TileParams& tp = req.config.tile_params;
-  if (!base || tp.agg_data_bytes != base->tile_params.agg_data_bytes ||
-      tp.dnq_data_bytes != base->tile_params.dnq_data_bytes ||
-      tp.dnq_queue0_sixteenths != base->tile_params.dnq_queue0_sixteenths) {
-    k += "|tile=" + std::to_string(tp.agg_data_bytes) + "," +
-         std::to_string(tp.dnq_data_bytes) + "," +
-         std::to_string(tp.dnq_queue0_sixteenths);
-  }
-  const mem::MemParams& mp = req.config.mem_params;
-  if (!base || mp.scheduler != base->mem_params.scheduler ||
-      mp.banks != base->mem_params.banks ||
-      mp.bank_xor != base->mem_params.bank_xor ||
-      mp.bank_interleave_bytes != base->mem_params.bank_interleave_bytes) {
-    k += "|mem=" + std::to_string(static_cast<int>(mp.scheduler)) + "," +
-         std::to_string(mp.banks) + "," +
-         std::to_string(mp.bank_interleave_bytes) + "," +
-         std::to_string(static_cast<int>(mp.bank_xor));
-  }
-  return k;
-}
-
-[[nodiscard]] bool has_gnna_extension(const std::string& path) {
-  const std::string ext = accel::ir::kIrExtension;
-  return path.size() > ext.size() &&
-         path.compare(path.size() - ext.size(), ext.size(), ext) == 0;
-}
-
 /// One linted program's findings, collected for --json / --fix output.
 struct LintedProgram {
   std::string name;  // request key or file path
@@ -160,28 +96,7 @@ struct LintedProgram {
   std::string failure;  // compile/parse error, if any
 };
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
+using sim::json_escape;
 
 /// Machine-readable diagnostics: the CI verify-programs artifact. v2
 /// records the --werror promotion state per diagnostic ("promoted" +
@@ -240,16 +155,10 @@ void print_fixes(std::ostream& os, const LintedProgram& lp) {
     os << "  fix " << accel::lint_code_name(fix.code)
        << (fix.verified ? " (verified)" : " (NOT verified)") << ": "
        << fix.description << '\n';
-    if (!fix.manifest_snippet.empty()) {
-      os << "    manifest:\n";
-      std::size_t start = 0;
-      while (start < fix.manifest_snippet.size()) {
-        std::size_t end = fix.manifest_snippet.find('\n', start);
-        if (end == std::string::npos) end = fix.manifest_snippet.size();
-        os << "      " << fix.manifest_snippet.substr(start, end - start)
-           << '\n';
-        start = end + 1;
-      }
+    if (!fix.manifest_snippet.empty()) os << "    manifest:\n";
+    std::istringstream lines(fix.manifest_snippet);
+    for (std::string line; std::getline(lines, line);) {
+      os << "      " << line << '\n';
     }
   }
 }
@@ -270,132 +179,85 @@ int main(int argc, char** argv) {
   std::vector<std::string> program_files;
   std::vector<gnn::Benchmark> benchmarks;
   std::optional<gnn::Benchmark> bind;
-  accel::AcceleratorConfig cfg = accel::AcceleratorConfig::cpu_iso_bw();
-  std::optional<std::uint32_t> threads;
-  graph::PartitionPolicy partition = graph::PartitionPolicy::kRoundRobin;
-  std::uint64_t seed = 2020;
+  sim::RunOptions options;
   bool werror = false;
   bool quiet = false;
   bool fix = false;
   std::string json_path;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> std::optional<std::string> {
-      if (i + 1 >= argc) return std::nullopt;
-      return std::string(argv[++i]);
-    };
-    if (arg == "--help" || arg == "-h") {
-      usage(std::cout);
-      return 0;
-    }
-    if (arg == "--list-codes") {
-      print_codes(std::cout);
-      return 0;
-    }
-    if (arg == "--benchmark") {
-      const auto v = next();
-      const auto b = v ? sim::benchmark_by_name(*v) : std::nullopt;
-      if (!b) {
-        std::cerr << "error: --benchmark needs a known name (try gnnasim"
-                     " --list)\n";
-        return 2;
-      }
-      benchmarks.push_back(*b);
-    } else if (arg == "--bind") {
-      const auto v = next();
-      const auto b = v ? sim::benchmark_by_name(*v) : std::nullopt;
-      if (!b) {
-        std::cerr << "error: --bind needs a known benchmark name (try"
-                     " gnnasim --list)\n";
-        return 2;
-      }
-      bind = *b;
-    } else if (arg == "--all") {
-      for (const gnn::Benchmark b : gnn::kAllBenchmarks) {
-        benchmarks.push_back(b);
-      }
-    } else if (arg == "--config") {
-      const auto v = next();
-      const auto c = v ? sim::config_by_name(*v) : std::nullopt;
-      if (!c) {
-        std::cerr << "error: --config needs cpu-iso-bw | gpu-iso-bw |"
-                     " gpu-iso-flops\n";
-        return 2;
-      }
-      cfg = *c;
-    } else if (arg == "--partition") {
-      const auto v = next();
-      const auto p = v ? sim::partition_by_name(*v) : std::nullopt;
-      if (!p) {
-        std::cerr << "error: --partition needs round-robin | block |"
-                     " degree-greedy | profile-guided\n";
-        return 2;
-      }
-      partition = *p;
-    } else if (arg == "--threads") {
-      const auto v = next();
-      const auto n = v ? sim::parse_u64(*v) : std::nullopt;
-      if (!n || *n == 0 || *n > 4096) {
-        std::cerr << "error: --threads must be in [1, 4096]\n";
-        return 2;
-      }
-      threads = static_cast<std::uint32_t>(*n);
-    } else if (arg == "--seed") {
-      const auto v = next();
-      const auto n = v ? sim::parse_u64(*v) : std::nullopt;
-      if (!n) {
-        std::cerr << "error: --seed needs a number\n";
-        return 2;
-      }
-      seed = *n;
-    } else if (arg == "--fix") {
-      fix = true;
-    } else if (arg == "--json") {
-      const auto v = next();
-      if (!v || v->empty()) {
-        std::cerr << "error: --json needs a file path\n";
-        return 2;
-      }
-      json_path = *v;
-    } else if (arg == "--werror") {
-      werror = true;
-    } else if (arg == "--quiet") {
-      quiet = true;
-    } else if (!arg.empty() && arg.front() == '-') {
-      std::cerr << "error: unknown option " << arg << '\n';
-      usage(std::cerr);
-      return 2;
-    } else if (has_gnna_extension(arg)) {
-      program_files.push_back(arg);
-    } else {
-      manifests.push_back(arg);
-    }
-  }
-
-  // Collect every request to lint.
+  // Collect every request to lint: the flags' run options are the base
+  // request for --benchmark/--all and every manifest line's defaults.
   std::vector<sim::RunRequest> requests;
-  sim::RunRequest defaults;
-  defaults.config = cfg;
-  defaults.threads = threads;
-  defaults.partition = partition;
-  defaults.seed = seed;
-  for (const std::string& path : manifests) {
-    std::ifstream in(path);
-    if (!in) {
-      std::cerr << "error: cannot open manifest " << path << '\n';
-      return 2;
+  sim::RunRequest base;
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      // The value of a tool-local flag; exits 2 when it is missing.
+      auto next = [&](const char* what) -> std::string {
+        if (i + 1 >= argc || argv[i + 1][0] == '\0') {
+          throw std::invalid_argument(arg + " needs " + what);
+        }
+        return argv[++i];
+      };
+      if (arg == "--help" || arg == "-h") {
+        usage(std::cout);
+        return 0;
+      }
+      if (arg == "--list-codes") {
+        print_codes(std::cout);
+        return 0;
+      }
+      if (options.parse_flag(argc, argv, i)) {
+        // Each --benchmark names one more program to lint.
+        if (arg == "--benchmark") {
+          benchmarks.push_back(
+              *sim::benchmark_by_name(*options.value("benchmark")));
+          options.erase("benchmark");
+        }
+      } else if (arg == "--bind") {
+        bind = sim::benchmark_by_name(next("a benchmark name"));
+        if (!bind) {
+          throw std::invalid_argument(
+              "--bind needs a known benchmark name (try gnnasim --list)");
+        }
+      } else if (arg == "--all") {
+        benchmarks.insert(benchmarks.end(), std::begin(gnn::kAllBenchmarks),
+                          std::end(gnn::kAllBenchmarks));
+      } else if (arg == "--fix") {
+        fix = true;
+      } else if (arg == "--json") {
+        json_path = next("a file path");
+      } else if (arg == "--werror") {
+        werror = true;
+      } else if (arg == "--quiet") {
+        quiet = true;
+      } else if (!arg.empty() && arg.front() == '-') {
+        std::cerr << "error: unknown option " << arg << '\n';
+        usage(std::cerr);
+        return 2;
+      } else if (arg.ends_with(accel::ir::kIrExtension)) {
+        program_files.push_back(arg);
+      } else {
+        manifests.push_back(arg);
+      }
     }
-    try {
-      auto reqs = sim::parse_batch_manifest(in, defaults, path);
+    options.apply(base);
+    for (const std::string& path : manifests) {
+      std::ifstream in(path);
+      if (!in) {
+        std::cerr << "error: cannot open manifest " << path << '\n';
+        return 2;
+      }
+      auto reqs = sim::parse_batch_manifest(in, sim::RunRequest{}, path,
+                                            options);
       requests.insert(requests.end(), reqs.begin(), reqs.end());
-    } catch (const std::invalid_argument& e) {
-      std::cerr << "error: " << e.what() << '\n';
-      return 2;
     }
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "error: " << e.what() << '\n';
+    return 2;
   }
   for (const gnn::Benchmark b : benchmarks) {
-    sim::RunRequest req = defaults;
+    sim::RunRequest req = base;
     req.benchmark = b;
     requests.push_back(req);
   }
@@ -409,22 +271,22 @@ int main(int argc, char** argv) {
   std::vector<LintedProgram> linted;
   std::size_t programs = 0, errors = 0, warnings = 0;
 
+  // `config` is the run's effective configuration (thread and clock
+  // overrides applied).
   const auto lint_one = [&](std::string name,
                             const accel::CompiledProgram& prog,
-                            const accel::TileParams& params,
                             const graph::Dataset* ds,
                             const accel::AcceleratorConfig& config,
                             graph::PartitionPolicy part) {
     LintedProgram lp;
     lp.name = std::move(name);
-    lp.report = accel::verify_program(prog, params, ds, &config, part);
+    lp.report =
+        accel::verify_program(prog, config.tile_params, ds, &config, part);
     if (fix && fired_perf_lint(lp.report)) {
-      accel::AcceleratorConfig search_cfg = config;
-      search_cfg.tile_params = params;  // honor --threads in the search
       accel::AnalysisOptions opt;
       opt.dataset = ds;
       opt.partition = part;
-      lp.fixes = accel::suggest_fixes(prog, search_cfg, opt);
+      lp.fixes = accel::suggest_fixes(prog, config, opt);
     }
     ++programs;
     errors += lp.report.num_errors();
@@ -436,54 +298,50 @@ int main(int argc, char** argv) {
     linted.push_back(std::move(lp));
   };
 
+  // A program that never gets linted (the compiler or the IR parser
+  // rejects it) is a lint error too.
+  const auto fail_one = [&](std::string name, const std::exception& e) {
+    LintedProgram lp;
+    lp.name = std::move(name);
+    lp.failure = e.what();
+    linted.push_back(std::move(lp));
+    ++programs;
+    ++errors;
+  };
+
+  // Lines that describe alike (repeat=N, duplicates) lint once.
   for (const sim::RunRequest& req : requests) {
-    if (!seen.insert(request_key(req)).second) continue;
+    const std::string name = sim::describe(req);
+    if (!seen.insert(name).second) continue;
     sim::Session::Resolved resolved;
     try {
       resolved = session.resolve(req);
     } catch (const std::exception& e) {
-      // A workload the compiler itself rejects is a lint failure too.
-      std::cerr << request_key(req) << ": compile failed: " << e.what()
-                << '\n';
-      LintedProgram lp;
-      lp.name = request_key(req);
-      lp.failure = e.what();
-      linted.push_back(std::move(lp));
-      ++programs;
-      ++errors;
+      std::cerr << name << ": compile failed: " << e.what() << '\n';
+      fail_one(name, e);
       continue;
     }
-    accel::TileParams params = req.config.tile_params;
-    if (req.threads) params.gpe_threads = *req.threads;
-    lint_one(request_key(req), *resolved.program, params,
-             resolved.dataset.get(), req.config, req.partition);
+    lint_one(name, *resolved.program, resolved.dataset.get(),
+             req.effective_config(), req.partition);
   }
 
   // Direct GNNA-IR files: parse, then lint (against the --bind dataset's
   // topology if given).
   std::shared_ptr<const graph::Dataset> bound;
   if (bind && !program_files.empty()) {
-    bound = session.dataset(gnn::benchmark_dataset(*bind), seed);
+    bound = session.dataset(gnn::benchmark_dataset(*bind), base.seed);
   }
-  accel::TileParams file_params = cfg.tile_params;
-  if (threads) file_params.gpe_threads = *threads;
+  const accel::AcceleratorConfig file_config = base.effective_config();
   for (const std::string& path : program_files) {
     accel::CompiledProgram prog;
     try {
       prog = accel::ir::load_file(path);
     } catch (const std::exception& e) {
-      // Parse/IO failures are findings the compiler can never emit; they
-      // only exist at the file level, so report them here.
       std::cout << path << ": parse failed: " << e.what() << '\n';
-      LintedProgram lp;
-      lp.name = path;
-      lp.failure = e.what();
-      linted.push_back(std::move(lp));
-      ++programs;
-      ++errors;
+      fail_one(path, e);
       continue;
     }
-    lint_one(path, prog, file_params, bound.get(), cfg, partition);
+    lint_one(path, prog, bound.get(), file_config, base.partition);
   }
 
   if (!json_path.empty()) {
