@@ -1,6 +1,8 @@
 #include "accel/agg.hpp"
 
+#include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <cstdio>
 #include <stdexcept>
 
@@ -204,6 +206,11 @@ void Agg::dump_state(std::ostream& os) const {
     print_dest(os, e.dest);
     os << '\n';
   }
+}
+
+Cycle Agg::next_event(Cycle now) const {
+  if (inbox_.empty()) return kNeverCycle;
+  return std::max(now, static_cast<Cycle>(std::ceil(alu_free_at_)));
 }
 
 void Agg::tick() {

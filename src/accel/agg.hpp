@@ -75,6 +75,11 @@ class Agg {
 
   void tick();
 
+  /// Earliest NoC cycle >= `now` at which tick() could change state: the
+  /// ALU bank freeing up while contributions wait in the inbox.
+  /// kNeverCycle when only a NoC delivery can wake it.
+  [[nodiscard]] Cycle next_event(Cycle now) const;
+
   [[nodiscard]] bool idle() const {
     return inbox_.empty() && live_entries_ == 0;
   }

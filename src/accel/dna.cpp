@@ -1,6 +1,8 @@
 #include "accel/dna.hpp"
 
+#include <algorithm>
 #include <cassert>
+#include <cmath>
 
 namespace gnna::accel {
 
@@ -81,6 +83,30 @@ void Dna::dump_state(std::ostream& os) const {
     os << " next_result_at=" << results_.front().ready_at;
   }
   os << '\n';
+}
+
+Cycle Dna::next_event(Cycle now, const Dnq& dnq) const {
+  Cycle t = kNeverCycle;
+  if (!results_.empty()) {
+    t = static_cast<Cycle>(std::ceil(results_.front().ready_at));
+  }
+  if (busy_) {
+    return std::max(
+        now, std::min(t, static_cast<Cycle>(std::ceil(array_free_at_))));
+  }
+  if (weights_pending_ == 0) {
+    const std::uint8_t active = dnq.active_queue();
+    if (dnq.head_ready(active)) return now;
+    if (dnq.head_ready(active == 0 ? 1 : 0)) {
+      // Rounded down: the idle-time test in try_dequeue divides by the
+      // clock scale, so its first passing cycle may sit one below the
+      // product here. Waking a cycle early is free; late would move it.
+      const double switch_at =
+          idle_since_ + params_.dnq_idle_switch_cycles * scale_;
+      t = std::min(t, static_cast<Cycle>(std::floor(switch_at)));
+    }
+  }
+  return t == kNeverCycle ? t : std::max(t, now);
 }
 
 void Dna::tick(Dnq& dnq) {

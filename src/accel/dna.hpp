@@ -52,6 +52,12 @@ class Dna {
   /// Pulls ready entries from `dnq`, advances the pipeline, emits results.
   void tick(Dnq& dnq);
 
+  /// Earliest NoC cycle >= `now` at which tick(dnq) could change state:
+  /// a result leaving the pipeline, the array freeing up, or a dequeue
+  /// (now, or at the lazy-switch instant when only the other queue's head
+  /// is ready). kNeverCycle when only a NoC delivery can wake it.
+  [[nodiscard]] Cycle next_event(Cycle now, const Dnq& dnq) const;
+
   [[nodiscard]] bool idle() const {
     return results_.empty() && !busy_ && weights_pending_ == 0;
   }

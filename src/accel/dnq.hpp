@@ -78,6 +78,9 @@ class Dnq {
   /// entry of the eligible queue if it is fully ready.
   [[nodiscard]] std::optional<DnqEntry> try_dequeue(double idle_core_cycles);
 
+  /// True when virtual queue `q`'s head entry has all of its data.
+  [[nodiscard]] bool head_ready(std::uint8_t q) const;
+
   [[nodiscard]] bool empty() const { return live_entries_ == 0; }
   [[nodiscard]] std::uint32_t live_entries() const { return live_entries_; }
   [[nodiscard]] std::uint8_t active_queue() const { return active_queue_; }
@@ -109,7 +112,6 @@ class Dnq {
     }
   };
 
-  [[nodiscard]] bool head_ready(std::uint8_t q) const;
   DnqEntry pop_head(std::uint8_t q);
 
   TileParams params_;

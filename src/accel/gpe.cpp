@@ -1,6 +1,8 @@
 #include "accel/gpe.hpp"
 
+#include <algorithm>
 #include <cassert>
+#include <cmath>
 
 namespace gnna::accel {
 
@@ -146,7 +148,7 @@ void Gpe::dump_state(std::ostream& os) const {
     return "?";
   };
   os << "    gpe: work=" << next_work_ << '/' << work_.size()
-     << " dispatched, gpe_time=" << gpe_time_ << '\n';
+     << " dispatched, gpe_time=" << resume_time() << '\n';
   for (std::size_t i = 0; i < threads_.size(); ++i) {
     const Thread& t = threads_[i];
     if (t.state == Thread::State::kFree) continue;
@@ -160,8 +162,35 @@ void Gpe::dump_state(std::ostream& os) const {
   }
 }
 
+double Gpe::resume_time() const {
+  const auto now = static_cast<double>(net_.now());
+  return gpe_time_ <= now - 1.0 ? now : gpe_time_;
+}
+
+Cycle Gpe::next_event(Cycle now) const {
+  const auto core_free = static_cast<Cycle>(std::ceil(gpe_time_));
+  if (core_free > now) return core_free;
+  Cycle t = kNeverCycle;
+  for (const Thread& th : threads_) {
+    switch (th.state) {
+      case Thread::State::kRunnable:
+        return now;
+      case Thread::State::kFree:
+        if (next_work_ < work_.size()) return now;
+        break;
+      case Thread::State::kStalled:
+        t = std::min(t, static_cast<Cycle>(std::ceil(th.stalled_until)));
+        break;
+      case Thread::State::kWaitMem:
+        break;
+    }
+  }
+  return t == kNeverCycle ? t : std::max(t, now);
+}
+
 void Gpe::tick(Agg& agg, Dnq& dnq) {
   const auto now = static_cast<double>(net_.now());
+  gpe_time_ = resume_time();
 
   // Wake threads whose blocking loads completed (flit buffer -> scratchpad
   // happens without core intervention; the wake is free).

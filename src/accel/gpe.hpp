@@ -58,6 +58,11 @@ class Gpe {
 
   void tick(Agg& agg, Dnq& dnq);
 
+  /// Earliest NoC cycle >= `now` at which tick() could change state
+  /// (kNeverCycle when only a NoC delivery can wake it). Threads waiting on
+  /// memory wake through the NoC, which the caller tracks.
+  [[nodiscard]] Cycle next_event(Cycle now) const;
+
   [[nodiscard]] bool idle() const;
   [[nodiscard]] const GpeStats& stats() const { return stats_; }
 
@@ -123,6 +128,11 @@ class Gpe {
   void finish_task(Thread& t);
   void stall(Thread& t);
   [[nodiscard]] int pick_runnable(double now);
+  /// The core time the next tick resumes from. A tick that finds no
+  /// runnable thread leaves gpe_time_ at now + 1, so after a span of
+  /// skipped idle ticks the core resumes at `now`, exactly as if every
+  /// idle tick had run.
+  [[nodiscard]] double resume_time() const;
   /// Flame path of the current phase's post-traversal body span
   /// ("task/gather", "task/walk", ...), for the profiler's rollup.
   [[nodiscard]] const char* body_span_name() const;

@@ -197,14 +197,31 @@ bool AcceleratorSim::everything_idle() const {
 }
 
 std::uint64_t AcceleratorSim::progress_signature() const {
-  std::uint64_t sig = net_->stats().packets_sent.value() +
-                      net_->stats().packets_delivered.value();
+  // Retired work only. Sends and GPE actions do not count: a thread that
+  // retries a failed allocation every 16 cycles sends nothing and retires
+  // nothing, and must trip the watchdog instead of spinning forever.
+  std::uint64_t sig = net_->stats().packets_delivered.value();
+  for (const auto& m : mems_) sig += m->stats().bytes_served.value();
   for (const auto& t : tiles_) {
-    sig += t->gpe().stats().actions.value();
+    sig += t->gpe().stats().tasks_completed.value();
     sig += t->dna().stats().entries_processed.value();
     sig += t->agg().stats().contributions.value();
   }
   return sig;
+}
+
+Cycle AcceleratorSim::next_event(Cycle now) const {
+  // A unit due `now` rules out a jump; the rest need not be asked.
+  Cycle t = kNeverCycle;
+  for (const auto& tile : tiles_) {
+    t = std::min(t, tile->next_event(now));
+    if (t <= now) return now;
+  }
+  for (const auto& m : mems_) {
+    t = std::min(t, m->next_event(now));
+    if (t <= now) return now;
+  }
+  return t;
 }
 
 RunStats AcceleratorSim::run(const CompiledProgram& prog,
@@ -248,29 +265,54 @@ RunStats AcceleratorSim::run(const CompiledProgram& prog,
       tiles_[t]->begin_phase(prog, ds, phase, std::move(work[t]));
     }
 
-    // Run to the global barrier.
+    // Run to the global barrier. Each pass ticks one cycle; when the NoC
+    // is quiescent afterwards, the clock jumps to the earliest cycle at
+    // which any unit's tick could change state (DESIGN.md §17). The jump
+    // stops at the next sample and at the watchdog's trip cycle, and both
+    // are checked again after it, so samples and the trip land on the same
+    // cycles as ticking every cycle would.
     std::uint64_t last_sig = progress_signature();
     Cycle last_progress = net_->now();
-    while (!everything_idle()) {
+    const auto check_watchdog = [&] {
+      if (net_->now() - last_progress <= watchdog_cycles_) return;
+      const std::string report = deadlock_report(phase.name);
+      if (!trace_.deadlock_report_path.empty()) {
+        std::ofstream f(trace_.deadlock_report_path);
+        f << report;
+      }
+      throw std::runtime_error(
+          "AcceleratorSim: no progress in phase " + phase.name + " for " +
+          std::to_string(watchdog_cycles_) + " cycles (deadlock?)\n" +
+          report);
+    };
+    bool idle = everything_idle();
+    while (!idle) {
+      const Cycle now = net_->now();
       for (auto& t : tiles_) t->tick();
-      for (auto& m : mems_) m->tick();
+      for (auto& m : mems_) {
+        if (m->next_event(now) <= now) m->tick();
+      }
       net_->tick();
       if (trace_.sample_every != 0) maybe_sample(phase.name);
-
       const std::uint64_t sig = progress_signature();
       if (sig != last_sig) {
         last_sig = sig;
         last_progress = net_->now();
-      } else if (net_->now() - last_progress > watchdog_cycles_) {
-        const std::string report = deadlock_report(phase.name);
-        if (!trace_.deadlock_report_path.empty()) {
-          std::ofstream f(trace_.deadlock_report_path);
-          f << report;
-        }
-        throw std::runtime_error(
-            "AcceleratorSim: no progress in phase " + phase.name + " for " +
-            std::to_string(watchdog_cycles_) + " cycles (deadlock?)\n" +
-            report);
+      } else {
+        check_watchdog();
+      }
+      idle = everything_idle();
+      if (idle || !net_->quiescent()) continue;
+
+      Cycle next = next_event(net_->now());
+      if (trace_.sample_every != 0) next = std::min(next, next_sample_);
+      const Cycle trip = last_progress + watchdog_cycles_ + 1;
+      next = std::min(next, trip > last_progress ? trip : kNeverCycle);
+      if (next > net_->now()) {
+        // Nothing ticked, so the progress signature cannot have moved.
+        net_->skip_to(next);
+        if (trace_.sample_every != 0) maybe_sample(phase.name);
+        check_watchdog();
       }
     }
 

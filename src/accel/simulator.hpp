@@ -151,7 +151,9 @@ class AcceleratorSim {
   [[nodiscard]] RunStats run(const CompiledProgram& prog,
                              const graph::Dataset& ds);
 
-  /// Progress watchdog threshold (cycles without any progress).
+  /// Progress watchdog threshold: cycles without retired work (a packet
+  /// delivered, memory bytes served, a task, DNA entry or AGG
+  /// contribution completed) before run() aborts with diagnostics.
   void set_watchdog_cycles(Cycle c) { watchdog_cycles_ = c; }
 
   /// Static program verification before the timing model starts (on by
@@ -180,7 +182,11 @@ class AcceleratorSim {
   void begin_sampling();
   void maybe_sample(const std::string& phase_name);
   [[nodiscard]] bool everything_idle() const;
+  /// Retired work so far; the watchdog trips when it stops changing.
   [[nodiscard]] std::uint64_t progress_signature() const;
+  /// Earliest cycle >= `now` at which any tile or memory controller tick
+  /// could change state (kNeverCycle if none can without the NoC).
+  [[nodiscard]] Cycle next_event(Cycle now) const;
 
   AcceleratorConfig cfg_;
   graph::PartitionPolicy partition_;

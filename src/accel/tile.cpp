@@ -1,5 +1,6 @@
 #include "accel/tile.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 namespace gnna::accel {
@@ -9,6 +10,8 @@ Tile::Tile(const AcceleratorConfig& cfg, noc::MeshNetwork& net,
            const AddressMap& addr_map)
     : cfg_(cfg),
       net_(net),
+      ep_gpe_(ep_gpe),
+      ep_agg_(ep_agg),
       ep_dnq_(ep_dnq),
       addr_map_(addr_map),
       scale_(cfg.noc_clock.ghz() / cfg.core_clock.ghz()),
@@ -111,6 +114,15 @@ void Tile::tick() {
   agg_.tick();
   dna_.tick(dnq_);
   gpe_.tick(agg_, dnq_);
+}
+
+Cycle Tile::next_event(Cycle now) const {
+  for (const EndpointId ep : {ep_gpe_, ep_agg_, ep_dnq_}) {
+    if (net_.delivery_queue_depth(ep) != 0) return now;
+  }
+  const Cycle gpe = gpe_.next_event(now);
+  if (gpe <= now) return now;
+  return std::min({gpe, agg_.next_event(now), dna_.next_event(now, dnq_)});
 }
 
 }  // namespace gnna::accel

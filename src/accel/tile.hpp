@@ -33,6 +33,11 @@ class Tile {
 
   void tick();
 
+  /// Earliest NoC cycle >= `now` at which tick() could change state: `now`
+  /// while a message waits at one of the tile's endpoints, else the
+  /// earliest of its units' next events.
+  [[nodiscard]] Cycle next_event(Cycle now) const;
+
   [[nodiscard]] bool idle() const {
     return gpe_.idle() && agg_.idle() && dnq_.empty() && dna_.idle();
   }
@@ -51,6 +56,8 @@ class Tile {
  private:
   const AcceleratorConfig& cfg_;
   noc::MeshNetwork& net_;
+  EndpointId ep_gpe_;
+  EndpointId ep_agg_;
   EndpointId ep_dnq_;
   const AddressMap& addr_map_;
   double scale_;

@@ -73,9 +73,7 @@ void MemoryController::admit(double now) {
   // Admit new requests while the queue (in-order) / scheduling window
   // (FR-FCFS) has room. Requests beyond that wait, unseen, in the NoC
   // delivery queue — the backpressure the paper's model implies.
-  const std::uint32_t capacity =
-      frfcfs_ ? params_.window_entries : params_.queue_entries;
-  while (queue_.size() < capacity) {
+  while (queue_.size() < capacity()) {
     const noc::Message* head = net_.peek(endpoint_);
     if (head == nullptr) break;
     auto msg = net_.poll(endpoint_);
@@ -314,11 +312,9 @@ double MemoryController::row_hit_rate() const {
 }
 
 void MemoryController::dump_state(std::ostream& os) const {
-  const std::uint32_t capacity =
-      frfcfs_ ? params_.window_entries : params_.queue_entries;
   os << "  mem endpoint " << endpoint_ << " ["
      << mem_scheduler_name(params_.scheduler) << "]: queue=" << queue_.size()
-     << '/' << capacity << " inbox=" << net_.delivery_queue_depth(endpoint_)
+     << '/' << capacity() << " inbox=" << net_.delivery_queue_depth(endpoint_)
      << " dram_free_at=" << dram_free_at_
      << " bytes_served=" << stats_.bytes_served.value() << '\n';
   if (frfcfs_) {

@@ -34,6 +34,8 @@
 //    reproduces the in-order model's timing bit-identically.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <deque>
 #include <optional>
@@ -129,6 +131,22 @@ class MemoryController {
 
   void tick();
 
+  /// Earliest NoC cycle >= `now` at which tick() could change state:
+  /// `now` while a request waits in the NoC and a slot is free; else the
+  /// in-order queue's head completion, or `now` whenever the FR-FCFS
+  /// window is non-empty (its scheduler is not predicted). kNeverCycle
+  /// when only a NoC delivery can wake it.
+  [[nodiscard]] Cycle next_event(Cycle now) const {
+    if (queue_.size() < capacity() &&
+        net_.delivery_queue_depth(endpoint_) != 0) {
+      return now;
+    }
+    if (queue_.empty()) return kNeverCycle;
+    if (frfcfs_) return now;
+    return std::max(now,
+                    static_cast<Cycle>(std::ceil(queue_.front().respond_at)));
+  }
+
   [[nodiscard]] bool idle() const {
     return queue_.empty() && net_.delivery_queue_depth(endpoint_) == 0;
   }
@@ -176,6 +194,9 @@ class MemoryController {
     double busy_until = 0.0;    // for non-overlapped busy accounting
   };
 
+  [[nodiscard]] std::uint32_t capacity() const {
+    return frfcfs_ ? params_.window_entries : params_.queue_entries;
+  }
   void admit(double now);
   void schedule_frfcfs(double now);
   void retire(double now);

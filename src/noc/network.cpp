@@ -138,23 +138,6 @@ void MeshNetwork::send(Message msg) {
   }
 }
 
-std::optional<Message> MeshNetwork::poll(EndpointId ep) {
-  EndpointState& e = endpoints_.at(ep);
-  if (e.delivery.empty()) return std::nullopt;
-  Message m = e.delivery.front();
-  e.delivery.pop_front();
-  return m;
-}
-
-const Message* MeshNetwork::peek(EndpointId ep) const {
-  const EndpointState& e = endpoints_.at(ep);
-  return e.delivery.empty() ? nullptr : &e.delivery.front();
-}
-
-std::size_t MeshNetwork::delivery_queue_depth(EndpointId ep) const {
-  return endpoints_.at(ep).delivery.size();
-}
-
 std::size_t MeshNetwork::injection_queue_depth(EndpointId ep) const {
   return endpoints_.at(ep).injection.size();
 }
@@ -381,11 +364,20 @@ void MeshNetwork::phase_inject() {
 
 void MeshNetwork::tick() {
   finalize();
+  if (quiescent()) {
+    ++now_;
+    return;
+  }
   apply_credits();
   phase_route();
   phase_arrive();
   phase_inject();
   ++now_;
+}
+
+void MeshNetwork::skip_to(Cycle t) {
+  assert(quiescent() && t >= now_ && "skip_to: network not quiescent");
+  now_ = t;
 }
 
 bool MeshNetwork::idle() const {

@@ -64,8 +64,19 @@ class MeshNetwork {
   [[nodiscard]] std::size_t delivery_queue_depth(EndpointId ep) const;
   [[nodiscard]] std::size_t injection_queue_depth(EndpointId ep) const;
 
-  /// Advance one cycle.
+  /// Advance one cycle. A quiescent network only advances its clock.
   void tick();
+
+  /// True when no flit is buffered, on a link or awaiting injection and
+  /// no credit is in flight: ticking would change nothing but the clock.
+  /// Messages already delivered may still await poll().
+  [[nodiscard]] bool quiescent() const {
+    return links_.empty() && credits_.empty() && inflight_.empty();
+  }
+
+  /// Jump the clock forward to `t` (>= now()). Only valid while
+  /// quiescent(), where it equals t - now() ticks.
+  void skip_to(Cycle t);
 
   /// True when no flit is buffered, in flight, or awaiting injection and no
   /// message awaits delivery. Used by the runtime's global barriers.
@@ -160,5 +171,23 @@ class MeshNetwork {
   NocStats stats_;
   trace::Tracer tracer_;
 };
+
+// Inline: every unit polls its endpoints on every tick it runs.
+inline std::optional<Message> MeshNetwork::poll(EndpointId ep) {
+  EndpointState& e = endpoints_.at(ep);
+  if (e.delivery.empty()) return std::nullopt;
+  Message m = e.delivery.front();
+  e.delivery.pop_front();
+  return m;
+}
+
+inline const Message* MeshNetwork::peek(EndpointId ep) const {
+  const EndpointState& e = endpoints_.at(ep);
+  return e.delivery.empty() ? nullptr : &e.delivery.front();
+}
+
+inline std::size_t MeshNetwork::delivery_queue_depth(EndpointId ep) const {
+  return endpoints_.at(ep).delivery.size();
+}
 
 }  // namespace gnna::noc

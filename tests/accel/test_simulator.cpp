@@ -4,6 +4,9 @@
 
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "accel/compiler.hpp"
 #include "common/rng.hpp"
@@ -74,6 +77,51 @@ TEST(Simulator, MpnnCompletesAndSwitchesQueues) {
   EXPECT_EQ(rs.tasks_completed, 48U + 96U + 4U);
   // The GRU model lives on virtual queue 1: switches must have happened.
   EXPECT_GT(rs.dnq_queue_switches, 0U);
+
+  // Exact pins of every counter and utilization. This run exercises the
+  // DNQ lazy queue switch, the subtlest wake-up of the next-event cycle
+  // loop (DESIGN.md §17); the values are those of the per-cycle loop it
+  // replaced, so any cycle the jump moves shows up here.
+  EXPECT_EQ(rs.cycles, 17806U);
+  EXPECT_EQ(rs.seconds, 7.4191666666666666e-06);
+  EXPECT_EQ(rs.millis, 0.0074191666666666668);
+  EXPECT_EQ(rs.mem_bytes_requested, 93960U);
+  EXPECT_EQ(rs.mem_bytes_served, 140032U);
+  EXPECT_EQ(rs.mean_bandwidth_gbps, 18.874356958328651);
+  EXPECT_EQ(rs.bandwidth_utilization, 0.27756407291659779);
+  EXPECT_EQ(rs.mem_row_hits, 0U);
+  EXPECT_EQ(rs.mem_row_misses, 0U);
+  EXPECT_EQ(rs.mem_row_hit_rate, 0.0);
+  EXPECT_EQ(rs.mem_queue_occupancy, 5.6160629036787419);
+  EXPECT_EQ(rs.mem_queue_occupancy_max, 29.0);
+  EXPECT_TRUE(rs.mem_banks.empty());
+  EXPECT_EQ(rs.dna_utilization, 0.75951926316971807);
+  EXPECT_EQ(rs.gpe_utilization, 0.23475233067505336);
+  EXPECT_EQ(rs.agg_utilization, 0.013253959339548467);
+  EXPECT_EQ(rs.packets_delivered, 2296U);
+  EXPECT_EQ(rs.avg_packet_latency, 6.0701219512195195);
+  EXPECT_EQ(rs.dnq_queue_switches, 6U);
+  EXPECT_EQ(rs.alloc_stalls, 0U);
+  EXPECT_EQ(rs.noc_flit_hops, 3011U);
+  EXPECT_EQ(rs.noc_flits_delivered, 3419U);
+  EXPECT_EQ(rs.agg_words_reduced, 2080U);
+  EXPECT_EQ(rs.dna_macs, 1870592U);
+  EXPECT_EQ(rs.gpe_actions, 1632U);
+  EXPECT_EQ(rs.dnq_words, 4140U);
+  const std::vector<std::tuple<std::string, Cycle, std::uint64_t,
+                               std::uint64_t>>
+      phases = {{"embed", 726, 13184, 48},
+                {"mp1", 8446, 62464, 48},
+                {"mp2", 8432, 62464, 48},
+                {"readout", 202, 1920, 4}};
+  ASSERT_EQ(rs.phases.size(), phases.size());
+  for (std::size_t i = 0; i < phases.size(); ++i) {
+    const auto& [name, cycles, bytes, tasks] = phases[i];
+    EXPECT_EQ(rs.phases[i].name, name);
+    EXPECT_EQ(rs.phases[i].cycles, cycles);
+    EXPECT_EQ(rs.phases[i].mem_bytes_served, bytes);
+    EXPECT_EQ(rs.phases[i].tasks, tasks);
+  }
 }
 
 TEST(Simulator, PgnnCompletesWalks) {
