@@ -155,16 +155,6 @@ void Agg::complete(AggHandle h) {
 
 namespace {
 
-const char* reduce_op_name(ReduceOp op) {
-  switch (op) {
-    case ReduceOp::kSum: return "sum";
-    case ReduceOp::kMax: return "max";
-    case ReduceOp::kMin: return "min";
-    case ReduceOp::kMean: return "mean";
-  }
-  return "?";
-}
-
 /// "-> dnq ep=7 handle=3" — names the resource a stalled entry's result is
 /// destined for, so a deadlock dump reads as a wait-for chain.
 void print_dest(std::ostream& os, const Dest& d) {

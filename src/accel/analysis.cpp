@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <optional>
 #include <sstream>
 #include <tuple>
 
-#include "accel/dnq.hpp"
+#include "accel/dna.hpp"
 #include "common/units.hpp"
-#include "dataflow/spatial.hpp"
 
 namespace gnna::accel {
 
@@ -26,9 +24,13 @@ std::uint64_t min_healthy_concurrency(const TileParams& tp) {
 /// hardware) bounds the phase.
 constexpr double kImbalanceThreshold = 1.5;
 
-std::uint32_t split_bytes_for(const TileParams& tp, std::uint32_t sixteenths) {
-  return static_cast<std::uint32_t>(std::uint64_t{tp.dnq_data_bytes} *
-                                    sixteenths / 16);
+/// phase_footprint under `tp` with `sixteenths` as the DNQ split; an
+/// out-of-range split (GV010, verify's to report) leaves the scratchpad
+/// whole to queue 0.
+PhaseFootprint footprint_at(const PhaseSpec& ph, TileParams tp,
+                            std::uint32_t sixteenths) {
+  tp.dnq_queue0_sixteenths = std::min(sixteenths, 16U);
+  return phase_footprint(ph, tp);
 }
 
 /// Per-vertex work weights for one phase (contribution counts), or empty
@@ -78,7 +80,8 @@ class PhaseAnalyzer {
   PhaseAnalyzer(const CompiledProgram& prog, const AcceleratorConfig& cfg,
                 const PhaseSpec& ph, const AnalysisOptions& options)
       : prog_(prog), cfg_(cfg), tp_(cfg.tile_params), ph_(ph),
-        options_(options) {}
+        options_(options),
+        fp_(footprint_at(ph, tp_, tp_.dnq_queue0_sixteenths)) {}
 
   PhaseModel run() {
     PhaseModel m;
@@ -134,49 +137,18 @@ class PhaseAnalyzer {
  private:
   // ---- scratchpad occupancy under the virtual-queue split ----
   void fill_occupancy(PhaseModel& m) const {
-    std::uint64_t q0_cap = tp_.dnq_data_bytes;
-    std::uint64_t q1_cap = 0;
-    if (ph_.has_dna2() && tp_.dnq_queue0_sixteenths <= 16) {
-      q0_cap = split_bytes_for(tp_, tp_.dnq_queue0_sixteenths);
-      q1_cap = tp_.dnq_data_bytes - q0_cap;
-    }
-    m.dnq0.capacity_bytes = q0_cap;
-    m.dnq0.entry_bytes = dnq0_entry_words() * kWordBytes;
-    m.dnq0.used = m.dnq0.entry_bytes > 0;
-    m.dnq1.capacity_bytes = q1_cap;
-    if (ph_.has_dna2()) {
-      m.dnq1.entry_bytes =
-          (std::uint64_t{ph_.agg_width_words} + ph_.dna2_gpe_words) *
-          kWordBytes;
-      m.dnq1.used = m.dnq1.entry_bytes > 0;
-    }
-    m.agg.capacity_bytes = tp_.agg_data_bytes;
-    if (ph_.has_agg()) {
-      m.agg.entry_bytes = std::uint64_t{ph_.agg_width_words} * kWordBytes;
-      m.agg.used = true;
-    }
-    for (QueueOccupancy* q : {&m.dnq0, &m.dnq1, &m.agg}) {
-      q->concurrency =
-          q->entry_bytes > 0 ? q->capacity_bytes / q->entry_bytes : 0;
-    }
-  }
-
-  [[nodiscard]] std::uint64_t dnq0_entry_words() const {
-    std::uint64_t words = 0;
-    switch (ph_.kind) {
-      case PhaseKind::kGatherAggregate:
-        if (ph_.has_dna()) words = ph_.agg_width_words;
-        break;
-      case PhaseKind::kProject:
-        for (const auto& b : ph_.extra_inputs) words += b.width_words;
-        break;
-      case PhaseKind::kEdgeDnaAggregate:
-        words = std::uint64_t{ph_.gather.width_words} +
-                ph_.gpe_words_per_entry;
-        for (const auto& b : ph_.extra_inputs) words += b.width_words;
-        break;
-    }
-    return words;
+    const auto occupancy = [](std::uint64_t entry_words,
+                              std::uint64_t capacity_bytes) {
+      QueueOccupancy q;
+      q.used = entry_words > 0;
+      q.entry_bytes = entry_words * kWordBytes;
+      q.capacity_bytes = capacity_bytes;
+      q.concurrency = q.used ? capacity_bytes / q.entry_bytes : 0;
+      return q;
+    };
+    m.dnq0 = occupancy(fp_.dnq0_entry_words, fp_.dnq0_bytes);
+    m.dnq1 = occupancy(fp_.dnq1_entry_words, fp_.dnq1_bytes);
+    m.agg = occupancy(fp_.agg_entry_words, fp_.agg_bytes);
   }
 
   // ---- compute terms (GPE / DNA / AGG), core cycles, per-tile max ----
@@ -194,14 +166,21 @@ class PhaseAnalyzer {
     const double A = tp_.cost_alloc;
     const double S = tp_.cost_send;
 
-    // DNA initiation intervals (core cycles) from the dataflow mapper —
-    // the exact numbers Tile::begin_phase programs.
-    const double ii0 = model_ii(ph_.dna_shapes);
-    const double ii1 = model_ii(ph_.dna2_shapes);
-    const auto entry_ii = [&](double model, std::uint64_t width_words) {
-      return std::max({model, static_cast<double>((width_words + 15) / 16),
-                       static_cast<double>(tp_.dna_min_ii)});
-    };
+    // Per-entry DNA initiation intervals (core cycles) of each virtual
+    // queue, from the same model timings and widths the tile runs.
+    const double dna_ii_q0 =
+        ph_.has_dna()
+            ? dna_entry_ii(dna_model_timing(ph_.dna_shapes, ph_.dna_out_words,
+                                            tp_, cfg_.core_clock),
+                           fp_.dnq0_entry_words, tp_)
+            : 0.0;
+    const double dna_ii_q1 =
+        ph_.has_dna2()
+            ? dna_entry_ii(dna_model_timing(ph_.dna2_shapes,
+                                            ph_.dna2_out_words, tp_,
+                                            cfg_.core_clock),
+                           fp_.dnq1_entry_words, tp_)
+            : 0.0;
 
     if (ph_.per_graph) {
       // Work items are graphs, split over the tiles exactly as the
@@ -222,8 +201,7 @@ class PhaseAnalyzer {
         // The last entry's result drains through the DNA pipeline after
         // its array slot; the phase barrier waits for it, so one fill/
         // drain latency per phase is part of the lower bound.
-        dna = static_cast<double>(per_tile) *
-                  entry_ii(ii0, ph_.agg_width_words) +
+        dna = static_cast<double>(per_tile) * dna_ii_q0 +
               static_cast<double>(tp_.dna_pipeline_latency);
       }
       if (ph_.has_agg() && tp_.agg_alus > 0) {
@@ -253,32 +231,18 @@ class PhaseAnalyzer {
     double per_contrib = 0.0;
     std::uint64_t dna_entries_per_vertex = 0;
     double dna_entries_per_contrib = 0.0;
-    double dna_ii_q0 = 0.0;
-    const double dna_ii_q1 =
-        ph_.has_dna2()
-            ? entry_ii(ii1, std::uint64_t{ph_.agg_width_words} +
-                                ph_.dna2_gpe_words)
-            : 0.0;
     double agg_words_per_contrib = 0.0;
 
     switch (ph_.kind) {
       case PhaseKind::kGatherAggregate:
         fixed += (ph_.has_dna() ? A : L) + A;
         per_contrib = L + I;
-        if (ph_.has_dna()) {
-          dna_entries_per_vertex = 1;
-          dna_ii_q0 = entry_ii(ii0, ph_.agg_width_words);
-        }
+        if (ph_.has_dna()) dna_entries_per_vertex = 1;
         agg_words_per_contrib = ph_.gather.width_words;
         break;
       case PhaseKind::kProject:
         fixed += A + static_cast<double>(ph_.extra_inputs.size()) * (L + I);
-        if (ph_.has_dna()) {
-          dna_entries_per_vertex = 1;
-          std::uint64_t w = 0;
-          for (const auto& b : ph_.extra_inputs) w += b.width_words;
-          dna_ii_q0 = entry_ii(ii0, w);
-        }
+        if (ph_.has_dna()) dna_entries_per_vertex = 1;
         break;
       case PhaseKind::kEdgeDnaAggregate: {
         const bool needs_own =
@@ -289,13 +253,7 @@ class PhaseAnalyzer {
         per_contrib = A + (L + I) +
                       (ph_.extra_inputs.empty() ? 0.0 : L + I) +
                       (ph_.gpe_words_per_entry > 0 ? S : L);
-        if (ph_.has_dna()) {
-          dna_entries_per_contrib = 1.0;
-          std::uint64_t w = std::uint64_t{ph_.gather.width_words} +
-                            ph_.gpe_words_per_entry;
-          for (const auto& b : ph_.extra_inputs) w += b.width_words;
-          dna_ii_q0 = entry_ii(ii0, w);
-        }
+        if (ph_.has_dna()) dna_entries_per_contrib = 1.0;
         if (ph_.has_dna2()) dna_entries_per_vertex = 1;
         agg_words_per_contrib = ph_.dna_out_words;
         break;
@@ -354,21 +312,6 @@ class PhaseAnalyzer {
       }
     }
     return {gpe, dna, agg};
-  }
-
-  [[nodiscard]] double model_ii(
-      const std::vector<dataflow::MatmulShape>& chain) const {
-    if (chain.empty()) return 0.0;
-    for (const auto& s : chain) {
-      if (s.m == 0 || s.k == 0 || s.n == 0) return 0.0;  // GV005 territory
-    }
-    const dataflow::Mapper mapper(tp_.dna);
-    double ii = 0.0;
-    for (const auto& s : chain) {
-      ii += static_cast<double>(
-          mapper.map(s, std::nullopt, cfg_.core_clock).compute_cycles);
-    }
-    return ii;
   }
 
   [[nodiscard]] std::uint64_t phase_total_contribs() const {
@@ -507,6 +450,7 @@ class PhaseAnalyzer {
   const TileParams& tp_;
   const PhaseSpec& ph_;
   const AnalysisOptions& options_;
+  const PhaseFootprint fp_;
   std::uint64_t write_served_ = 0;
   double imbalance_ = 0.0;
 };
@@ -547,20 +491,19 @@ ProgramAnalysis analyze_program(const CompiledProgram& prog,
 
 namespace {
 
-/// GV202 helper: concurrency of both virtual queues for one phase under a
-/// candidate split. Returns {c0, c1}; a queue with no entries reports a
-/// very large concurrency so it never constrains the minimum.
+/// GV202 helper: concurrency of both virtual queues for queue-1 phase `ph`
+/// under a candidate split. Returns {c0, c1}; a queue with no entries
+/// reports a very large concurrency so it never constrains the minimum.
 std::pair<std::uint64_t, std::uint64_t> split_concurrency(
-    const TileParams& tp, std::uint64_t entry0_bytes,
-    std::uint64_t entry1_bytes, std::uint32_t sixteenths) {
-  const std::uint64_t q0 = split_bytes_for(tp, sixteenths);
-  const std::uint64_t q1 = tp.dnq_data_bytes - q0;
-  constexpr std::uint64_t kUnbounded = ~std::uint64_t{0};
-  const std::uint64_t c0 =
-      entry0_bytes > 0 ? q0 / entry0_bytes : kUnbounded;
-  const std::uint64_t c1 =
-      entry1_bytes > 0 ? q1 / entry1_bytes : kUnbounded;
-  return {c0, c1};
+    const PhaseSpec& ph, const TileParams& tp, std::uint32_t sixteenths) {
+  const PhaseFootprint fp = footprint_at(ph, tp, sixteenths);
+  const auto concurrency = [](std::uint64_t capacity_bytes,
+                              std::uint64_t entry_words) {
+    return entry_words > 0 ? capacity_bytes / (entry_words * kWordBytes)
+                           : ~std::uint64_t{0};
+  };
+  return {concurrency(fp.dnq0_bytes, fp.dnq0_entry_words),
+          concurrency(fp.dnq1_bytes, fp.dnq1_entry_words)};
 }
 
 }  // namespace
@@ -607,8 +550,7 @@ std::vector<PerfDiagnostic> perf_lints(const CompiledProgram& prog,
       if (cur_min < 2) {
         bool fixable = false;
         for (std::uint32_t s = 0; s <= 16 && !fixable; ++s) {
-          const auto [c0, c1] = split_concurrency(
-              tp, m.dnq0.entry_bytes, m.dnq1.entry_bytes, s);
+          const auto [c0, c1] = split_concurrency(prog.phases[i], tp, s);
           fixable = c0 >= 2 && c1 >= 2;
         }
         if (fixable) {
@@ -767,11 +709,11 @@ std::vector<FixSuggestion> suggest_fixes(const CompiledProgram& prog,
     for (std::uint32_t s = 0; s <= 16; ++s) {
       std::uint64_t worst = ~std::uint64_t{0};
       bool any = false;
-      for (const PhaseModel& m : pa.phases) {
+      for (std::size_t i = 0; i < pa.phases.size(); ++i) {
+        const PhaseModel& m = pa.phases[i];
         if (!(m.dnq0.used && m.dnq1.used)) continue;
         any = true;
-        const auto [c0, c1] = split_concurrency(
-            tp, m.dnq0.entry_bytes, m.dnq1.entry_bytes, s);
+        const auto [c0, c1] = split_concurrency(prog.phases[i], tp, s);
         worst = std::min({worst, c0, c1});
       }
       if (!any) break;

@@ -9,7 +9,8 @@
 // analyze_program() evaluates that shadow model and returns, per phase:
 //
 //  - scratchpad occupancy: the DNQ virtual-queue and AGG entry footprints
-//    under the virtual-queue split policy, and how many entries fit
+//    under the virtual-queue split (phase_footprint — the widths the GPE
+//    allocates and the split the tile programs), and how many entries fit
 //    concurrently (the reuse-distance budget: with K GPE threads in
 //    flight, ~K entries are live between first and last touch of any one
 //    of them, so concurrency << threads means allocation stalls);

@@ -6,6 +6,30 @@
 
 namespace gnna::accel {
 
+DnaModelTiming dna_model_timing(
+    const std::vector<dataflow::MatmulShape>& shapes, std::uint32_t out_words,
+    const TileParams& tp, Frequency core_clock) {
+  DnaModelTiming m;
+  m.out_words = out_words;
+  for (const auto& s : shapes) {
+    if (s.m == 0 || s.k == 0 || s.n == 0) return m;
+  }
+  const dataflow::Mapper mapper(tp.dna);
+  for (const auto& s : shapes) {
+    m.ii_core_cycles += static_cast<double>(
+        mapper.map(s, std::nullopt, core_clock).compute_cycles);
+    m.macs_per_entry += s.total_macs();
+  }
+  return m;
+}
+
+double dna_entry_ii(const DnaModelTiming& model, std::uint32_t width_words,
+                    const TileParams& tp) {
+  const std::uint64_t readout = (std::uint64_t{width_words} + 15) / 16;
+  return std::max({model.ii_core_cycles, static_cast<double>(readout),
+                   static_cast<double>(tp.dna_min_ii)});
+}
+
 Dna::Dna(const TileParams& params, noc::MeshNetwork& net, EndpointId endpoint,
          const AddressMap& addr_map, double core_scale)
     : params_(params),
@@ -133,12 +157,7 @@ void Dna::tick(Dnq& dnq) {
   assert(entry->queue < models_.size() && "DNQ entry for unconfigured model");
   const DnaModelTiming& model = models_[entry->queue];
 
-  // Entry readout runs at one flit (16 words) per core cycle and is
-  // overlapped with compute; the array is busy for the larger of the two.
-  const double readout_core = (entry->width_words + 15) / 16;
-  const double ii_core =
-      std::max({model.ii_core_cycles, readout_core,
-                static_cast<double>(params_.dna_min_ii)});
+  const double ii_core = dna_entry_ii(model, entry->width_words, params_);
   const double start = std::max(array_free_at_, now);
   array_free_at_ = start + ii_core * scale_;
   busy_ = true;

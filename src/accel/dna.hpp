@@ -29,6 +29,22 @@ struct DnaModelTiming {
   std::uint64_t macs_per_entry = 0;  // for energy accounting
 };
 
+/// Timing of the DNN model `shapes` (a chain of matmuls) emitting
+/// `out_words` per entry: its initiation interval is the sum of the
+/// NN-Dataflow-like mapper's best-mapping compute cycles per stage at
+/// `core_clock`. A chain with a zero dimension (GV005) times as zero.
+[[nodiscard]] DnaModelTiming dna_model_timing(
+    const std::vector<dataflow::MatmulShape>& shapes, std::uint32_t out_words,
+    const TileParams& tp, Frequency core_clock);
+
+/// Core cycles one DNQ entry of `width_words` occupies the array: entry
+/// readout runs at one flit (16 words) per core cycle overlapped with
+/// compute, so the array is busy for the larger of the two, floored by
+/// `tp.dna_min_ii`.
+[[nodiscard]] double dna_entry_ii(const DnaModelTiming& model,
+                                  std::uint32_t width_words,
+                                  const TileParams& tp);
+
 struct DnaStats {
   Counter entries_processed;
   Counter results_sent;

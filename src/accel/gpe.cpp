@@ -26,6 +26,7 @@ void Gpe::begin_phase(const CompiledProgram& prog, const graph::Dataset& ds,
   prog_ = &prog;
   ds_ = &ds;
   phase_ = &phase;
+  fp_ = phase_footprint(phase, params_);
   work_ = std::move(work);
   next_work_ = 0;
   for (auto& t : threads_) t = Thread{};
@@ -299,7 +300,7 @@ double Gpe::step_gather_aggregate(Thread& t, Agg& agg, Dnq& dnq) {
     Dest dest;
     dest.kind = Dest::Kind::kMemWrite;
     dest.addr = out_addr;
-    auto h = dnq.allocate(0, ph.agg_width_words, dest, t.work);
+    auto h = dnq.allocate(0, fp_.dnq0_entry_words, dest, t.work);
     if (!h.has_value()) {
       stall(t);
       return params_.cost_alloc;
@@ -322,8 +323,8 @@ double Gpe::step_gather_aggregate(Thread& t, Agg& agg, Dnq& dnq) {
     // plain gathers contribute once per neighbor (+ self).
     const std::uint64_t contribs =
         ph.walk_len > 1 ? ph.expected_contribs[t.work] : t.n_contrib;
-    auto h = agg.allocate(ph.agg_width_words,
-                          contribs * ph.agg_width_words, ph.agg_op, dest,
+    auto h = agg.allocate(fp_.agg_entry_words,
+                          contribs * fp_.agg_entry_words, ph.agg_op, dest,
                           t.work);
     if (!h.has_value()) {
       stall(t);
@@ -416,12 +417,10 @@ double Gpe::step_walk(Thread& t) {
 double Gpe::step_project(Thread& t, Dnq& dnq) {
   const PhaseSpec& ph = *phase_;
   if (t.stage == 2) {  // allocate the DNQ entry
-    std::uint32_t width = 0;
-    for (const auto& b : ph.extra_inputs) width += b.width_words;
     Dest dest;
     dest.kind = Dest::Kind::kMemWrite;
     dest.addr = vertex_addr(ph.output, t.work);
-    auto h = dnq.allocate(0, width, dest, t.work);
+    auto h = dnq.allocate(0, fp_.dnq0_entry_words, dest, t.work);
     if (!h.has_value()) {
       stall(t);
       return params_.cost_alloc;
@@ -465,8 +464,7 @@ double Gpe::step_edge_dna_aggregate(Thread& t, Agg& agg, Dnq& dnq) {
     Dest dest;
     dest.kind = Dest::Kind::kMemWrite;
     dest.addr = out_addr;
-    auto h = dnq.allocate(1, ph.agg_width_words + ph.dna2_gpe_words, dest,
-                          t.work);
+    auto h = dnq.allocate(1, fp_.dnq1_entry_words, dest, t.work);
     if (!h.has_value()) {
       stall(t);
       return params_.cost_alloc;
@@ -485,8 +483,8 @@ double Gpe::step_edge_dna_aggregate(Thread& t, Agg& agg, Dnq& dnq) {
       dest.kind = Dest::Kind::kMemWrite;
       dest.addr = out_addr;
     }
-    auto h = agg.allocate(ph.agg_width_words,
-                          std::uint64_t{t.n_contrib} * ph.agg_width_words,
+    auto h = agg.allocate(fp_.agg_entry_words,
+                          std::uint64_t{t.n_contrib} * fp_.agg_entry_words,
                           ph.agg_op, dest, t.work);
     if (!h.has_value()) {
       stall(t);
@@ -518,13 +516,11 @@ double Gpe::step_edge_dna_aggregate(Thread& t, Agg& agg, Dnq& dnq) {
          "self contribution cannot carry per-edge inputs");
 
   if (t.loop_sub == 0) {  // allocate queue-0 entry
-    std::uint32_t width = ph.gather.width_words + ph.gpe_words_per_entry;
-    for (const auto& b : ph.extra_inputs) width += b.width_words;
     Dest dest;
     dest.kind = Dest::Kind::kAggEntry;
     dest.ep = ep_agg_;
     dest.handle = t.agg_h;
-    auto h = dnq.allocate(0, width, dest, t.work);
+    auto h = dnq.allocate(0, fp_.dnq0_entry_words, dest, t.work);
     if (!h.has_value()) {
       stall(t);
       return params_.cost_alloc;
@@ -592,7 +588,7 @@ double Gpe::step_graph_readout(Thread& t, Agg& agg, Dnq& dnq) {
     Dest dest;
     dest.kind = Dest::Kind::kMemWrite;
     dest.addr = out_addr;
-    auto h = dnq.allocate(0, ph.agg_width_words, dest, t.work);
+    auto h = dnq.allocate(0, fp_.dnq0_entry_words, dest, t.work);
     if (!h.has_value()) {
       stall(t);
       return params_.cost_alloc;
@@ -612,7 +608,7 @@ double Gpe::step_graph_readout(Thread& t, Agg& agg, Dnq& dnq) {
       dest.addr = out_addr;
     }
     auto h = agg.allocate(
-        ph.agg_width_words,
+        fp_.agg_entry_words,
         std::uint64_t{t.n_contrib} * ph.gather.width_words, ph.agg_op, dest,
         t.work);
     if (!h.has_value()) {

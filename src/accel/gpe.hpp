@@ -156,6 +156,7 @@ class Gpe {
   const CompiledProgram* prog_ = nullptr;
   const graph::Dataset* ds_ = nullptr;
   const PhaseSpec* phase_ = nullptr;
+  PhaseFootprint fp_;  // the phase's allocation widths
   std::vector<std::uint32_t> work_;
   std::size_t next_work_ = 0;
 

@@ -50,20 +50,6 @@ const char* kind_name(PhaseKind k) {
   return "?";
 }
 
-const char* reduce_name(ReduceOp op) {
-  switch (op) {
-    case ReduceOp::kSum:
-      return "sum";
-    case ReduceOp::kMax:
-      return "max";
-    case ReduceOp::kMin:
-      return "min";
-    case ReduceOp::kMean:
-      return "mean";
-  }
-  return "?";
-}
-
 // How many expected_contribs values go on one line. Purely cosmetic (keeps
 // .gnna files diffable), but part of the canonical form.
 constexpr std::size_t kContribsPerLine = 16;
@@ -274,10 +260,10 @@ PhaseKind parse_kind(const LineLexer& lex, const Token& t) {
 
 ReduceOp parse_reduce(const LineLexer& lex, const Token& t) {
   if (!t.quoted) {
-    if (t.text == "sum") return ReduceOp::kSum;
-    if (t.text == "max") return ReduceOp::kMax;
-    if (t.text == "min") return ReduceOp::kMin;
-    if (t.text == "mean") return ReduceOp::kMean;
+    for (const ReduceOp op : {ReduceOp::kSum, ReduceOp::kMax, ReduceOp::kMin,
+                              ReduceOp::kMean}) {
+      if (t.text == reduce_op_name(op)) return op;
+    }
   }
   lex.fail("unknown reduce op '" + t.text + "' (want sum|max|min|mean)");
 }
@@ -437,7 +423,7 @@ std::string serialize(const CompiledProgram& prog) {
     os << "  gpe_words_per_entry " << ph.gpe_words_per_entry << "\n";
     os << "  dna_out_words " << ph.dna_out_words << "\n";
     os << "  agg_width_words " << ph.agg_width_words << "\n";
-    os << "  agg_op " << reduce_name(ph.agg_op) << "\n";
+    os << "  agg_op " << reduce_op_name(ph.agg_op) << "\n";
     os << "  dna2_out_words " << ph.dna2_out_words << "\n";
     os << "  dna2_gpe_words " << ph.dna2_gpe_words << "\n";
     os << "  per_graph " << (ph.per_graph ? 1 : 0) << "\n";

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
+
+#include "accel/dnq.hpp"
 
 namespace gnna::accel {
 
@@ -34,6 +37,40 @@ graph::Partition phase_partition(const CompiledProgram& prog,
       phase.per_graph ? prog.graphs.size() : prog.total_vertices(),
       static_cast<TileId>(num_tiles), policy,
       policy == graph::PartitionPolicy::kProfileGuided ? profile : degrees);
+}
+
+PhaseFootprint phase_footprint(const PhaseSpec& phase, const TileParams& tp) {
+  std::uint64_t dnq0 = 0;
+  switch (phase.kind) {
+    case PhaseKind::kGatherAggregate:
+      if (phase.has_dna()) dnq0 = phase.agg_width_words;
+      break;
+    case PhaseKind::kEdgeDnaAggregate:
+      // The neighbor vector and the GPE's copy, then the extras.
+      dnq0 = std::uint64_t{phase.gather.width_words} +
+             phase.gpe_words_per_entry;
+      [[fallthrough]];
+    case PhaseKind::kProject:
+      for (const BufferRef& b : phase.extra_inputs) dnq0 += b.width_words;
+      break;
+  }
+  const auto bus_words = [](std::uint64_t words) {
+    return static_cast<std::uint32_t>(std::min<std::uint64_t>(
+        words, std::numeric_limits<std::uint32_t>::max()));
+  };
+
+  PhaseFootprint fp;
+  fp.dnq0_entry_words = bus_words(dnq0);
+  if (phase.has_dna2()) {
+    fp.dnq1_entry_words = bus_words(std::uint64_t{phase.agg_width_words} +
+                                    phase.dna2_gpe_words);
+  }
+  fp.agg_entry_words = phase.agg_width_words;
+  fp.dnq0_bytes = phase.has_dna2() ? Dnq::queue0_split_bytes(tp)
+                                   : tp.dnq_data_bytes;
+  fp.dnq1_bytes = tp.dnq_data_bytes - fp.dnq0_bytes;
+  fp.agg_bytes = tp.agg_data_bytes;
+  return fp;
 }
 
 }  // namespace gnna::accel

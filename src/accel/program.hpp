@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "accel/config.hpp"
 #include "common/fixed_point.hpp"
 #include "common/types.hpp"
 #include "dataflow/spatial.hpp"
@@ -230,5 +231,28 @@ struct CompiledProgram {
     const CompiledProgram& prog, const PhaseSpec& phase,
     const graph::Dataset* ds, std::uint32_t num_tiles,
     graph::PartitionPolicy policy, std::span<const double> profile = {});
+
+/// What one phase occupies on a tile, as Algorithm 1's CONFIG step
+/// programs it: the width of every entry the GPE allocates (0 where the
+/// phase allocates none) and the bytes each scratchpad offers those
+/// entries. The DNQ split gives the whole data scratchpad to virtual queue
+/// 0 unless the phase runs a queue-1 model (then Dnq::queue0_split_bytes).
+struct PhaseFootprint {
+  std::uint32_t dnq0_entry_words = 0;  // per vertex, or per edge on edge phases
+  std::uint32_t dnq1_entry_words = 0;  // queue-1 (dna2) entry, per vertex
+  std::uint32_t agg_entry_words = 0;
+  std::uint32_t dnq0_bytes = 0;
+  std::uint32_t dnq1_bytes = 0;
+  std::uint32_t agg_bytes = 0;
+};
+
+/// The footprint of `phase` on a tile with parameters `tp` — the widths the
+/// GPE allocates and the split Tile::begin_phase programs, which the
+/// verifier and the static model check against. Widths past the 32-bit
+/// allocation bus saturate (they can never fit, and GV001/GV002 say so).
+/// Throws std::invalid_argument on a queue-1 phase when
+/// `tp.dnq_queue0_sixteenths` exceeds 16 (GV010).
+[[nodiscard]] PhaseFootprint phase_footprint(const PhaseSpec& phase,
+                                             const TileParams& tp);
 
 }  // namespace gnna::accel

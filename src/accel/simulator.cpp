@@ -232,8 +232,11 @@ RunStats AcceleratorSim::run(const CompiledProgram& prog,
   // cannot execute (oversized entries, bad models, unwritten buffers)
   // fails here with structured diagnostics instead of deadlocking into
   // the watchdog. The bound dataset enables the topology-dependent
-  // checks (walk-tree recomputation, layout/dataset agreement).
-  if (verify_) verify_or_throw(prog, cfg_.tile_params, &ds, &cfg_, partition_);
+  // checks (walk-tree recomputation, layout/dataset agreement). The
+  // config-dependent lints (GV108, GV2xx) are all warnings, which never
+  // throw, so they are left to gnnaverify and the static model is
+  // evaluated once, for RunStats::static_model.
+  if (verify_) verify_or_throw(prog, cfg_.tile_params, &ds);
   build();
   attach_tracers();
   begin_sampling();

@@ -25,38 +25,20 @@ void Tile::begin_phase(const CompiledProgram& prog, const graph::Dataset& ds,
                        std::vector<std::uint32_t> work) {
   assert(idle() && "begin_phase on a busy tile");
 
-  // Virtual-queue split: all of the scratchpad to queue 0 unless the phase
-  // runs a second DNN model (Algorithm 1's per-layer CONFIG step).
+  // Algorithm 1's per-layer CONFIG step: the virtual-queue split and the
+  // DNA model timings (one model per virtual queue in use).
   const TileParams& tp = cfg_.tile_params;
-  if (phase.has_dna2()) {
-    const std::uint32_t q0 = Dnq::queue0_split_bytes(tp);
-    dnq_.configure(q0, tp.dnq_data_bytes - q0);
-  } else {
-    dnq_.configure(tp.dnq_data_bytes, 0);
-  }
-
-  // DNA model timings from the NN-Dataflow-like mapper.
+  const PhaseFootprint fp = phase_footprint(phase, tp);
+  dnq_.configure(fp.dnq0_bytes, fp.dnq1_bytes);
   std::vector<DnaModelTiming> models;
-  const dataflow::Mapper mapper(tp.dna);
-  // A model is a chain of matmuls; its initiation interval is the sum of
-  // the best-mapping compute time of each stage.
-  auto make_model = [&](const std::vector<dataflow::MatmulShape>& shapes,
-                        std::uint32_t out_words) {
-    DnaModelTiming m;
-    m.out_words = out_words;
-    for (const auto& s : shapes) {
-      m.ii_core_cycles += static_cast<double>(
-          mapper.map(s, std::nullopt, cfg_.core_clock).compute_cycles);
-      m.macs_per_entry += s.total_macs();
-    }
-    return m;
-  };
   if (phase.has_dna()) {
-    models.push_back(make_model(phase.dna_shapes, phase.dna_out_words));
+    models.push_back(dna_model_timing(phase.dna_shapes, phase.dna_out_words,
+                                      tp, cfg_.core_clock));
   }
   if (phase.has_dna2()) {
     assert(phase.has_dna() && "queue-1 model requires a queue-0 model");
-    models.push_back(make_model(phase.dna2_shapes, phase.dna2_out_words));
+    models.push_back(dna_model_timing(phase.dna2_shapes, phase.dna2_out_words,
+                                      tp, cfg_.core_clock));
   }
   dna_.configure(std::move(models), phase.weight_bytes);
 

@@ -7,7 +7,6 @@
 #include <sstream>
 
 #include "accel/analysis.hpp"
-#include "accel/dnq.hpp"
 #include "common/units.hpp"
 
 namespace gnna::accel {
@@ -244,8 +243,14 @@ class Linter {
   // ---- per-phase checks ----
   void check_phase(int pi, const PhaseSpec& ph) {
     check_phase_combo(pi, ph);
-    check_dnq_footprint(pi, ph);
-    check_agg(pi, ph);
+    // An out-of-range split (GV010, reported once) sizes no virtual queue:
+    // the DNQ checks are skipped, and the AGG checks, which no split
+    // touches, read the footprint with the scratchpad left whole.
+    TileParams tp = params_;
+    if (!split_valid_) tp.dnq_queue0_sixteenths = 16;
+    const PhaseFootprint fp = phase_footprint(ph, tp);
+    if (split_valid_) check_dnq_footprint(pi, fp);
+    check_agg(pi, ph, fp);
     check_dna_models(pi, ph);
     check_buffers(pi, ph);
     check_contribs(pi, ph);
@@ -290,37 +295,11 @@ class Linter {
   }
 
   // GV001/GV102: every DNQ entry the GPE allocates for this phase must fit
-  // the virtual queue it targets under the split the runtime will program
-  // (all of the scratchpad to queue 0 unless the phase uses queue 1).
-  void check_dnq_footprint(int pi, const PhaseSpec& ph) {
-    if (!split_valid_) return;  // GV010 already reported
-    std::uint32_t q0_cap = params_.dnq_data_bytes;
-    std::uint32_t q1_cap = 0;
-    if (ph.has_dna2()) {
-      q0_cap = Dnq::queue0_split_bytes(params_);
-      q1_cap = params_.dnq_data_bytes - q0_cap;
-    }
-
-    std::uint64_t q0_entry_words = 0;
-    switch (ph.kind) {
-      case PhaseKind::kGatherAggregate:
-        if (ph.has_dna()) q0_entry_words = ph.agg_width_words;
-        break;
-      case PhaseKind::kProject:
-        for (const auto& b : ph.extra_inputs) q0_entry_words += b.width_words;
-        break;
-      case PhaseKind::kEdgeDnaAggregate:
-        q0_entry_words = std::uint64_t{ph.gather.width_words} +
-                         ph.gpe_words_per_entry;
-        for (const auto& b : ph.extra_inputs) q0_entry_words += b.width_words;
-        break;
-    }
-    check_queue_entry(pi, 0, q0_entry_words, q0_cap);
-    if (ph.has_dna2()) {
-      const std::uint64_t q1_entry_words =
-          std::uint64_t{ph.agg_width_words} + ph.dna2_gpe_words;
-      check_queue_entry(pi, 1, q1_entry_words, q1_cap);
-    }
+  // the virtual queue it targets under the split the runtime programs
+  // (phase_footprint).
+  void check_dnq_footprint(int pi, const PhaseFootprint& fp) {
+    check_queue_entry(pi, 0, fp.dnq0_entry_words, fp.dnq0_bytes);
+    check_queue_entry(pi, 1, fp.dnq1_entry_words, fp.dnq1_bytes);
   }
 
   void check_queue_entry(int pi, int queue, std::uint64_t entry_words,
@@ -344,21 +323,21 @@ class Linter {
   }
 
   // GV002/GV003/GV101: AGG scratchpad capacity and reduce-op legality.
-  void check_agg(int pi, const PhaseSpec& ph) {
+  void check_agg(int pi, const PhaseSpec& ph, const PhaseFootprint& fp) {
     if (!ph.has_agg()) return;
     const std::uint64_t entry_bytes =
-        std::uint64_t{ph.agg_width_words} * kWordBytes;
-    if (entry_bytes > params_.agg_data_bytes) {
+        std::uint64_t{fp.agg_entry_words} * kWordBytes;
+    if (entry_bytes > fp.agg_bytes) {
       add(LintCode::kAggEntryTooLarge, pi,
-          "AGG entry (" + std::to_string(ph.agg_width_words) + " words = " +
+          "AGG entry (" + std::to_string(fp.agg_entry_words) + " words = " +
               std::to_string(entry_bytes) + "B) exceeds the " +
-              std::to_string(params_.agg_data_bytes) +
+              std::to_string(fp.agg_bytes) +
               "B data scratchpad: guaranteed deadlock");
-    } else if (entry_bytes * 2 > params_.agg_data_bytes) {
+    } else if (entry_bytes * 2 > fp.agg_bytes) {
       add(LintCode::kAggLowConcurrency, pi,
           "AGG data scratchpad admits only one in-flight aggregation (" +
               std::to_string(entry_bytes) + "B of " +
-              std::to_string(params_.agg_data_bytes) +
+              std::to_string(fp.agg_bytes) +
               "B): vertices will serialize");
     }
     if (!is_associative(ph.agg_op)) {

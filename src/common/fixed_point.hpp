@@ -92,6 +92,17 @@ enum class ReduceOp : std::uint8_t {
   kMean,
 };
 
+/// The op's GNNA-IR spelling ("sum", "max", ...), also used in diagnostics.
+[[nodiscard]] constexpr const char* reduce_op_name(ReduceOp op) {
+  switch (op) {
+    case ReduceOp::kSum: return "sum";
+    case ReduceOp::kMax: return "max";
+    case ReduceOp::kMin: return "min";
+    case ReduceOp::kMean: return "mean";
+  }
+  return "?";
+}
+
 /// Whether the AGG ALU bank can execute `op` in arrival order.
 [[nodiscard]] constexpr bool is_associative(ReduceOp op) {
   return op == ReduceOp::kSum || op == ReduceOp::kMax || op == ReduceOp::kMin;

@@ -33,7 +33,6 @@ enum class RoutingAlgorithm : std::uint8_t {
 struct NocParams {
   std::uint32_t input_buffer_flits = 4;  // 4 flits = 256B
   std::uint32_t link_delay = 1;          // cycles
-  std::uint32_t routing_delay = 1;       // cycles
   RoutingAlgorithm routing = RoutingAlgorithm::kXY;
 };
 

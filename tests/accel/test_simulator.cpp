@@ -5,6 +5,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -299,6 +300,91 @@ TEST(Simulator, TracingDoesNotChangeTiming) {
   traced.set_trace(topts);
   EXPECT_EQ(traced.run(prog, ds).cycles, baseline);
   EXPECT_GT(sink.events_written(), 0U);
+}
+
+/// Records every DNA "entry" span as (phase index, virtual queue, width),
+/// the phase taken from the runtime's phase markers.
+struct DnaEntrySink final : trace::TraceSink {
+  int phase = -1;
+  bool in_phase = false;
+  std::vector<std::tuple<int, std::uint64_t, std::uint64_t>> entries;
+
+  void complete(trace::Category cat, std::uint32_t /*unit*/, const char* name,
+                double /*start*/, double /*dur*/, std::uint64_t a,
+                std::uint64_t b) override {
+    if (cat != trace::Category::kDna || std::string_view(name) != "entry") {
+      return;
+    }
+    EXPECT_TRUE(in_phase) << "DNA entry outside a phase";
+    entries.emplace_back(phase, a, b);
+  }
+  void instant(trace::Category, std::uint32_t, const char*, double,
+               std::uint64_t, std::uint64_t) override {}
+  void counter(trace::Category, std::uint32_t, const char*, double,
+               double) override {}
+  void phase_begin(const char* /*name*/, double /*at*/) override {
+    ++phase;
+    in_phase = true;
+  }
+  void phase_end(const char* /*name*/, double /*at*/) override {
+    in_phase = false;
+  }
+};
+
+/// Runs `model` on `ds` and checks that every entry the DNA processed was
+/// exactly as wide as phase_footprint says its virtual queue's entries
+/// are — the widths the verifier and the static model check. Returns how
+/// many entries each queue saw.
+std::pair<std::size_t, std::size_t> expect_entries_match_footprint(
+    const gnn::ModelSpec& model, const graph::Dataset& ds) {
+  const auto prog = ProgramCompiler{}.compile(model, ds);
+  const AcceleratorConfig cfg = AcceleratorConfig::cpu_iso_bw();
+  DnaEntrySink sink;
+  AcceleratorSim sim(cfg);
+  TraceOptions topts;
+  topts.sink = &sink;
+  sim.set_trace(topts);
+  (void)sim.run(prog, ds);
+  EXPECT_EQ(sink.phase + 1, static_cast<int>(prog.phases.size()));
+
+  std::size_t per_queue[2] = {0, 0};
+  for (const auto& [phase, queue, width] : sink.entries) {
+    const PhaseSpec& ph = prog.phases.at(static_cast<std::size_t>(phase));
+    const PhaseFootprint fp = phase_footprint(ph, cfg.tile_params);
+    EXPECT_LT(queue, 2U);
+    EXPECT_EQ(width, queue == 0 ? fp.dnq0_entry_words : fp.dnq1_entry_words)
+        << "phase " << ph.name << " queue " << queue;
+    ++per_queue[queue == 0 ? 0 : 1];
+  }
+  return {per_queue[0], per_queue[1]};
+}
+
+TEST(Simulator, DnaEntriesMatchFootprintGcnCoraWidths) {
+  // Cora's feature widths (1433 in, 7 classes) on a small graph: the wide
+  // aggregate entries make the readout term of the DNA timing matter.
+  const auto ds = small_dataset(40, 100, 1433);
+  const auto [q0, q1] =
+      expect_entries_match_footprint(gnn::make_gcn(1433, 7), ds);
+  EXPECT_EQ(q0, 2U * 40U);  // one per vertex per layer
+  EXPECT_EQ(q1, 0U);
+}
+
+TEST(Simulator, DnaEntriesMatchFootprintGatCoraWidths) {
+  const auto ds = small_dataset(40, 100, 1433);
+  const auto [q0, q1] =
+      expect_entries_match_footprint(gnn::make_gat(1433, 7), ds);
+  EXPECT_GT(q0, 4U * 40U);  // projections per vertex, attention per edge
+  EXPECT_EQ(q1, 0U);
+}
+
+TEST(Simulator, DnaEntriesMatchFootprintMpnnQueue1) {
+  // The MPNN of MpnnCompletesAndSwitchesQueues: its GRU entries exercise
+  // virtual queue 1 and the split footprint.
+  const auto ds = small_dataset(12, 14, 5, 3, /*num_graphs=*/4);
+  const auto [q0, q1] =
+      expect_entries_match_footprint(gnn::make_mpnn(5, 3, 4, 8, 2), ds);
+  EXPECT_GT(q0, 0U);
+  EXPECT_EQ(q1, 2U * 48U);  // one GRU entry per vertex per step
 }
 
 TEST(Simulator, TableVIConfigurations) {
