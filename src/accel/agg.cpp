@@ -63,40 +63,19 @@ std::optional<AggHandle> Agg::allocate(std::uint32_t width_words,
   e.owner = owner;
   e.op = op;
   e.dest = dest;
-  e.values.assign(width_words, reduce_identity(op));
 
   ++live_entries_;
   data_bytes_used_ += bytes;
   stats_.allocations.add();
 
   // Degenerate aggregation over an empty neighborhood: complete at once
-  // (the identity vector is the result).
+  // (the result is the op's identity).
   if (expected_words == 0) complete(h);
   return h;
 }
 
 void Agg::on_message(const noc::Message& msg) {
   inbox_.push_back(msg);
-}
-
-void Agg::contribute_values(AggHandle h, std::span<const Fixed32> values) {
-  assert(entry_active(h));
-  Entry& e = entries_[h];
-  assert(values.size() % e.width_words == 0 &&
-         "contribution must be whole vectors");
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    const std::size_t lane = i % e.width_words;
-    e.values[lane] = apply_reduce(e.op, e.values[lane], values[i]);
-  }
-  e.received_words += values.size();
-  stats_.contributions.add();
-  stats_.words_reduced.add(values.size());
-  if (e.received_words >= e.expected_words) complete(h);
-}
-
-std::span<const Fixed32> Agg::entry_values(AggHandle h) const {
-  assert(entry_active(h));
-  return entries_[h].values;
 }
 
 void Agg::complete(AggHandle h) {
@@ -147,7 +126,6 @@ void Agg::complete(AggHandle h) {
   stats_.completions.add();
   tracer_.instant("complete", h, e.expected_words);
   e.active = false;
-  e.values.clear();
   data_bytes_used_ -= std::uint64_t{e.width_words} * kWordBytes;
   --live_entries_;
   free_list_.push_back(h);

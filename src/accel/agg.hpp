@@ -11,21 +11,18 @@
 // allocation bus (charged on the GPE side); a completed aggregation's
 // result is sent to its configured destination through the NoC injection
 // queue (the 2kB flit buffer, drained one flit per cycle by the network).
-//
-// Value support: entries optionally carry Fixed32 vectors so unit tests can
-// assert bit-exact order-independence of the associative reductions; the
-// full-system simulator sends value-free (timing-only) contributions.
+// Entries carry word counts only, no data values: the AGG is timed, and
+// the GNN arithmetic is checked in float by gnn/functional.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "accel/addrmap.hpp"
 #include "accel/config.hpp"
-#include "common/fixed_point.hpp"
+#include "common/reduce_op.hpp"
 #include "common/stats.hpp"
 #include "noc/network.hpp"
 #include "trace/trace.hpp"
@@ -61,14 +58,6 @@ class Agg {
   /// NoC delivery (kMemReadResp / kAggWrite with a = handle).
   void on_message(const noc::Message& msg);
 
-  /// Value-accurate contribution used by unit tests (same accounting as a
-  /// message of values.size() words).
-  void contribute_values(AggHandle h, std::span<const Fixed32> values);
-
-  /// Current (partial or final) values of an entry; empty in timing-only
-  /// mode. Valid until the entry completes.
-  [[nodiscard]] std::span<const Fixed32> entry_values(AggHandle h) const;
-
   [[nodiscard]] bool entry_active(AggHandle h) const {
     return h < entries_.size() && entries_[h].active;
   }
@@ -101,7 +90,6 @@ class Agg {
     std::uint32_t owner = noc::kNoOwner;  // attribution only
     ReduceOp op = ReduceOp::kSum;
     Dest dest;
-    std::vector<Fixed32> values;  // width_words, identity-initialized
   };
 
   void complete(AggHandle h);

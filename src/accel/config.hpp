@@ -23,14 +23,14 @@ struct TileParams {
   // AGG: 62kB data + 2kB control scratchpads, bank of 16 32-bit ALUs.
   std::uint32_t agg_data_bytes = 62 * 1024;
   std::uint32_t agg_ctrl_bytes = 2 * 1024;
-  std::uint32_t agg_ctrl_entry_bytes = 16;  // per-aggregation metadata
+  static constexpr std::uint32_t agg_ctrl_entry_bytes = 16;  // per entry
   std::uint32_t agg_alus = 16;
 
   // DNQ: 62kB queue scratchpad + 2kB destination scratchpad, two virtual
   // queues, lazy switch after 16 idle DNA cycles.
   std::uint32_t dnq_data_bytes = 62 * 1024;
   std::uint32_t dnq_dest_bytes = 2 * 1024;
-  std::uint32_t dnq_dest_entry_bytes = 8;
+  static constexpr std::uint32_t dnq_dest_entry_bytes = 8;
   std::uint32_t dnq_idle_switch_cycles = 16;
   // Fraction (in 1/16ths) of the data scratchpad given to virtual queue 0;
   // runtime-configurable via the allocation bus (per phase).
@@ -44,11 +44,11 @@ struct TileParams {
   std::uint32_t dna_min_ii = 4;
 
   // GPE micro-op costs, in core cycles.
-  std::uint32_t cost_context_switch = 1;
-  std::uint32_t cost_issue_load = 1;
-  std::uint32_t cost_loop_iter = 1;
-  std::uint32_t cost_alloc = 2;  // allocation-bus transaction
-  std::uint32_t cost_send = 1;   // initiate a NoC send
+  static constexpr std::uint32_t cost_context_switch = 1;
+  static constexpr std::uint32_t cost_issue_load = 1;
+  static constexpr std::uint32_t cost_loop_iter = 1;
+  static constexpr std::uint32_t cost_alloc = 2;  // allocation-bus transaction
+  static constexpr std::uint32_t cost_send = 1;   // initiate a NoC send
 };
 
 /// A full accelerator configuration: mesh shape, tile and memory-node

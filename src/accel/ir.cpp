@@ -7,6 +7,7 @@
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -272,16 +273,11 @@ ReduceOp parse_reduce(const LineLexer& lex, const Token& t) {
 PhaseSpec parse_phase_body(LineCursor& cur, std::string name) {
   PhaseSpec ph;
   ph.name = std::move(name);
-  // Track which scalar keys appeared so duplicates are rejected; fields the
-  // file omits keep PhaseSpec's defaults (hand-written programs stay
-  // terse; compiler output always emits every scalar).
-  std::vector<std::string> seen;
-  auto once = [&](const LineLexer& lex, const std::string& key) {
-    for (const auto& s : seen) {
-      if (s == key) lex.fail("duplicate phase field '" + key + "'");
-    }
-    seen.push_back(key);
-  };
+  // Single-line fields may appear once each; fields the file omits keep
+  // PhaseSpec's defaults (hand-written programs stay terse; compiler
+  // output always emits every one).
+  const std::span<const PhaseField> fields = phase_fields();
+  std::vector<bool> seen(fields.size(), false);
 
   while (true) {
     if (!cur.next()) {
@@ -295,83 +291,39 @@ PhaseSpec parse_phase_body(LineCursor& cur, std::string name) {
       if (toks.size() != 1) lex.fail("trailing tokens after '}'");
       return ph;
     }
-    auto want = [&](std::size_t n) {
-      if (toks.size() != n) {
-        lex.fail("field '" + key + "' expects " + std::to_string(n - 1) +
-                 " value(s)");
-      }
-    };
     if (toks[0].quoted) {
       lex.fail("expected a phase field name, got quoted string");
-    } else if (key == "kind") {
-      once(lex, key);
-      want(2);
-      ph.kind = parse_kind(lex, toks[1]);
-    } else if (key == "gather") {
-      once(lex, key);
-      ph.gather = parse_bufref(lex, toks, 1);
-    } else if (key == "include_self") {
-      once(lex, key);
-      want(2);
-      ph.include_self = lex.parse_bool(toks[1], key.c_str());
-    } else if (key == "weighted_edges") {
-      once(lex, key);
-      want(2);
-      ph.weighted_edges = lex.parse_bool(toks[1], key.c_str());
-    } else if (key == "walk_len") {
-      once(lex, key);
-      want(2);
-      ph.walk_len = narrow_u32(lex, lex.parse_u64(toks[1], key.c_str()),
-                               key.c_str());
-    } else if (key == "extra_inputs_per_edge") {
-      once(lex, key);
-      want(2);
-      ph.extra_inputs_per_edge = lex.parse_bool(toks[1], key.c_str());
-    } else if (key == "gpe_words_per_entry") {
-      once(lex, key);
-      want(2);
-      ph.gpe_words_per_entry =
-          narrow_u32(lex, lex.parse_u64(toks[1], key.c_str()), key.c_str());
-    } else if (key == "dna_out_words") {
-      once(lex, key);
-      want(2);
-      ph.dna_out_words =
-          narrow_u32(lex, lex.parse_u64(toks[1], key.c_str()), key.c_str());
-    } else if (key == "agg_width_words") {
-      once(lex, key);
-      want(2);
-      ph.agg_width_words =
-          narrow_u32(lex, lex.parse_u64(toks[1], key.c_str()), key.c_str());
-    } else if (key == "agg_op") {
-      once(lex, key);
-      want(2);
-      ph.agg_op = parse_reduce(lex, toks[1]);
-    } else if (key == "dna2_out_words") {
-      once(lex, key);
-      want(2);
-      ph.dna2_out_words =
-          narrow_u32(lex, lex.parse_u64(toks[1], key.c_str()), key.c_str());
-    } else if (key == "dna2_gpe_words") {
-      once(lex, key);
-      want(2);
-      ph.dna2_gpe_words =
-          narrow_u32(lex, lex.parse_u64(toks[1], key.c_str()), key.c_str());
-    } else if (key == "per_graph") {
-      once(lex, key);
-      want(2);
-      ph.per_graph = lex.parse_bool(toks[1], key.c_str());
-    } else if (key == "output") {
-      once(lex, key);
-      ph.output = parse_bufref(lex, toks, 1);
-    } else if (key == "weight_bytes") {
-      once(lex, key);
-      want(2);
-      ph.weight_bytes = lex.parse_u64(toks[1], key.c_str());
-    } else if (key == "weight_region") {
-      once(lex, key);
-      want(2);
-      ph.weight_region =
-          narrow_u32(lex, lex.parse_u64(toks[1], key.c_str()), key.c_str());
+    }
+    std::size_t f = 0;
+    while (f < fields.size() && key != fields[f].name) ++f;
+    if (f < fields.size()) {
+      if (seen[f]) lex.fail("duplicate phase field '" + key + "'");
+      seen[f] = true;
+      std::visit(
+          [&](auto member) {
+            auto& value = ph.*member;
+            using T = std::remove_reference_t<decltype(value)>;
+            if constexpr (std::is_same_v<T, BufferRef>) {
+              value = parse_bufref(lex, toks, 1);
+            } else {
+              if (toks.size() != 2) {
+                lex.fail("field '" + key + "' expects 1 value(s)");
+              }
+              if constexpr (std::is_same_v<T, PhaseKind>) {
+                value = parse_kind(lex, toks[1]);
+              } else if constexpr (std::is_same_v<T, ReduceOp>) {
+                value = parse_reduce(lex, toks[1]);
+              } else if constexpr (std::is_same_v<T, bool>) {
+                value = lex.parse_bool(toks[1], key.c_str());
+              } else if constexpr (std::is_same_v<T, std::uint32_t>) {
+                value = narrow_u32(lex, lex.parse_u64(toks[1], key.c_str()),
+                                   key.c_str());
+              } else {
+                value = lex.parse_u64(toks[1], key.c_str());
+              }
+            }
+          },
+          fields[f].member);
     } else if (key == "dna_shape") {
       ph.dna_shapes.push_back(parse_shape(lex, toks));
     } else if (key == "dna2_shape") {
@@ -391,6 +343,28 @@ PhaseSpec parse_phase_body(LineCursor& cur, std::string name) {
 }
 
 }  // namespace
+
+std::span<const PhaseField> phase_fields() {
+  static constexpr PhaseField kFields[] = {
+      {"kind", &PhaseSpec::kind},
+      {"gather", &PhaseSpec::gather, true},
+      {"include_self", &PhaseSpec::include_self},
+      {"weighted_edges", &PhaseSpec::weighted_edges},
+      {"walk_len", &PhaseSpec::walk_len},
+      {"extra_inputs_per_edge", &PhaseSpec::extra_inputs_per_edge},
+      {"gpe_words_per_entry", &PhaseSpec::gpe_words_per_entry},
+      {"dna_out_words", &PhaseSpec::dna_out_words},
+      {"agg_width_words", &PhaseSpec::agg_width_words},
+      {"agg_op", &PhaseSpec::agg_op},
+      {"dna2_out_words", &PhaseSpec::dna2_out_words},
+      {"dna2_gpe_words", &PhaseSpec::dna2_gpe_words},
+      {"per_graph", &PhaseSpec::per_graph},
+      {"output", &PhaseSpec::output, true},
+      {"weight_bytes", &PhaseSpec::weight_bytes},
+      {"weight_region", &PhaseSpec::weight_region, true},
+  };
+  return kFields;
+}
 
 std::string serialize(const CompiledProgram& prog) {
   std::ostringstream os;
@@ -412,25 +386,27 @@ std::string serialize(const CompiledProgram& prog) {
   for (std::size_t i = 0; i < prog.phases.size(); ++i) {
     const PhaseSpec& ph = prog.phases[i];
     os << "phase " << i << " " << quote(ph.name) << " {\n";
-    os << "  kind " << kind_name(ph.kind) << "\n";
-    os << "  gather region=" << ph.gather.region
-       << " width=" << ph.gather.width_words << "\n";
-    os << "  include_self " << (ph.include_self ? 1 : 0) << "\n";
-    os << "  weighted_edges " << (ph.weighted_edges ? 1 : 0) << "\n";
-    os << "  walk_len " << ph.walk_len << "\n";
-    os << "  extra_inputs_per_edge " << (ph.extra_inputs_per_edge ? 1 : 0)
-       << "\n";
-    os << "  gpe_words_per_entry " << ph.gpe_words_per_entry << "\n";
-    os << "  dna_out_words " << ph.dna_out_words << "\n";
-    os << "  agg_width_words " << ph.agg_width_words << "\n";
-    os << "  agg_op " << reduce_op_name(ph.agg_op) << "\n";
-    os << "  dna2_out_words " << ph.dna2_out_words << "\n";
-    os << "  dna2_gpe_words " << ph.dna2_gpe_words << "\n";
-    os << "  per_graph " << (ph.per_graph ? 1 : 0) << "\n";
-    os << "  output region=" << ph.output.region
-       << " width=" << ph.output.width_words << "\n";
-    os << "  weight_bytes " << ph.weight_bytes << "\n";
-    os << "  weight_region " << ph.weight_region << "\n";
+    for (const PhaseField& f : phase_fields()) {
+      os << "  " << f.name << " ";
+      std::visit(
+          [&](auto member) {
+            const auto& value = ph.*member;
+            using T = std::remove_cvref_t<decltype(value)>;
+            if constexpr (std::is_same_v<T, BufferRef>) {
+              os << "region=" << value.region << " width=" << value.width_words;
+            } else if constexpr (std::is_same_v<T, PhaseKind>) {
+              os << kind_name(value);
+            } else if constexpr (std::is_same_v<T, ReduceOp>) {
+              os << reduce_op_name(value);
+            } else if constexpr (std::is_same_v<T, bool>) {
+              os << (value ? 1 : 0);
+            } else {
+              os << value;
+            }
+          },
+          f.member);
+      os << "\n";
+    }
     for (const auto& s : ph.dna_shapes) {
       os << "  dna_shape m=" << s.m << " k=" << s.k << " n=" << s.n
          << " density=" << fmt_double(s.weight_density) << "\n";

@@ -23,9 +23,11 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <variant>
 
 #include "accel/program.hpp"
 
@@ -53,6 +55,23 @@ class IrParseError : public std::runtime_error {
  private:
   std::size_t line_;
 };
+
+/// A PhaseSpec field written as one `<name> <value>` line of a phase
+/// block. phase_fields() lists them in canonical order; serialize, parse
+/// and validate::validate_transform all iterate that one list.
+struct PhaseField {
+  const char* name;
+  std::variant<PhaseKind PhaseSpec::*, BufferRef PhaseSpec::*,
+               bool PhaseSpec::*, std::uint32_t PhaseSpec::*,
+               std::uint64_t PhaseSpec::*, ReduceOp PhaseSpec::*>
+      member;
+  /// The value is or holds a region id, which a translation validator
+  /// matches under region renaming rather than by equality.
+  bool names_region = false;
+};
+
+/// Every single-line PhaseSpec field, in the order serialize() emits them.
+[[nodiscard]] std::span<const PhaseField> phase_fields();
 
 /// Serialize `prog` to canonical GNNA-IR v1 text.
 [[nodiscard]] std::string serialize(const CompiledProgram& prog);

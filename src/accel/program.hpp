@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "accel/config.hpp"
-#include "common/fixed_point.hpp"
+#include "common/reduce_op.hpp"
 #include "common/types.hpp"
 #include "dataflow/spatial.hpp"
 #include "graph/dataset.hpp"
@@ -104,6 +104,8 @@ class MemoryMap {
 struct BufferRef {
   RegionId region = 0;
   std::uint32_t width_words = 0;
+
+  friend bool operator==(const BufferRef&, const BufferRef&) = default;
 };
 
 /// What the vertex program of a phase does.

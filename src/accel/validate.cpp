@@ -6,8 +6,10 @@
 #include <set>
 #include <sstream>
 #include <utility>
+#include <variant>
 
 #include "accel/analysis.hpp"
+#include "accel/ir.hpp"
 #include "accel/verify.hpp"
 
 namespace gnna::accel::validate {
@@ -114,47 +116,41 @@ bool match_phase(const PhaseSpec& opt, const PhaseSpec& orig, RegionMap* map,
     *why = std::string(what) + " differs";
     return false;
   };
-  if (opt.kind != orig.kind) return fail("kind");
-  if (opt.include_self != orig.include_self) return fail("include_self");
-  if (opt.weighted_edges != orig.weighted_edges) return fail("weighted_edges");
-  if (opt.walk_len != orig.walk_len) return fail("walk_len");
-  if (opt.extra_inputs_per_edge != orig.extra_inputs_per_edge) {
-    return fail("extra_inputs_per_edge");
-  }
-  if (opt.gpe_words_per_entry != orig.gpe_words_per_entry) {
-    return fail("gpe_words_per_entry");
+  for (const ir::PhaseField& f : ir::phase_fields()) {
+    if (f.names_region) continue;  // bound under renaming below
+    const bool same = std::visit(
+        [&](auto member) { return opt.*member == orig.*member; }, f.member);
+    if (!same) return fail(f.name);
   }
   if (!shapes_equal(opt.dna_shapes, orig.dna_shapes)) return fail("dna_shapes");
-  if (opt.dna_out_words != orig.dna_out_words) return fail("dna_out_words");
-  if (opt.agg_width_words != orig.agg_width_words) {
-    return fail("agg_width_words");
-  }
-  if (opt.agg_op != orig.agg_op) return fail("agg_op");
   if (!shapes_equal(opt.dna2_shapes, orig.dna2_shapes)) {
     return fail("dna2_shapes");
   }
-  if (opt.dna2_out_words != orig.dna2_out_words) return fail("dna2_out_words");
-  if (opt.dna2_gpe_words != orig.dna2_gpe_words) return fail("dna2_gpe_words");
-  if (opt.per_graph != orig.per_graph) return fail("per_graph");
-  if (opt.weight_bytes != orig.weight_bytes) return fail("weight_bytes");
   if (opt.extra_inputs.size() != orig.extra_inputs.size()) {
     return fail("extra_inputs count");
   }
+  // A failed binding names the field it came from.
+  auto bound = [&](const char* field, bool ok) {
+    if (!ok) *why = std::string(field) + ": " + *why;
+    return ok;
+  };
   if (opt.kind != PhaseKind::kProject &&
-      !bind_ref(opt.gather, orig.gather, map, why)) {
+      !bound("gather", bind_ref(opt.gather, orig.gather, map, why))) {
     return false;
   }
   for (std::size_t i = 0; i < opt.extra_inputs.size(); ++i) {
-    if (!bind_ref(opt.extra_inputs[i], orig.extra_inputs[i], map, why)) {
+    if (!bound("extra_input",
+               bind_ref(opt.extra_inputs[i], orig.extra_inputs[i], map,
+                        why))) {
       return false;
     }
   }
-  if (!bind_ref(opt.output, orig.output, map, why)) return false;
-  if (opt.weight_bytes > 0 &&
-      !map->bind(opt.weight_region, orig.weight_region, why)) {
+  if (!bound("output", bind_ref(opt.output, orig.output, map, why))) {
     return false;
   }
-  return true;
+  return opt.weight_bytes == 0 ||
+         bound("weight_region",
+               map->bind(opt.weight_region, orig.weight_region, why));
 }
 
 /// Recognize `opt` as the sound fusion of adjacent original phases

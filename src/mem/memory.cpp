@@ -22,7 +22,7 @@ void validate(const MemParams& p) {
     throw std::invalid_argument("MemParams: " + what);
   };
   if (p.queue_entries == 0) fail("queue_entries must be >= 1");
-  if (p.access_granularity == 0) fail("access_granularity must be >= 1");
+  static_assert(MemParams::access_granularity > 0);
   if (p.latency_ns < 0.0) fail("latency_ns must be >= 0");
   if (p.scheduler == MemScheduler::kFrFcfs) {
     if (p.banks == 0) fail("frfcfs needs banks >= 1");

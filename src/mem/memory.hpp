@@ -74,7 +74,7 @@ struct MemParams {
   Bandwidth bandwidth = Bandwidth::gb_per_s(68.0);
   double latency_ns = 20.0;  // fixed access latency (Section VI-A, in-order)
   std::uint32_t queue_entries = 32;
-  std::uint32_t access_granularity = 64;  // bytes
+  static constexpr std::uint32_t access_granularity = 64;  // bytes
 
   // --- FR-FCFS controller (used only when scheduler == kFrFcfs) ---
   MemScheduler scheduler = MemScheduler::kInOrder;

@@ -144,13 +144,6 @@ std::size_t MeshNetwork::injection_queue_depth(EndpointId ep) const {
 
 std::uint32_t MeshNetwork::route(const Router& r, EndpointId dst) const {
   const EndpointState& d = endpoints_[dst];
-  if (params_.routing == RoutingAlgorithm::kYX) {
-    if (d.y > r.y()) return kPortNorth;
-    if (d.y < r.y()) return kPortSouth;
-    if (d.x > r.x()) return kPortEast;
-    if (d.x < r.x()) return kPortWest;
-    return d.local_port;
-  }
   if (d.x > r.x()) return kPortEast;
   if (d.x < r.x()) return kPortWest;
   if (d.y > r.y()) return kPortNorth;

@@ -22,18 +22,10 @@
 
 namespace gnna::noc {
 
-/// Dimension-order routing variants (both minimal and deadlock-free on a
-/// mesh; Table IV specifies "min-routing").
-enum class RoutingAlgorithm : std::uint8_t {
-  kXY,  // resolve X first, then Y (default)
-  kYX,  // resolve Y first, then X
-};
-
 /// Table IV parameters.
 struct NocParams {
-  std::uint32_t input_buffer_flits = 4;  // 4 flits = 256B
-  std::uint32_t link_delay = 1;          // cycles
-  RoutingAlgorithm routing = RoutingAlgorithm::kXY;
+  std::uint32_t input_buffer_flits = 4;           // 4 flits = 256B
+  static constexpr std::uint32_t link_delay = 1;  // cycles
 };
 
 inline constexpr std::uint32_t kPortNorth = 0;

@@ -2,13 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <numeric>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
-
-#include "common/rng.hpp"
 
 namespace gnna::accel {
 namespace {
@@ -174,66 +171,6 @@ TEST(Agg, HandleReuseAfterCompletion) {
   ASSERT_TRUE(h2.has_value());
   EXPECT_EQ(*h1, *h2);  // freed slot reused
   EXPECT_TRUE(rig.agg->entry_active(*h2));
-}
-
-// ---- Value-accurate path: the associativity property the AGG relies on.
-
-class AggValueOrder : public ::testing::TestWithParam<ReduceOp> {};
-
-TEST_P(AggValueOrder, ArrivalOrderDoesNotChangeResult) {
-  const ReduceOp op = GetParam();
-  Rng rng(static_cast<std::uint64_t>(op) * 13 + 5);
-  constexpr std::uint32_t kWidth = 8;
-  constexpr int kContribs = 12;
-
-  std::vector<std::vector<Fixed32>> contribs(kContribs);
-  for (auto& c : contribs) {
-    for (std::uint32_t w = 0; w < kWidth; ++w) {
-      c.push_back(Fixed32::from_double(rng.next_float(-50.0F, 50.0F)));
-    }
-  }
-
-  auto run_order = [&](const std::vector<int>& order) {
-    Rig rig;
-    const auto h = rig.agg->allocate(kWidth, kWidth * kContribs, op,
-                                     Dest{});  // no destination
-    std::vector<Fixed32> result;
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      if (i + 1 == order.size()) {
-        // Snapshot before the final contribution completes the entry.
-        result.assign(rig.agg->entry_values(*h).begin(),
-                      rig.agg->entry_values(*h).end());
-        // Fold the last one manually to reproduce the final state.
-        const auto& last = contribs[order[i]];
-        for (std::uint32_t w = 0; w < kWidth; ++w) {
-          result[w] = apply_reduce(op, result[w], last[w]);
-        }
-      }
-      rig.agg->contribute_values(*h, contribs[order[i]]);
-    }
-    return result;
-  };
-
-  std::vector<int> order(kContribs);
-  std::iota(order.begin(), order.end(), 0);
-  const auto expected = run_order(order);
-  for (int trial = 0; trial < 10; ++trial) {
-    for (std::size_t i = order.size(); i > 1; --i) {
-      std::swap(order[i - 1], order[rng.next_below(i)]);
-    }
-    EXPECT_EQ(run_order(order), expected) << "trial " << trial;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(AllOps, AggValueOrder,
-                         ::testing::Values(ReduceOp::kSum, ReduceOp::kMax,
-                                           ReduceOp::kMin));
-
-TEST(Agg, ValueIdentitiesInitialized) {
-  Rig rig;
-  const auto h = rig.agg->allocate(3, 3, ReduceOp::kMax, Dest{});
-  const auto vals = rig.agg->entry_values(*h);
-  for (const Fixed32 v : vals) EXPECT_EQ(v, Fixed32::min_value());
 }
 
 TEST(Agg, DumpStateNamesRemainingWordsAndDestination) {

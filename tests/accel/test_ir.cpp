@@ -10,9 +10,12 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <type_traits>
+#include <variant>
 
 #include "accel/compiler.hpp"
 #include "accel/simulator.hpp"
+#include "accel/validate.hpp"
 #include "accel/verify.hpp"
 #include "gnn/model.hpp"
 #include "sim/session.hpp"
@@ -90,20 +93,72 @@ TEST(Ir, ParsePreservesEveryProgramField) {
     const PhaseSpec& pa = a.phases[i];
     const PhaseSpec& pb = b.phases[i];
     EXPECT_EQ(pb.name, pa.name);
-    EXPECT_EQ(pb.kind, pa.kind);
-    EXPECT_EQ(pb.gather.region, pa.gather.region);
-    EXPECT_EQ(pb.gather.width_words, pa.gather.width_words);
-    EXPECT_EQ(pb.include_self, pa.include_self);
-    EXPECT_EQ(pb.weighted_edges, pa.weighted_edges);
+    for (const ir::PhaseField& f : ir::phase_fields()) {
+      EXPECT_TRUE(std::visit([&](auto m) { return pb.*m == pa.*m; },
+                             f.member))
+          << pa.name << ' ' << f.name;
+    }
     EXPECT_EQ(pb.dna_shapes.size(), pa.dna_shapes.size());
-    EXPECT_EQ(pb.dna_out_words, pa.dna_out_words);
-    EXPECT_EQ(pb.agg_width_words, pa.agg_width_words);
-    EXPECT_EQ(pb.agg_op, pa.agg_op);
-    EXPECT_EQ(pb.output.region, pa.output.region);
-    EXPECT_EQ(pb.output.width_words, pa.output.width_words);
-    EXPECT_EQ(pb.weight_bytes, pa.weight_bytes);
-    EXPECT_EQ(pb.weight_region, pa.weight_region);
+    EXPECT_EQ(pb.dna2_shapes.size(), pa.dna2_shapes.size());
+    EXPECT_EQ(pb.extra_inputs.size(), pa.extra_inputs.size());
     EXPECT_EQ(pb.expected_contribs, pa.expected_contribs);
+  }
+}
+
+TEST(Ir, EveryPhaseFieldRoundTripsAndIsValidated) {
+  // Each single-line field, changed on GAT/Cora's first attention phase
+  // (it gathers, runs the DNA, aggregates and streams weights, so every
+  // field is live there), must survive serialize -> parse, and the
+  // translation validator must refuse the change, naming the field.
+  sim::Session& session = sim::Session::global();
+  sim::RunRequest req;
+  req.benchmark = gnn::Benchmark::kGatCora;
+  const CompiledProgram& original = *session.resolve(req).program;
+  constexpr std::size_t kPhase = 1;
+  ASSERT_EQ(original.phases.at(kPhase).name, "gat1.att");
+  ASSERT_EQ(original.phases[kPhase].kind, PhaseKind::kEdgeDnaAggregate);
+  ASSERT_GT(original.phases[kPhase].weight_bytes, 0U);
+
+  for (const ir::PhaseField& f : ir::phase_fields()) {
+    CompiledProgram changed = original;
+    PhaseSpec& ph = changed.phases[kPhase];
+    std::visit(
+        [&](auto m) {
+          auto& v = ph.*m;
+          using T = std::remove_reference_t<decltype(v)>;
+          if constexpr (std::is_same_v<T, PhaseKind>) {
+            v = PhaseKind::kGatherAggregate;
+          } else if constexpr (std::is_same_v<T, BufferRef>) {
+            ++v.width_words;
+          } else if constexpr (std::is_same_v<T, ReduceOp>) {
+            v = ReduceOp::kMax;
+          } else if constexpr (std::is_same_v<T, bool>) {
+            v = !v;
+          } else if (f.names_region) {
+            v = ph.output.region;  // already bound to another region
+          } else {
+            ++v;
+          }
+        },
+        f.member);
+    const PhaseSpec& before = original.phases[kPhase];
+    ASSERT_FALSE(
+        std::visit([&](auto m) { return ph.*m == before.*m; }, f.member))
+        << f.name;
+
+    const CompiledProgram reparsed = ir::parse(ir::serialize(changed), "gat");
+    const PhaseSpec& after = reparsed.phases[kPhase];
+    EXPECT_TRUE(
+        std::visit([&](auto m) { return after.*m == ph.*m; }, f.member))
+        << f.name << " lost in the round trip";
+
+    const validate::ValidationResult r =
+        validate::validate_transform(original, changed);
+    EXPECT_FALSE(r.equivalent) << f.name;
+    const std::string named =
+        std::string(f.name) + (f.names_region ? ": " : " differs");
+    EXPECT_NE(r.to_string().find(named), std::string::npos)
+        << f.name << ":\n" << r.to_string();
   }
 }
 

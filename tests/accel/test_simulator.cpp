@@ -406,6 +406,22 @@ TEST(Simulator, TableVIConfigurations) {
   EXPECT_EQ(flops.total_alus(), 3168U);
 }
 
+TEST(Simulator, FixedParametersMatchThePaper) {
+  // Constants of the timing model rather than settable parameters
+  // (Table IV and Section III): 2kB control scratchpads hold 128 AGG
+  // entries and 256 DNQ destinations, a NoC link takes one cycle and
+  // memory is accessed in 64B lines.
+  for (const AcceleratorConfig& c :
+       {AcceleratorConfig::cpu_iso_bw(), AcceleratorConfig::gpu_iso_bw(),
+        AcceleratorConfig::gpu_iso_flops()}) {
+    const TileParams& tp = c.tile_params;
+    EXPECT_EQ(tp.agg_ctrl_bytes / tp.agg_ctrl_entry_bytes, 128U) << c.name;
+    EXPECT_EQ(tp.dnq_dest_bytes / tp.dnq_dest_entry_bytes, 256U) << c.name;
+    EXPECT_EQ(c.noc_params.link_delay, 1U) << c.name;
+    EXPECT_EQ(c.mem_params.access_granularity, 64U) << c.name;
+  }
+}
+
 TEST(Simulator, GpuIsoBwRunsMultiTile) {
   const auto ds = small_dataset(64, 200, 8);
   const RunStats rs = run_model(gnn::make_gcn(8, 3, 4), ds,
