@@ -114,9 +114,10 @@ class PhaseAnalyzer {
     }
     m.predicted_row_hit_rate = row_hit_rate(traffic);
 
-    // NoC bisection term (the GV108 cut): pages interleave uniformly
-    // across the controllers, so ~half the payload crosses the mesh
-    // bisection, which min(W, H) bidirectional 64B links carry.
+    // NoC bisection term (GV108 fires when it exceeds the memory term):
+    // pages interleave uniformly across the controllers, so ~half the
+    // payload crosses the mesh bisection, which min(W, H) bidirectional
+    // 64B links carry.
     const double bisection_bpc =
         2.0 * std::min(cfg_.mesh_width, cfg_.mesh_height) * kFlitBytes;
     if (bisection_bpc > 0.0) {
@@ -138,17 +139,17 @@ class PhaseAnalyzer {
   // ---- scratchpad occupancy under the virtual-queue split ----
   void fill_occupancy(PhaseModel& m) const {
     const auto occupancy = [](std::uint64_t entry_words,
-                              std::uint64_t capacity_bytes) {
-      QueueOccupancy q;
-      q.used = entry_words > 0;
-      q.entry_bytes = entry_words * kWordBytes;
-      q.capacity_bytes = capacity_bytes;
-      q.concurrency = q.used ? capacity_bytes / q.entry_bytes : 0;
-      return q;
+                              std::uint64_t capacity_bytes,
+                              std::uint64_t concurrency) {
+      return QueueOccupancy{entry_words > 0, entry_words * kWordBytes,
+                            capacity_bytes, concurrency};
     };
-    m.dnq0 = occupancy(fp_.dnq0_entry_words, fp_.dnq0_bytes);
-    m.dnq1 = occupancy(fp_.dnq1_entry_words, fp_.dnq1_bytes);
-    m.agg = occupancy(fp_.agg_entry_words, fp_.agg_bytes);
+    m.dnq0 = occupancy(fp_.dnq0_entry_words, fp_.dnq0_bytes,
+                       fp_.dnq0_concurrency());
+    m.dnq1 = occupancy(fp_.dnq1_entry_words, fp_.dnq1_bytes,
+                       fp_.dnq1_concurrency());
+    m.agg = occupancy(fp_.agg_entry_words, fp_.agg_bytes,
+                      fp_.agg_concurrency());
   }
 
   // ---- compute terms (GPE / DNA / AGG), core cycles, per-tile max ----
@@ -320,9 +321,7 @@ class PhaseAnalyzer {
       return std::accumulate(ph_.expected_contribs.begin(),
                              ph_.expected_contribs.end(), std::uint64_t{0});
     }
-    std::uint64_t n_sym_edges = 0;
-    for (const auto& g : prog_.graphs) n_sym_edges += g.num_edges;
-    return n_sym_edges +
+    return prog_.total_edges() +
            (ph_.include_self ? prog_.total_vertices() : std::uint64_t{0});
   }
 
@@ -354,10 +353,9 @@ class PhaseAnalyzer {
           }
         }
       } else {
-        std::uint64_t n_sym_edges = 0;
-        for (const auto& g : prog_.graphs) n_sym_edges += g.num_edges;
-        tr.payload += n_sym_edges * edge_entry;
-        tr.served += n_sym_edges * edge_entry;
+        const std::uint64_t column_bytes = prog_.total_edges() * edge_entry;
+        tr.payload += column_bytes;
+        tr.served += column_bytes;
       }
 
       const std::uint64_t contribs = phase_total_contribs();
@@ -376,11 +374,8 @@ class PhaseAnalyzer {
               ph_.gpe_words_per_entry > 0 || ph_.dna2_gpe_words > 0;
           if (needs_own) tr.add(gather_bytes, n);
           if (!ph_.extra_inputs.empty()) {
-            std::uint64_t loads = contribs;
-            if (ph_.extra_inputs_per_edge) {
-              loads = 0;
-              for (const auto& g : prog_.graphs) loads += g.num_edges;
-            }
+            const std::uint64_t loads =
+                ph_.extra_inputs_per_edge ? prog_.total_edges() : contribs;
             tr.add(std::uint64_t{ph_.extra_inputs.front().width_words} *
                        kWordBytes,
                    loads);
@@ -489,25 +484,6 @@ ProgramAnalysis analyze_program(const CompiledProgram& prog,
   return pa;
 }
 
-namespace {
-
-/// GV202 helper: concurrency of both virtual queues for queue-1 phase `ph`
-/// under a candidate split. Returns {c0, c1}; a queue with no entries
-/// reports a very large concurrency so it never constrains the minimum.
-std::pair<std::uint64_t, std::uint64_t> split_concurrency(
-    const PhaseSpec& ph, const TileParams& tp, std::uint32_t sixteenths) {
-  const PhaseFootprint fp = footprint_at(ph, tp, sixteenths);
-  const auto concurrency = [](std::uint64_t capacity_bytes,
-                              std::uint64_t entry_words) {
-    return entry_words > 0 ? capacity_bytes / (entry_words * kWordBytes)
-                           : ~std::uint64_t{0};
-  };
-  return {concurrency(fp.dnq0_bytes, fp.dnq0_entry_words),
-          concurrency(fp.dnq1_bytes, fp.dnq1_entry_words)};
-}
-
-}  // namespace
-
 std::vector<PerfDiagnostic> perf_lints(const CompiledProgram& prog,
                                        const AcceleratorConfig& cfg,
                                        const AnalysisOptions& options) {
@@ -520,6 +496,21 @@ std::vector<PerfDiagnostic> perf_lints(const CompiledProgram& prog,
   for (std::size_t i = 0; i < pa.phases.size(); ++i) {
     const PhaseModel& m = pa.phases[i];
     const int pi = static_cast<int>(i);
+
+    // GV108: the NoC, not memory, bounds the phase. Partial lines waste
+    // DRAM bandwidth but not interconnect bandwidth, so the two terms see
+    // different bytes: line-rounded served bytes on the memory bus, the
+    // request payload on the mesh.
+    if (m.noc_cycles > m.memory_cycles) {
+      std::ostringstream os;
+      os << "NoC term (" << m.noc_cycles << " cycles: half of the "
+         << human_bytes(m.payload_bytes) << " request payload across the "
+         << cfg.mesh_width << "x" << cfg.mesh_height
+         << " mesh bisection) exceeds the memory term (" << m.memory_cycles
+         << " cycles: " << human_bytes(m.read_bytes + m.write_bytes)
+         << " served): the NoC, not memory, bounds this phase";
+      out.push_back({LintCode::kNocBisectionSaturated, pi, os.str()});
+    }
 
     // GV201: reuse-distance thrash. Concurrency below a quarter of the
     // GPE thread pool (but not below 2 — GV101/GV102 own the serialized
@@ -550,8 +541,8 @@ std::vector<PerfDiagnostic> perf_lints(const CompiledProgram& prog,
       if (cur_min < 2) {
         bool fixable = false;
         for (std::uint32_t s = 0; s <= 16 && !fixable; ++s) {
-          const auto [c0, c1] = split_concurrency(prog.phases[i], tp, s);
-          fixable = c0 >= 2 && c1 >= 2;
+          const PhaseFootprint fp = footprint_at(prog.phases[i], tp, s);
+          fixable = fp.dnq0_concurrency() >= 2 && fp.dnq1_concurrency() >= 2;
         }
         if (fixable) {
           std::ostringstream os;
@@ -713,8 +704,9 @@ std::vector<FixSuggestion> suggest_fixes(const CompiledProgram& prog,
         const PhaseModel& m = pa.phases[i];
         if (!(m.dnq0.used && m.dnq1.used)) continue;
         any = true;
-        const auto [c0, c1] = split_concurrency(prog.phases[i], tp, s);
-        worst = std::min({worst, c0, c1});
+        const PhaseFootprint fp = footprint_at(prog.phases[i], tp, s);
+        worst = std::min(
+            {worst, fp.dnq0_concurrency(), fp.dnq1_concurrency()});
       }
       if (!any) break;
       const auto dist = [](std::uint32_t a) {

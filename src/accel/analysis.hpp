@@ -11,16 +11,18 @@
 //  - scratchpad occupancy: the DNQ virtual-queue and AGG entry footprints
 //    under the virtual-queue split (phase_footprint — the widths the GPE
 //    allocates and the split the tile programs), and how many entries fit
-//    concurrently (the reuse-distance budget: with K GPE threads in
-//    flight, ~K entries are live between first and last touch of any one
-//    of them, so concurrency << threads means allocation stalls);
+//    concurrently (phase_footprint's concurrency, which GV001/GV002,
+//    GV101/GV102 and fuse-phases read too). That is the reuse-distance
+//    budget: with K GPE threads in flight, ~K entries are live between
+//    first and last touch of any one of them, so concurrency << threads
+//    means allocation stalls;
 //  - a roofline-style cycle lower bound: max over the compute terms (GPE
 //    micro-ops, DNA initiation intervals, AGG ALU reduction throughput —
 //    each a per-tile maximum under the modeled partition), the memory
 //    term (line-rounded served bytes over the aggregate data-bus
-//    bandwidth), and the NoC term (bisection-crossing traffic over the
-//    bisection bandwidth — the same cut GV108 checks). Phases are
-//    barrier-separated, so the program bound is the sum of phase bounds
+//    bandwidth), and the NoC term (bisection-crossing payload over the
+//    bisection bandwidth; GV108 fires where it exceeds the memory term).
+//    Phases are barrier-separated, so the program bound is the sum of phase bounds
 //    and is provably <= the measured cycle count (every term counts a
 //    strict subset of the work the simulator serializes on the same
 //    resource);
@@ -132,7 +134,7 @@ struct AnalysisOptions {
                                               const AnalysisOptions& options =
                                                   {});
 
-/// One GV2xx performance finding (fed into VerifyReport by verify_program
+/// One GV108/GV2xx performance finding (fed into VerifyReport by verify_program
 /// when a config is bound).
 struct PerfDiagnostic {
   LintCode code = LintCode::kReuseDistanceThrash;
@@ -140,7 +142,8 @@ struct PerfDiagnostic {
   std::string message;
 };
 
-/// Run the GV2xx perf-lint family over the static model:
+/// Run the perf-lint family over the static model:
+///   GV108 NoC term above the memory term (the NoC bounds the phase)
 ///   GV201 scratchpad reuse-distance thrash
 ///   GV202 DNQ virtual-queue split starvation
 ///   GV203 predicted bank camping under the configured bank mapping

@@ -7,14 +7,11 @@
 #include <stdexcept>
 #include <utility>
 
-#include "accel/dnq.hpp"
 #include "common/types.hpp"
 
 namespace gnna::accel::opt {
 
 namespace {
-
-constexpr std::uint64_t kWordBytes = 4;
 
 /// Number of places `p` references region `id` (graph tables + every
 /// semantically live phase field — a kProject gather and a weight_region
@@ -40,11 +37,23 @@ std::size_t use_count(const CompiledProgram& p, RegionId id) {
   return n;
 }
 
+/// The one phase replacing gather+aggregate `a` and the projection `b`
+/// consuming its output: `a`'s traversal feeding `b`'s DNA model.
+PhaseSpec fuse(const PhaseSpec& a, const PhaseSpec& b) {
+  PhaseSpec f = a;
+  f.name = a.name + "+" + b.name;
+  f.dna_shapes = b.dna_shapes;
+  f.dna_out_words = b.dna_out_words;
+  f.output = b.output;
+  f.weight_bytes = b.weight_bytes;
+  f.weight_region = b.weight_region;
+  return f;
+}
+
 /// Can phases[i] (a) and phases[i+1] (b) fuse? Mirrors the validator's
 /// match_fusion preconditions (validate.cpp) plus the scratchpad footprint
-/// bound: the fused DNQ-0 entry (agg_width words, full scratchpad since
-/// the fused phase never uses queue 1) must still admit >= 2 concurrent
-/// entries, or fusion would trade a barrier for thread serialization.
+/// bound: the fused phase's DNQ entries must still admit >= 2 at once, or
+/// fusion would trade a barrier for thread serialization.
 bool fusable(const CompiledProgram& p, const PhaseSpec& a, const PhaseSpec& b,
              const TileParams& tp) {
   if (a.kind != PhaseKind::kGatherAggregate || a.has_dna() || !a.has_agg() ||
@@ -67,9 +76,7 @@ bool fusable(const CompiledProgram& p, const PhaseSpec& a, const PhaseSpec& b,
     return false;
   }
   if (use_count(p, a.output.region) != 2) return false;
-  const std::uint64_t entry_bytes =
-      std::uint64_t{a.agg_width_words} * kWordBytes;
-  return entry_bytes > 0 && entry_bytes * 2 <= tp.dnq_data_bytes;
+  return phase_footprint(fuse(a, b), tp).dnq0_concurrency() >= 2;
 }
 
 bool pass_fuse_phases(CompiledProgram& p, const TileParams& tp,
@@ -80,16 +87,7 @@ bool pass_fuse_phases(CompiledProgram& p, const TileParams& tp,
     progress = false;
     for (std::size_t i = 0; i + 1 < p.phases.size(); ++i) {
       if (!fusable(p, p.phases[i], p.phases[i + 1], tp)) continue;
-      const PhaseSpec& a = p.phases[i];
-      const PhaseSpec& b = p.phases[i + 1];
-      PhaseSpec f = a;
-      f.name = a.name + "+" + b.name;
-      f.dna_shapes = b.dna_shapes;
-      f.dna_out_words = b.dna_out_words;
-      f.output = b.output;
-      f.weight_bytes = b.weight_bytes;
-      f.weight_region = b.weight_region;
-      p.phases[i] = std::move(f);
+      p.phases[i] = fuse(p.phases[i], p.phases[i + 1]);
       p.phases.erase(p.phases.begin() +
                      static_cast<std::ptrdiff_t>(i + 1));
       ++fused;
@@ -258,7 +256,7 @@ OptimizeResult optimize_program(const CompiledProgram& prog,
     PassOutcome outcome;
     outcome.pass = name;
     outcome.changed = registry.at(name)(res.program, &outcome.summary);
-    if (outcome.changed && options.validate) {
+    if (outcome.changed) {
       outcome.validation =
           validate::validate_transform(before, res.program, vopts);
       if (!outcome.validation.equivalent) {

@@ -13,9 +13,9 @@
 //                   the aggregate-then-project form the hardware pipelines
 //                   in one phase (Fig. 1) — one barrier and one
 //                   intermediate buffer round-trip through memory removed
-//                   per fusion. Applied only when the fused DNQ entry
-//                   still admits >= 2 concurrent entries in virtual queue
-//                   0's scratchpad share.
+//                   per fusion. Applied only when the fused phase's
+//                   footprint (phase_footprint) still admits >= 2
+//                   concurrent DNQ entries.
 //   dedup-contribs  Drop expected_contribs tables on walk_len <= 1 phases
 //                   (the runtime uses the CSR degrees directly; the table
 //                   is dead weight in the serialized program).
@@ -47,9 +47,6 @@ struct OptimizeOptions {
   const AcceleratorConfig* config = nullptr;
   /// Pass subset to run, in the given order. Empty = the full pipeline.
   std::vector<std::string> passes;
-  /// Prove every changing pass with the translation validator (default).
-  /// Only tests turn this off.
-  bool validate = true;
 };
 
 /// One pipeline step: what the pass did and, when it changed the program,

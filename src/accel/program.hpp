@@ -19,6 +19,7 @@
 #include "accel/config.hpp"
 #include "common/reduce_op.hpp"
 #include "common/types.hpp"
+#include "common/units.hpp"
 #include "dataflow/spatial.hpp"
 #include "graph/dataset.hpp"
 #include "graph/partition.hpp"
@@ -219,6 +220,13 @@ struct CompiledProgram {
     return n;
   }
 
+  /// Symmetrized edges over every graph layout.
+  [[nodiscard]] std::uint64_t total_edges() const {
+    std::uint64_t n = 0;
+    for (const auto& g : graphs) n += g.num_edges;
+    return n;
+  }
+
   /// Graph index owning global vertex `v` (graphs are laid out in order).
   [[nodiscard]] std::size_t graph_of(NodeId v) const;
 };
@@ -246,6 +254,26 @@ struct PhaseFootprint {
   std::uint32_t dnq0_bytes = 0;
   std::uint32_t dnq1_bytes = 0;
   std::uint32_t agg_bytes = 0;
+
+  /// How many entries each scratchpad holds at once: 0 means an entry can
+  /// never fit (GV001/GV002, deadlock), 1 that allocations serialize
+  /// (GV101/GV102). Also 0 where the phase allocates no entries there.
+  [[nodiscard]] std::uint64_t dnq0_concurrency() const {
+    return concurrency(dnq0_entry_words, dnq0_bytes);
+  }
+  [[nodiscard]] std::uint64_t dnq1_concurrency() const {
+    return concurrency(dnq1_entry_words, dnq1_bytes);
+  }
+  [[nodiscard]] std::uint64_t agg_concurrency() const {
+    return concurrency(agg_entry_words, agg_bytes);
+  }
+
+ private:
+  static std::uint64_t concurrency(std::uint32_t entry_words,
+                                   std::uint32_t bytes) {
+    return entry_words > 0 ? bytes / (std::uint64_t{entry_words} * kWordBytes)
+                           : 0;
+  }
 };
 
 /// The footprint of `phase` on a tile with parameters `tp` — the widths the

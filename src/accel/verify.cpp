@@ -63,7 +63,6 @@ class Linter {
     check_tile_params();
     check_memory_map();
     check_graph_layouts();
-    check_noc_bisection();
     if (ds_ != nullptr) {
       check_dataset_match();
     } else {
@@ -295,25 +294,27 @@ class Linter {
   }
 
   // GV001/GV102: every DNQ entry the GPE allocates for this phase must fit
-  // the virtual queue it targets under the split the runtime programs
-  // (phase_footprint).
+  // the virtual queue it targets under the split the runtime programs, and
+  // two must fit for threads to overlap (phase_footprint's concurrency).
   void check_dnq_footprint(int pi, const PhaseFootprint& fp) {
-    check_queue_entry(pi, 0, fp.dnq0_entry_words, fp.dnq0_bytes);
-    check_queue_entry(pi, 1, fp.dnq1_entry_words, fp.dnq1_bytes);
+    check_queue_entry(pi, 0, fp.dnq0_entry_words, fp.dnq0_bytes,
+                      fp.dnq0_concurrency());
+    check_queue_entry(pi, 1, fp.dnq1_entry_words, fp.dnq1_bytes,
+                      fp.dnq1_concurrency());
   }
 
   void check_queue_entry(int pi, int queue, std::uint64_t entry_words,
-                         std::uint64_t cap_bytes) {
+                         std::uint64_t cap_bytes, std::uint64_t concurrency) {
     if (entry_words == 0) return;
     const std::uint64_t entry_bytes = entry_words * kWordBytes;
-    if (entry_bytes > cap_bytes) {
+    if (concurrency == 0) {
       add(LintCode::kDnqEntryTooLarge, pi,
           "DNQ virtual queue " + std::to_string(queue) + " entry (" +
               std::to_string(entry_words) + " words = " +
               std::to_string(entry_bytes) + "B) can never fit its " +
               std::to_string(cap_bytes) +
               "B capacity: guaranteed deadlock");
-    } else if (entry_bytes * 2 > cap_bytes) {
+    } else if (concurrency == 1) {
       add(LintCode::kDnqLowConcurrency, pi,
           "DNQ virtual queue " + std::to_string(queue) +
               " admits only one in-flight entry (" +
@@ -327,13 +328,13 @@ class Linter {
     if (!ph.has_agg()) return;
     const std::uint64_t entry_bytes =
         std::uint64_t{fp.agg_entry_words} * kWordBytes;
-    if (entry_bytes > fp.agg_bytes) {
+    if (fp.agg_concurrency() == 0) {
       add(LintCode::kAggEntryTooLarge, pi,
           "AGG entry (" + std::to_string(fp.agg_entry_words) + " words = " +
               std::to_string(entry_bytes) + "B) exceeds the " +
               std::to_string(fp.agg_bytes) +
               "B data scratchpad: guaranteed deadlock");
-    } else if (entry_bytes * 2 > fp.agg_bytes) {
+    } else if (fp.agg_concurrency() == 1) {
       add(LintCode::kAggLowConcurrency, pi,
           "AGG data scratchpad admits only one in-flight aggregation (" +
               std::to_string(entry_bytes) + "B of " +
@@ -423,8 +424,7 @@ class Linter {
   void check_buffers(int pi, const PhaseSpec& ph) {
     const std::uint64_t n_vertices = prog_.total_vertices();
     const std::uint64_t n_graphs = prog_.graphs.size();
-    std::uint64_t n_sym_edges = 0;
-    for (const auto& g : prog_.graphs) n_sym_edges += g.num_edges;
+    const std::uint64_t n_sym_edges = prog_.total_edges();
 
     const bool reads_gather = ph.kind != PhaseKind::kProject;
     if (reads_gather) {
@@ -573,71 +573,6 @@ class Linter {
     return v == ph.expected_contribs.size();
   }
 
-  // ---- GV108: NoC bisection vs aggregate memory bandwidth ----
-  //
-  // A W x H mesh's bisection (cut across the longer dimension) is crossed
-  // by min(W, H) bidirectional 64B links. Memory pages are interleaved
-  // uniformly across the controllers, so with tiles spread over the mesh
-  // roughly half of all memory traffic crosses the bisection. When half
-  // the aggregate memory bandwidth (in bytes per NoC cycle) exceeds what
-  // those links can carry, every data-moving phase is NoC-bound: the
-  // config cannot reach its nominal memory bandwidth no matter the
-  // program. Estimated per-phase traffic (gather reads from the layout's
-  // contribution counts, extra inputs, output writes, weight streams)
-  // identifies which phases actually move data; zero-traffic phases are
-  // exempt.
-  void check_noc_bisection() {
-    if (cfg_ == nullptr) return;
-    const double bisection_bpc =
-        2.0 * std::min(cfg_->mesh_width, cfg_->mesh_height) * kFlitBytes;
-    const double mem_bpc =
-        cfg_->mem_params.bandwidth.bytes_per_cycle(cfg_->noc_clock) *
-        cfg_->num_mem_nodes();
-    const double crossing_bpc = mem_bpc / 2.0;
-    if (crossing_bpc <= bisection_bpc) return;
-    for (std::size_t i = 0; i < prog_.phases.size(); ++i) {
-      const std::uint64_t traffic = phase_traffic_bytes(prog_.phases[i]);
-      if (traffic == 0) continue;
-      std::ostringstream os;
-      os << "estimated phase traffic (" << traffic
-         << "B) at aggregate memory bandwidth (" << mem_bpc
-         << " B/cycle) implies ~" << crossing_bpc
-         << " B/cycle crossing the " << cfg_->mesh_width << "x"
-         << cfg_->mesh_height << " mesh bisection, which carries at most "
-         << bisection_bpc << " B/cycle: the NoC, not memory, bounds this "
-         << "phase";
-      add(LintCode::kNocBisectionSaturated, static_cast<int>(i), os.str());
-    }
-  }
-
-  /// Rough bytes-moved estimate for one phase: gathered neighbor vectors,
-  /// per-vertex/per-edge extra inputs, the output buffer, and the weight
-  /// stream. All derived from the program's own layout table.
-  [[nodiscard]] std::uint64_t phase_traffic_bytes(const PhaseSpec& ph) const {
-    const std::uint64_t n_vertices = prog_.total_vertices();
-    const std::uint64_t n_graphs = prog_.graphs.size();
-    std::uint64_t n_sym_edges = 0;
-    for (const auto& g : prog_.graphs) n_sym_edges += g.num_edges;
-
-    std::uint64_t words = 0;
-    if (ph.kind != PhaseKind::kProject) {
-      std::uint64_t contribs = n_sym_edges;
-      if (!ph.expected_contribs.empty()) {
-        contribs = 0;
-        for (const std::uint64_t c : ph.expected_contribs) contribs += c;
-      } else if (ph.include_self) {
-        contribs += n_vertices;
-      }
-      words += contribs * ph.gather.width_words;
-    }
-    for (const auto& b : ph.extra_inputs) {
-      words += (ph.extra_inputs_per_edge ? n_sym_edges : n_vertices) *
-               b.width_words;
-    }
-    words += (ph.per_graph ? n_graphs : n_vertices) * ph.output.width_words;
-    return words * kWordBytes + ph.weight_bytes;
-  }
-
   // ---- GV008/GV103/GV106: cross-phase def-use dataflow ----
   void check_dataflow() {
     const std::size_t n = prog_.memmap.num_regions();
@@ -693,7 +628,7 @@ class Linter {
     return os.str();
   }
 
-  // ---- GV201..GV204: static-model performance lints ----
+  // ---- GV108, GV201..GV204: static-model performance lints ----
   // Only meaningful with a full config bound, and only on programs with no
   // error diagnostics (the analytic model's numbers are nonsense for a
   // program that cannot execute).

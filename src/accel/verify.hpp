@@ -31,21 +31,25 @@
 //   GV012  graph-layout table disagrees with the bound dataset
 //   GV101  AGG scratchpad admits < 2 concurrent entries (serialized aggs)
 //   GV102  DNQ virtual queue admits < 2 concurrent entries
+//          (GV001/GV002/GV101/GV102 read phase_footprint's concurrency:
+//          0 entries is the error, 1 the warning)
 //   GV103  dead store: phase output never read and not the program result
 //   GV104  expected_contribs supplied but unused (walk_len == 1)
 //   GV105  weight_bytes > 0 on a phase with no DNA model
 //   GV106  phase output overwrites a preloaded region
 //   GV107  no dataset bound: topology-dependent checks skipped
-//   GV108  estimated NoC traffic saturates the mesh bisection: aggregate
-//          memory bandwidth implies more bytes/cycle crossing the mesh
-//          bisection than its links can carry, so the NoC (not memory)
-//          bounds every data-moving phase. Needs the accelerator config;
-//          skipped without one.
+//   GV108  the static model's NoC term exceeds its memory term on a
+//          phase (PhaseModel::noc_cycles > memory_cycles): the request
+//          payload crossing the mesh bisection takes longer than the
+//          line-rounded bytes take on the memory bus, so the NoC, not
+//          memory, bounds the phase. Emitted by perf_lints, under the
+//          GV2xx rule below.
 //
 // GV2xx = performance lints from the static analytic model
 // (accel/analysis.hpp). They report configurations that will run, and run
 // correctly, but leave modeled hardware parallelism on the table. Like
-// GV108 they need the accelerator config and are skipped without one:
+// GV108 they need the accelerator config and are skipped without one, and
+// on programs with error diagnostics:
 //
 //   GV201  scratchpad reuse-distance thrash: a DNQ virtual queue or the
 //          AGG scratchpad admits fewer concurrent entries than a quarter
@@ -160,8 +164,8 @@ struct VerifyReport {
 /// (optional) is the dataset the program will run against; it enables the
 /// topology-dependent checks (see the header comment). `cfg` (optional) is
 /// the full accelerator configuration; it enables the config-dependent
-/// checks (GV108 bisection saturation and the GV2xx perf lints) — pass the
-/// same config the program will execute on. `partition` is the policy the
+/// checks (GV108 and the GV2xx perf lints, all from the static model) —
+/// pass the same config the program will execute on. `partition` is the policy the
 /// simulator will apply (GV204 models it). Never throws on program defects
 /// — they all land in the report.
 [[nodiscard]] VerifyReport verify_program(

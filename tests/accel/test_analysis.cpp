@@ -15,6 +15,7 @@
 
 #include "accel/compiler.hpp"
 #include "accel/config.hpp"
+#include "accel/opt.hpp"
 #include "accel/verify.hpp"
 #include "gnn/model.hpp"
 #include "graph/dataset.hpp"
@@ -472,6 +473,124 @@ TEST(Analysis, PerfLintsAreSuppressedOnBrokenPrograms) {
       verify_program(c.prog, cfg.tile_params, c.ds.get(), &cfg);
   EXPECT_FALSE(r.ok());
   EXPECT_FALSE(r.has(LintCode::kReuseDistanceThrash)) << r.to_string();
+}
+
+// ---- one concurrency rule: phase_footprint's ----
+
+bool fires_on(const VerifyReport& r, LintCode code, std::size_t phase) {
+  return std::any_of(r.diagnostics.begin(), r.diagnostics.end(),
+                     [&](const VerifyDiagnostic& d) {
+                       return d.code == code &&
+                              d.phase == static_cast<int>(phase);
+                     });
+}
+
+TEST(Analysis, EveryConcurrencyCheckReadsTheFootprint) {
+  // Scratchpad sizes around the 0/1/2-entry edges of the tiny programs'
+  // 16-64B entries, with and without a virtual-queue split.
+  const std::uint32_t sizes[] = {16, 24, 40, 48, 64, 100, 128,
+                                 160, 256, 1024, 63488};
+  const std::uint32_t splits[] = {0, 1, 4, 8, 12, 15, 16};
+  const Compiled programs[] = {
+      gcn(), compile(gnn::make_gat(6, 3, 2, 4), tiny_dataset()),
+      compile(gnn::make_mpnn(6, 5, 3, 8, 2), tiny_dataset(6, 5))};
+  // How often each rule met 0, 1 and >= 2 entries: all must occur.
+  std::size_t seen[3] = {0, 0, 0};
+  for (const Compiled& c : programs) {
+    for (const std::uint32_t dnq : sizes) {
+      for (const std::uint32_t agg : sizes) {
+        for (const std::uint32_t split : splits) {
+          AcceleratorConfig cfg = AcceleratorConfig::cpu_iso_bw();
+          TileParams& tp = cfg.tile_params;
+          tp.dnq_data_bytes = dnq;
+          tp.agg_data_bytes = agg;
+          tp.dnq_queue0_sixteenths = split;
+          const VerifyReport r = verify_program(c.prog, tp);
+          const ProgramAnalysis pa = analyze_program(c.prog, cfg);
+          for (std::size_t i = 0; i < c.prog.phases.size(); ++i) {
+            const PhaseFootprint fp = phase_footprint(c.prog.phases[i], tp);
+            const auto at = [](std::uint32_t words, std::uint64_t entries,
+                               std::uint64_t n) {
+              return words > 0 && entries == n;
+            };
+            const std::uint64_t q0 = fp.dnq0_concurrency();
+            const std::uint64_t q1 = fp.dnq1_concurrency();
+            const std::uint64_t ag = fp.agg_concurrency();
+            const std::string where = c.prog.phases[i].name + " dnq=" +
+                                      std::to_string(dnq) + " agg=" +
+                                      std::to_string(agg) + " split=" +
+                                      std::to_string(split);
+            EXPECT_EQ(fires_on(r, LintCode::kDnqEntryTooLarge, i),
+                      at(fp.dnq0_entry_words, q0, 0) ||
+                          at(fp.dnq1_entry_words, q1, 0))
+                << where;
+            EXPECT_EQ(fires_on(r, LintCode::kDnqLowConcurrency, i),
+                      at(fp.dnq0_entry_words, q0, 1) ||
+                          at(fp.dnq1_entry_words, q1, 1))
+                << where;
+            EXPECT_EQ(fires_on(r, LintCode::kAggEntryTooLarge, i),
+                      at(fp.agg_entry_words, ag, 0))
+                << where;
+            EXPECT_EQ(fires_on(r, LintCode::kAggLowConcurrency, i),
+                      at(fp.agg_entry_words, ag, 1))
+                << where;
+            const PhaseModel& m = pa.phases[i];
+            EXPECT_EQ(m.dnq0.concurrency, q0) << where;
+            EXPECT_EQ(m.dnq1.concurrency, q1) << where;
+            EXPECT_EQ(m.agg.concurrency, ag) << where;
+            // Concurrency is the number of whole entries that fit.
+            const auto fits = [&](std::uint32_t words, std::uint32_t bytes,
+                                  std::uint64_t entries) {
+              if (words == 0) return;
+              const std::uint64_t entry = std::uint64_t{words} * 4;
+              EXPECT_LE(entries * entry, bytes) << where;
+              EXPECT_GT((entries + 1) * entry, bytes) << where;
+              ++seen[std::min<std::uint64_t>(entries, 2)];
+            };
+            fits(fp.dnq0_entry_words, fp.dnq0_bytes, q0);
+            fits(fp.dnq1_entry_words, fp.dnq1_bytes, q1);
+            fits(fp.agg_entry_words, fp.agg_bytes, ag);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(seen[0], 0U);
+  EXPECT_GT(seen[1], 0U);
+  EXPECT_GT(seen[2], 0U);
+}
+
+TEST(Analysis, FusePhasesFusesExactlyWhenTheFusedFootprintAdmitsTwo) {
+  // The default compiler emits the fused GCN; the naive lowering is what
+  // fuse-phases rewrites into it, one pair per layer.
+  const auto fused = gcn();
+  CompilerOptions copts;
+  copts.fuse_conv = false;
+  const CompiledProgram naive =
+      ProgramCompiler{copts}.compile(gnn::make_gcn(6, 3, 4), *fused.ds);
+  ASSERT_EQ(naive.phases.size(), 2 * fused.prog.phases.size());
+  std::size_t none = 0, all = 0;
+  for (const std::uint32_t dnq : {16U, 24U, 32U, 40U, 48U, 64U, 1024U}) {
+    AcceleratorConfig cfg = AcceleratorConfig::cpu_iso_bw();
+    cfg.tile_params.dnq_data_bytes = dnq;
+    std::size_t admitted = 0;
+    for (const PhaseSpec& ph : fused.prog.phases) {
+      admitted += static_cast<std::size_t>(
+          phase_footprint(ph, cfg.tile_params).dnq0_concurrency() >= 2);
+    }
+    opt::OptimizeOptions oo;
+    oo.dataset = fused.ds.get();
+    oo.config = &cfg;
+    oo.passes = {"fuse-phases"};
+    const opt::OptimizeResult res = opt::optimize_program(naive, oo);
+    ASSERT_TRUE(res.validated) << res.failure;
+    EXPECT_EQ(naive.phases.size() - res.program.phases.size(), admitted)
+        << "dnq_data_bytes=" << dnq;
+    none += static_cast<std::size_t>(admitted == 0);
+    all += static_cast<std::size_t>(admitted == fused.prog.phases.size());
+  }
+  EXPECT_GT(none, 0U);
+  EXPECT_GT(all, 0U);
 }
 
 }  // namespace

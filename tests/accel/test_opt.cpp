@@ -63,17 +63,17 @@ CompiledProgram unfused_gcn(const graph::Dataset& ds) {
   return ProgramCompiler{copts}.compile(gnn::make_gcn(6, 3, 4), ds);
 }
 
-/// Run one pass with validation off: produces the pass's raw rewrite so a
-/// mutation can be seeded into it before handing it to the validator.
+/// Run one pass: its (validated) rewrite, so a mutation can be seeded into
+/// it before handing it to the validator.
 CompiledProgram raw_pass_output(const CompiledProgram& prog,
                                 const std::string& pass,
                                 const graph::Dataset* ds = nullptr) {
   opt::OptimizeOptions oo;
   oo.dataset = ds;
   oo.passes = {pass};
-  oo.validate = false;
   const auto res = opt::optimize_program(prog, oo);
   EXPECT_TRUE(res.changed()) << pass << " made no change to seed into";
+  EXPECT_TRUE(res.validated) << res.failure;
   return res.program;
 }
 
