@@ -96,14 +96,11 @@ void sweep(const sim::Session::Resolved& prog,
 
   // Two-pass: measured per-vertex GPE cycles from the round-robin run
   // drive the LPT rebalance of the rerun.
-  const trace::AttributionReport& pass1 = *results[0].stats.attribution;
-  std::vector<double> loads(total_vertices, 0.0);
-  for (const auto& v : pass1.vertices) {
-    if (v.vertex < loads.size()) loads[v.vertex] = v.busy;
-  }
-  results.push_back({"profile-guided",
-                     run_once(prog, cfg, graph::PartitionPolicy::kProfileGuided,
-                              std::move(loads), env_trace, total_vertices)});
+  results.push_back(
+      {"profile-guided",
+       run_once(prog, cfg, graph::PartitionPolicy::kProfileGuided,
+                results[0].stats.attribution->vertex_busy(total_vertices),
+                env_trace, total_vertices)});
 
   const auto base = static_cast<double>(results[0].stats.cycles);
   Table t({"Policy", "Cycles", "vs round-robin", "Busy max/mean",

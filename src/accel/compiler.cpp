@@ -12,46 +12,6 @@ constexpr std::uint32_t kWord = 4;
   return k * n * kWord;
 }
 
-/// Number of walks of exactly `len` steps starting from each (global)
-/// vertex on the symmetrized graphs: walks_L(v) = sum_{u in N(v)}
-/// walks_{L-1}(u), walks_0 = 1. These are the contribution counts of a
-/// multi-hop gather phase.
-std::vector<std::uint64_t> walk_counts(const graph::Dataset& ds,
-                                       std::uint32_t len) {
-  NodeId total = 0;
-  for (const auto& g : ds.graphs) total += g.num_nodes();
-  std::vector<std::uint64_t> cur(total, 1);
-  std::vector<std::uint64_t> next(total, 0);
-  NodeId base = 0;
-  std::vector<NodeId> bases;
-  for (const auto& g : ds.undirected) {
-    bases.push_back(base);
-    base += g.num_nodes();
-  }
-  for (std::uint32_t step = 0; step < len; ++step) {
-    std::uint64_t grand_total = 0;
-    for (std::size_t gi = 0; gi < ds.undirected.size(); ++gi) {
-      const graph::Graph& g = ds.undirected[gi];
-      const NodeId off = bases[gi];
-      for (NodeId v = 0; v < g.num_nodes(); ++v) {
-        std::uint64_t acc = 0;
-        for (const NodeId u : g.neighbors(v)) acc += cur[off + u];
-        next[off + v] = acc;
-        grand_total += acc;
-      }
-    }
-    // Guard against accidental walk-tree explosions on dense graphs: the
-    // simulation enumerates every walk, so bound the total up front.
-    if (grand_total > 50'000'000ULL) {
-      throw std::invalid_argument(
-          "multi-hop lowering: walk tree too large to simulate (" +
-          std::to_string(grand_total) + " walks)");
-    }
-    std::swap(cur, next);
-  }
-  return cur;
-}
-
 }  // namespace
 
 CompiledProgram ProgramCompiler::compile(const gnn::ModelSpec& model,

@@ -39,6 +39,35 @@ graph::Partition phase_partition(const CompiledProgram& prog,
       policy == graph::PartitionPolicy::kProfileGuided ? profile : degrees);
 }
 
+std::vector<std::uint64_t> walk_counts(const graph::Dataset& ds,
+                                       std::uint32_t len) {
+  constexpr std::uint64_t kMaxWalks = 50'000'000;
+  NodeId total = 0;
+  for (const auto& g : ds.graphs) total += g.num_nodes();
+  std::vector<std::uint64_t> cur(total, 1);
+  std::vector<std::uint64_t> next(total, 0);
+  for (std::uint32_t step = 0; step < len; ++step) {
+    std::uint64_t grand_total = 0;
+    NodeId off = 0;
+    for (const graph::Graph& g : ds.undirected) {
+      for (NodeId v = 0; v < g.num_nodes(); ++v) {
+        std::uint64_t acc = 0;
+        for (const NodeId u : g.neighbors(v)) acc += cur[off + u];
+        next[off + v] = acc;
+        grand_total += acc;
+      }
+      off += g.num_nodes();
+    }
+    if (grand_total > kMaxWalks) {
+      throw std::invalid_argument(
+          "multi-hop lowering: walk tree too large to simulate (" +
+          std::to_string(grand_total) + " walks)");
+    }
+    std::swap(cur, next);
+  }
+  return cur;
+}
+
 PhaseFootprint phase_footprint(const PhaseSpec& phase, const TileParams& tp) {
   std::uint64_t dnq0 = 0;
   switch (phase.kind) {

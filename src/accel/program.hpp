@@ -242,6 +242,15 @@ struct CompiledProgram {
     const graph::Dataset* ds, std::uint32_t num_tiles,
     graph::PartitionPolicy policy, std::span<const double> profile = {});
 
+/// Number of walks of exactly `len` steps from each (global) vertex of
+/// `ds`'s symmetrized graphs: walks_L(v) = sum over neighbors u of
+/// walks_{L-1}(u), walks_0 = 1. These are the contribution counts of a
+/// multi-hop gather phase (PhaseSpec::expected_contribs). The simulation
+/// enumerates every walk, so this throws std::invalid_argument when any
+/// step's total exceeds 50M walks.
+[[nodiscard]] std::vector<std::uint64_t> walk_counts(const graph::Dataset& ds,
+                                                     std::uint32_t len);
+
 /// What one phase occupies on a tile, as Algorithm 1's CONFIG step
 /// programs it: the width of every entry the GPE allocates (0 where the
 /// phase allocates none) and the bytes each scratchpad offers those

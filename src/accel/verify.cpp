@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <optional>
 #include <ostream>
 #include <sstream>
+#include <stdexcept>
 
 #include "accel/analysis.hpp"
 #include "common/units.hpp"
@@ -12,41 +12,6 @@
 namespace gnna::accel {
 
 namespace {
-
-/// Independent recomputation of the walk-tree contribution counts the
-/// compiler stores in `expected_contribs` (walks_L(v) = sum over neighbors
-/// of walks_{L-1}(u), walks_0 = 1), with the same explosion bound the
-/// compiler enforces. nullopt when the tree is too large to enumerate.
-std::optional<std::vector<std::uint64_t>> recompute_walk_counts(
-    const graph::Dataset& ds, std::uint32_t len) {
-  constexpr std::uint64_t kMaxWalks = 50'000'000ULL;
-  NodeId total = 0;
-  for (const auto& g : ds.graphs) total += g.num_nodes();
-  std::vector<std::uint64_t> cur(total, 1);
-  std::vector<std::uint64_t> next(total, 0);
-  std::vector<NodeId> bases;
-  NodeId base = 0;
-  for (const auto& g : ds.undirected) {
-    bases.push_back(base);
-    base += g.num_nodes();
-  }
-  for (std::uint32_t step = 0; step < len; ++step) {
-    std::uint64_t grand_total = 0;
-    for (std::size_t gi = 0; gi < ds.undirected.size(); ++gi) {
-      const graph::Graph& g = ds.undirected[gi];
-      const NodeId off = bases[gi];
-      for (NodeId v = 0; v < g.num_nodes(); ++v) {
-        std::uint64_t acc = 0;
-        for (const NodeId u : g.neighbors(v)) acc += cur[off + u];
-        next[off + v] = acc;
-        grand_total += acc;
-      }
-    }
-    if (grand_total > kMaxWalks) return std::nullopt;
-    std::swap(cur, next);
-  }
-  return cur;
-}
 
 /// Collects diagnostics while walking the program.
 class Linter {
@@ -540,19 +505,21 @@ class Linter {
       return;
     }
     if (ds_ == nullptr) return;
-    const auto truth = recompute_walk_counts(*ds_, ph.walk_len);
-    if (!truth.has_value()) {
+    std::vector<std::uint64_t> truth;
+    try {
+      truth = walk_counts(*ds_, ph.walk_len);
+    } catch (const std::invalid_argument&) {  // beyond the 50M-walk bound
       add(LintCode::kBadExpectedContribs, pi,
           "walk tree of length " + std::to_string(ph.walk_len) +
               " too large to enumerate");
       return;
     }
     for (std::uint64_t v = 0; v < n_vertices; ++v) {
-      if (ph.expected_contribs[v] != (*truth)[v]) {
+      if (ph.expected_contribs[v] != truth[v]) {
         add(LintCode::kBadExpectedContribs, pi,
             "expected_contribs[" + std::to_string(v) + "] = " +
                 std::to_string(ph.expected_contribs[v]) +
-                " but the walk tree has " + std::to_string((*truth)[v]) +
+                " but the walk tree has " + std::to_string(truth[v]) +
                 " walks of length " + std::to_string(ph.walk_len));
         return;  // first mismatch is enough
       }

@@ -1,9 +1,10 @@
 // Functional (value-level) execution of the GNN IR.
 //
 // This path computes what the model actually outputs, independent of any
-// timing model. Tests use it two ways: against hand-written references to
-// pin down layer semantics, and against the accelerator's AGG/DNA value
-// plumbing to show the hardware model computes the same function.
+// timing model (the accelerator simulator models timing only and carries
+// no values). Tests compare it against hand-written references (closed
+// forms, dense matrix powers, naive attention) to pin down each layer's
+// semantics.
 #pragma once
 
 #include <optional>

@@ -43,16 +43,6 @@ const Value* Value::find(std::string_view key) const {
   return nullptr;
 }
 
-double Value::num_or(std::string_view key, double dflt) const {
-  const Value* v = find(key);
-  return (v != nullptr && v->is_number()) ? v->num_ : dflt;
-}
-
-std::string Value::str_or(std::string_view key, std::string dflt) const {
-  const Value* v = find(key);
-  return (v != nullptr && v->is_string()) ? v->str_ : std::move(dflt);
-}
-
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}

@@ -1,8 +1,8 @@
-// Minimal JSON reader for tools that consume `gnnasim --json` output
-// (gnnatrace). Hand-rolled on purpose: the repo has no JSON dependency and
-// does not take one for a ~200-line recursive-descent parser. Supports the
-// full JSON grammar except `\uXXXX` surrogate pairs (escapes decode to
-// UTF-8 for the BMP, which covers everything gnnasim emits).
+// Minimal JSON reader, the grammar under sim::read_stats_json. Hand-rolled
+// on purpose: the repo has no JSON dependency and does not take one for a
+// ~200-line recursive-descent parser. Supports the full JSON grammar
+// except `\uXXXX` surrogate pairs (escapes decode to UTF-8 for the BMP,
+// which covers everything gnnasim emits).
 #pragma once
 
 #include <cstddef>
@@ -61,12 +61,6 @@ class Value {
 
   /// Object member, or nullptr when absent (or not an object).
   [[nodiscard]] const Value* find(std::string_view key) const;
-
-  /// Convenience: member's number/string, or a default when absent or of
-  /// the wrong type. Profile readers use these to stay version-tolerant.
-  [[nodiscard]] double num_or(std::string_view key, double dflt) const;
-  [[nodiscard]] std::string str_or(std::string_view key,
-                                   std::string dflt) const;
 
   [[nodiscard]] const std::vector<Value>& items() const { return arr_; }
   [[nodiscard]] const std::vector<std::pair<std::string, Value>>& members()

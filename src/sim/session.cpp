@@ -6,7 +6,7 @@
 #include "accel/compiler.hpp"
 #include "accel/ir.hpp"
 #include "accel/opt.hpp"
-#include "sim/attribution_io.hpp"
+#include "sim/stats_json.hpp"
 
 namespace gnna::sim {
 
@@ -159,11 +159,15 @@ accel::RunStats Session::run(const RunRequest& req) {
   if (req.watchdog_cycles) sim.set_watchdog_cycles(*req.watchdog_cycles);
   sim.set_verify(req.verify);
   sim.set_trace(req.trace);
-  if (req.partition == graph::PartitionPolicy::kProfileGuided &&
-      !req.attribution_from.empty()) {
+  if (req.partition == graph::PartitionPolicy::kProfileGuided) {
     // Rebalance from the prior run's measured per-vertex load.
-    sim.set_profile_loads(
-        load_attribution_profile(req.attribution_from).vertex_busy);
+    if (req.attribution_from.empty()) {
+      throw std::invalid_argument(
+          "RunRequest: partition=profile-guided needs attribution_from, a "
+          "prior run's stats JSON with an attribution block");
+    }
+    sim.set_profile_loads(read_attribution(req.attribution_from)
+                              ->vertex_busy(r.program->total_vertices()));
   }
 
   accel::RunStats rs = sim.run(*r.program, *r.dataset);

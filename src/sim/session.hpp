@@ -61,10 +61,10 @@ struct RunRequest {
   graph::PartitionPolicy partition = graph::PartitionPolicy::kRoundRobin;
   /// Profile-guided partitioning input: path to a prior run's stats JSON
   /// (written with TraceOptions::attribution on). With partition ==
-  /// kProfileGuided, Session::run loads its per-vertex busy cycles and
-  /// LPT-packs them onto the tiles (graph::partition_work); vertices the
-  /// profile does not cover fall back to round-robin. Empty with
-  /// kProfileGuided degrades to plain round-robin (nothing to guide).
+  /// kProfileGuided, Session::run LPT-packs its per-vertex busy cycles onto
+  /// the tiles (graph::partition_work); uncovered vertices go round-robin.
+  /// Session::run throws std::invalid_argument when it is empty under
+  /// kProfileGuided, or names a vertex past the run's vertex count.
   std::string attribution_from;
   /// Dataset seed (benchmark form only; explicit datasets carry their own).
   std::uint64_t seed = 2020;

@@ -1,7 +1,9 @@
-// Machine-readable RunStats: JSON emission for `gnnasim --json` so bench
-// scripts can consume batch results without scraping tables.
+// Machine-readable RunStats: the stats JSON that `gnnasim --json` writes,
+// and its one reader. gnnatrace and profile-guided partitioning both read
+// runs back through read_stats_json, the exact inverse of the writer.
 #pragma once
 
+#include <memory>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -41,6 +43,22 @@ void write_run_stats_json(std::ostream& os, const accel::RunStats& rs,
 /// A batch as a JSON array, in request order. Failed runs become
 /// {"error": "..."} entries so indices still line up with the manifest.
 void write_batch_json(std::ostream& os, const std::vector<RunResult>& results);
+
+/// Read a stats JSON file back: the exact inverse of write_batch_json (a
+/// single run object reads as a batch of one). Every field the writer
+/// emits is decoded, the profile, attribution and static_model blocks
+/// included; a field a later schema version added may be missing. Throws
+/// std::runtime_error naming the file and the row on unreadable or
+/// malformed input: a row that is not an object or lacks its id, a count
+/// that is negative, fractional or out of range, a value of the wrong type.
+[[nodiscard]] std::vector<RunResult> read_stats_json(const std::string& path);
+
+/// The attribution block of the first successful run in `path` that has
+/// one: a prior run's measured loads, which profile-guided partitioning
+/// packs. Throws std::runtime_error when no run has one (the profiling run
+/// was made without --attribution), or when read_stats_json does.
+[[nodiscard]] std::shared_ptr<const trace::AttributionReport>
+read_attribution(const std::string& path);
 
 /// `s` escaped for use inside a JSON string literal.
 [[nodiscard]] std::string json_escape(const std::string& s);

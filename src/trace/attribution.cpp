@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 namespace gnna::trace {
 
@@ -54,6 +56,20 @@ double AttributionReport::flit_gini() const {
   }
   // Gini = sum_ij |xi - xj| / (2 n^2 mean), with n^2 * mean = n * sum.
   return abs_diff / (2.0 * static_cast<double>(n) * sum);
+}
+
+std::vector<double> AttributionReport::vertex_busy(
+    std::size_t num_vertices) const {
+  std::vector<double> loads(num_vertices, 0.0);
+  for (const VertexHotspot& v : vertices) {
+    if (v.vertex >= num_vertices) {
+      throw std::invalid_argument(
+          "profiled vertex " + std::to_string(v.vertex) +
+          " is past the run's " + std::to_string(num_vertices) + " vertices");
+    }
+    loads[v.vertex] = std::max(loads[v.vertex], v.busy);
+  }
+  return loads;
 }
 
 Attribution::Attribution(std::uint32_t num_tiles,

@@ -69,6 +69,13 @@ struct AttributionReport {
   /// Gini coefficient of per-tile flit counts (0 = uniform, →1 = one
   /// tile carries everything).
   [[nodiscard]] double flit_gini() const;
+  /// The hotspot table as the dense loads profile-guided partitioning
+  /// packs for a run of `num_vertices` vertices: entry v is vertex v's busy
+  /// cycles, 0 for vertices the table did not capture. Throws
+  /// std::invalid_argument when the table names a vertex past the run's
+  /// (a profile of another workload).
+  [[nodiscard]] std::vector<double> vertex_busy(
+      std::size_t num_vertices) const;
 };
 
 /// The sink. Single-run, single-threaded (each AcceleratorSim owns its

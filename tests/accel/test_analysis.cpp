@@ -305,7 +305,9 @@ TEST(Analysis, BankCampingFiresWhenPageInterleaveSwallowsTheBankStride) {
   EXPECT_TRUE(lints_fire(lints, LintCode::kBankCamping));
   // Whole-program finding: not attributed to any phase.
   for (const PerfDiagnostic& d : lints) {
-    if (d.code == LintCode::kBankCamping) EXPECT_EQ(d.phase, -1);
+    if (d.code == LintCode::kBankCamping) {
+      EXPECT_EQ(d.phase, -1);
+    }
   }
 }
 

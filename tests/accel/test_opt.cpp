@@ -368,7 +368,8 @@ TEST(Opt, StatsJsonV7EmitsOptimizedFromOnlyForOptimizedRuns) {
   sim::write_run_stats_json(opt_os, optimized);
   const auto pv = sim::json::Value::parse(plain_os.str());
   const auto ov = sim::json::Value::parse(opt_os.str());
-  EXPECT_EQ(pv.num_or("schema_version", 0), sim::kStatsJsonSchemaVersion);
+  EXPECT_EQ(pv.find("schema_version")->as_number(),
+            sim::kStatsJsonSchemaVersion);
   EXPECT_EQ(pv.find("optimized_from"), nullptr);
   const sim::json::Value* from = ov.find("optimized_from");
   ASSERT_NE(from, nullptr);

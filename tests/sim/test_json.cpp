@@ -29,14 +29,13 @@ TEST(Json, ParsesNestedStructures) {
       R"({"name": "gc1", "cycles": 100, "phases": [{"x": 1}, {"x": 2}],)"
       R"( "flag": true, "none": null})");
   ASSERT_TRUE(v.is_object());
-  EXPECT_EQ(v.str_or("name", ""), "gc1");
-  EXPECT_DOUBLE_EQ(v.num_or("cycles", 0.0), 100.0);
+  EXPECT_EQ(v.find("name")->as_string(), "gc1");
+  EXPECT_DOUBLE_EQ(v.find("cycles")->as_number(), 100.0);
   const Value* phases = v.find("phases");
   ASSERT_NE(phases, nullptr);
   ASSERT_EQ(phases->size(), 2U);
-  EXPECT_DOUBLE_EQ(phases->at(1).num_or("x", 0.0), 2.0);
+  EXPECT_DOUBLE_EQ(phases->at(1).find("x")->as_number(), 2.0);
   EXPECT_EQ(v.find("missing"), nullptr);
-  EXPECT_DOUBLE_EQ(v.num_or("missing", -1.0), -1.0);
   EXPECT_TRUE(v.find("none")->is_null());
 }
 

@@ -83,11 +83,11 @@ TEST(ProfileIntegration, StatsJsonEmbedsVersionedProfileThatRoundTrips) {
 
   const json::Value doc = json::Value::parse(os.str());
   ASSERT_TRUE(doc.is_object());
-  EXPECT_DOUBLE_EQ(doc.num_or("schema_version", 0.0),
+  EXPECT_DOUBLE_EQ(doc.find("schema_version")->as_number(),
                    kStatsJsonSchemaVersion);
   const json::Value* prof = doc.find("profile");
   ASSERT_NE(prof, nullptr);
-  EXPECT_DOUBLE_EQ(prof->num_or("version", 0.0),
+  EXPECT_DOUBLE_EQ(prof->find("version")->as_number(),
                    trace::kProfileSchemaVersion);
 
   const json::Value* phases = prof->find("phases");
@@ -95,10 +95,10 @@ TEST(ProfileIntegration, StatsJsonEmbedsVersionedProfileThatRoundTrips) {
   ASSERT_EQ(phases->size(), rs.profile->phases.size());
   double span_sum = 0.0;
   for (const json::Value& p : phases->items()) {
-    span_sum += p.num_or("cycles", 0.0);
+    span_sum += p.find("cycles")->as_number();
     const json::Value* busy = p.find("busy");
     ASSERT_NE(busy, nullptr);
-    EXPECT_GT(busy->num_or("mem", 0.0), 0.0);
+    EXPECT_GT(busy->find("mem")->as_number(), 0.0);
     ASSERT_NE(p.find("flame"), nullptr);
     ASSERT_NE(p.find("units"), nullptr);
   }
@@ -109,7 +109,7 @@ TEST(ProfileIntegration, StatsJsonEmbedsVersionedProfileThatRoundTrips) {
   std::ostringstream os2;
   write_run_stats_json(os2, plain);
   const json::Value doc2 = json::Value::parse(os2.str());
-  EXPECT_DOUBLE_EQ(doc2.num_or("schema_version", 0.0),
+  EXPECT_DOUBLE_EQ(doc2.find("schema_version")->as_number(),
                    kStatsJsonSchemaVersion);
   EXPECT_EQ(doc2.find("profile"), nullptr);
 }
@@ -142,15 +142,15 @@ TEST(ProfileIntegration, FrfcfsRunEmitsSchemaV3MemFields) {
   std::ostringstream os;
   write_run_stats_json(os, rs);
   const json::Value doc = json::Value::parse(os.str());
-  EXPECT_GE(doc.num_or("schema_version", 0.0), 3.0);
+  EXPECT_GE(doc.find("schema_version")->as_number(), 3.0);
   EXPECT_EQ(doc.find("mem_scheduler")->as_string(), "frfcfs");
-  EXPECT_GT(doc.num_or("mem_row_hit_rate", 0.0), 0.0);
-  EXPECT_GT(doc.num_or("mem_queue_occupancy", 0.0), 0.0);
+  EXPECT_GT(doc.find("mem_row_hit_rate")->as_number(), 0.0);
+  EXPECT_GT(doc.find("mem_queue_occupancy")->as_number(), 0.0);
   const json::Value* banks = doc.find("mem_banks");
   ASSERT_NE(banks, nullptr);
   ASSERT_EQ(banks->size(), rs.mem_banks.size());
   for (const json::Value& b : banks->items()) {
-    EXPECT_GE(b.num_or("busy_frac", -1.0), 0.0);
+    EXPECT_GE(b.find("busy_frac")->as_number(), 0.0);
   }
 
   // The default in-order scheduler reports its name and an empty bank

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 #include <sstream>
 
 #include "accel/compiler.hpp"
@@ -173,11 +174,11 @@ TEST(Session, RunStatsCarryProgramHashAndCacheSource) {
   std::ostringstream os;
   write_run_stats_json(os, warm);
   const json::Value doc = json::Value::parse(os.str());
-  EXPECT_EQ(doc.str_or("program_cache", ""), "hit");
+  EXPECT_EQ(doc.find("program_cache")->as_string(), "hit");
   char hash_buf[32];
   std::snprintf(hash_buf, sizeof hash_buf, "%016llx",
                 static_cast<unsigned long long>(warm.program_hash));
-  EXPECT_EQ(doc.str_or("program_hash", ""), hash_buf);
+  EXPECT_EQ(doc.find("program_hash")->as_string(), hash_buf);
 }
 
 TEST(Session, FileLoadedProgramDedupesAgainstLaterCompile) {
@@ -241,15 +242,15 @@ TEST(Session, BatchManifestRepeatingBenchmarkReportsCacheInStatsJson) {
   const json::Value& first = doc.items()[0];
   const json::Value& second = doc.items()[1];
   const json::Value& third = doc.items()[2];
-  EXPECT_EQ(first.str_or("program_cache", ""), "miss");
-  EXPECT_EQ(second.str_or("program_cache", ""), "hit");
+  EXPECT_EQ(first.find("program_cache")->as_string(), "miss");
+  EXPECT_EQ(second.find("program_cache")->as_string(), "hit");
   // Seed 99 regenerates Cora with a different topology, so its program is
   // a genuinely new entry, not a dedupe of the seed-2020 program.
-  EXPECT_EQ(third.str_or("program_cache", ""), "miss");
-  EXPECT_EQ(first.str_or("program_hash", "a"),
-            second.str_or("program_hash", "b"));
-  EXPECT_NE(first.str_or("program_hash", ""),
-            third.str_or("program_hash", ""));
+  EXPECT_EQ(third.find("program_cache")->as_string(), "miss");
+  EXPECT_EQ(first.find("program_hash")->as_string(),
+            second.find("program_hash")->as_string());
+  EXPECT_NE(first.find("program_hash")->as_string(),
+            third.find("program_hash")->as_string());
 
   const auto cc = session.cache_counters();
   EXPECT_EQ(cc.program_hits, 1U);
@@ -270,6 +271,80 @@ TEST(Session, ProgramWithoutDatasetIsRejected) {
   RunRequest bad;
   bad.program = r.program;  // no dataset attached
   EXPECT_THROW((void)session.resolve(bad), std::invalid_argument);
+}
+
+TEST(Session, ProfileGuidedWithoutAttributionFromIsRejected) {
+  Session session;
+  RunRequest req;
+  req.benchmark = gnn::Benchmark::kGatCora;
+  req.partition = graph::PartitionPolicy::kProfileGuided;
+  EXPECT_THROW((void)session.run(req), std::invalid_argument);
+}
+
+TEST(Session, ProfileGuidedRejectsVerticesPastTheRun) {
+  // GAT/Cora has 2708 vertices; a profile of a larger graph names more.
+  const std::string path = ::testing::TempDir() + "past_the_run.json";
+  {
+    std::ofstream out(path);
+    out << R"({"attribution": {"tiles": [], "vertices": [)"
+           R"({"vertex": 2707, "busy": 3}, {"vertex": 2708, "busy": 5}]}})";
+  }
+  Session session;
+  RunRequest req;
+  req.benchmark = gnn::Benchmark::kGatCora;
+  req.partition = graph::PartitionPolicy::kProfileGuided;
+  req.attribution_from = path;
+  try {
+    (void)session.run(req);
+    ADD_FAILURE() << "expected invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "profiled vertex 2708 is past the run's 2708 vertices");
+  }
+  std::remove(path.c_str());
+}
+
+TEST(Session, FileProfileGuidedEqualsInProcessProfileGuided) {
+  // Run 1 measures every vertex; run 2 reads that measurement back from
+  // its stats JSON, run 3 takes it from run 1's in-memory report.
+  Session session;
+  RunRequest measure;
+  measure.benchmark = gnn::Benchmark::kGatCora;
+  measure.config = accel::AcceleratorConfig::gpu_iso_bw();
+  measure.trace.attribution = true;
+  measure.trace.attribution_top_k = 4096;
+  const accel::RunStats run1 = session.run(measure);
+  const std::string path = ::testing::TempDir() + "profile_run1.json";
+  {
+    std::ofstream out(path);
+    write_run_stats_json(out, run1);
+  }
+
+  RunRequest guided;
+  guided.benchmark = measure.benchmark;
+  guided.config = measure.config;
+  guided.partition = graph::PartitionPolicy::kProfileGuided;
+  guided.attribution_from = path;
+  accel::RunStats from_file = session.run(guided);
+  std::remove(path.c_str());
+
+  const Session::Resolved r = session.resolve(guided);
+  accel::AcceleratorSim sim(guided.config, guided.partition);
+  sim.set_profile_loads(
+      run1.attribution->vertex_busy(r.program->total_vertices()));
+  accel::RunStats in_process = sim.run(*r.program, *r.dataset);
+
+  // Only the session's provenance differs: the program hash and cache
+  // source, and the benchmark name it gives the run.
+  from_file.program_hash = 0;
+  from_file.program_cache.clear();
+  in_process.program_name = from_file.program_name;
+  std::ostringstream a;
+  std::ostringstream b;
+  write_run_stats_json(a, from_file);
+  write_run_stats_json(b, in_process);
+  EXPECT_EQ(a.str(), b.str());
+  EXPECT_NE(from_file.cycles, run1.cycles);  // the profile moved work
 }
 
 }  // namespace

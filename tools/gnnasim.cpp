@@ -448,9 +448,10 @@ int main(int argc, char** argv) {
   accel::RunStats rs;
   try {
     rs = session.run(req);
-  } catch (const std::runtime_error& e) {
+  } catch (const std::exception& e) {
     // Watchdog diagnostics land here; the report is in the message (and in
-    // --deadlock-report's file if given).
+    // --deadlock-report's file if given). So does a request Session::run
+    // rejects, e.g. profile-guided partitioning without a profile.
     std::cerr << "error: " << e.what() << '\n';
     return 1;
   }

@@ -27,12 +27,12 @@
 #include <map>
 #include <optional>
 #include <string>
-#include <type_traits>
 #include <vector>
 
+#include "accel/analysis.hpp"
 #include "common/table.hpp"
-#include "sim/json.hpp"
 #include "sim/options.hpp"
+#include "sim/stats_json.hpp"
 #include "trace/attribution.hpp"
 #include "trace/profiler.hpp"
 #include "trace/trace.hpp"
@@ -41,13 +41,11 @@ namespace {
 
 using gnna::Table;
 using gnna::format_double;
-using gnna::sim::json::Value;
+using gnna::accel::RunStats;
 using gnna::trace::AttributionReport;
 using gnna::trace::Category;
 using gnna::trace::FlameNode;
 using gnna::trace::kNumCategories;
-using gnna::trace::PhaseProfile;
-using gnna::trace::ProfileReport;
 
 void usage(std::ostream& os) {
   os << "usage: gnnatrace report <run.json> [--run N] [--top N]"
@@ -82,205 +80,33 @@ void usage(std::ostream& os) {
         "                  them by more than PCT percent (model too loose)\n";
 }
 
-/// One phase of the decoded "static_model" block (schema v6; see
-/// accel/analysis.hpp for the model itself).
-struct StaticModelPhase {
-  std::string name;
-  double bound = 0.0;
-  double compute = 0.0;
-  double memory = 0.0;
-  double noc = 0.0;
-  std::string bottleneck;
-  double imbalance = 0.0;
-};
-
-struct StaticModel {
-  double bound_cycles = 0.0;
-  std::vector<StaticModelPhase> phases;
-};
-
-/// One loaded run: the raw JSON object plus the decoded profile (empty
-/// when the run was produced without --profile).
-struct LoadedRun {
-  std::string path;
-  std::string program;
-  std::string config;
-  double cycles = 0.0;
-  ProfileReport profile;
-  bool has_profile = false;
-  /// Decoded "attribution" block (empty when the run was produced without
-  /// --attribution).
-  AttributionReport attr;
-  bool has_attr = false;
-  /// Decoded "static_model" block (absent before schema v6).
-  StaticModel model;
-  bool has_model = false;
-  /// Fallback phase spans from the plain "phases" array (always present).
-  std::vector<std::pair<std::string, double>> phase_cycles;
-};
-
-PhaseProfile decode_phase(const Value& p) {
-  PhaseProfile ph;
-  ph.name = p.str_or("name", "?");
-  ph.start = p.num_or("start", 0.0);
-  ph.end = ph.start + p.num_or("cycles", 0.0);
-  ph.tasks = static_cast<std::uint64_t>(p.num_or("tasks", 0.0));
-  ph.alloc_stalls = static_cast<std::uint64_t>(p.num_or("alloc_stalls", 0.0));
-  const auto per_category = [](const Value* obj, auto& dst) {
-    if (obj == nullptr || !obj->is_object()) return;
-    for (const auto& [key, v] : obj->members()) {
-      const std::size_t c = gnna::trace::category_by_name(key.c_str());
-      if (c < kNumCategories && v.is_number()) {
-        dst[c] = static_cast<std::remove_reference_t<decltype(dst[c])>>(
-            v.as_number());
-      }
-    }
-  };
-  per_category(p.find("busy"), ph.busy);
-  per_category(p.find("completes"), ph.completes);
-  per_category(p.find("instants"), ph.instants);
-  if (const Value* units = p.find("units"); units != nullptr) {
-    for (const Value& u : units->items()) {
-      const std::size_t c =
-          gnna::trace::category_by_name(u.str_or("cat", "").c_str());
-      if (c >= kNumCategories) continue;
-      ph.units.push_back(
-          {static_cast<Category>(c),
-           static_cast<std::uint32_t>(u.num_or("unit", 0.0)),
-           u.num_or("busy", 0.0),
-           static_cast<std::uint64_t>(u.num_or("completes", 0.0)),
-           static_cast<std::uint64_t>(u.num_or("instants", 0.0))});
-    }
+/// Run `run_index` of the stats JSON at `path` (a single run object is a
+/// batch of one).
+RunStats select_run(const std::string& path, std::size_t run_index) {
+  std::vector<gnna::sim::RunResult> runs = gnna::sim::read_stats_json(path);
+  if (run_index >= runs.size()) {
+    throw std::runtime_error(path + ": batch has " +
+                             std::to_string(runs.size()) + " runs, --run " +
+                             std::to_string(run_index) + " is out of range");
   }
-  if (const Value* flame = p.find("flame"); flame != nullptr) {
-    for (const Value& f : flame->items()) {
-      ph.flame.push_back({f.str_or("path", "?"),
-                          static_cast<std::uint64_t>(f.num_or("count", 0.0)),
-                          f.num_or("total", 0.0), f.num_or("max", 0.0),
-                          f.num_or("self", 0.0)});
-    }
+  if (!runs[run_index].ok()) {
+    throw std::runtime_error(path + ": run failed: " + runs[run_index].error);
   }
-  if (const Value* counters = p.find("counters"); counters != nullptr) {
-    for (const Value& c : counters->items()) {
-      const std::size_t cat =
-          gnna::trace::category_by_name(c.str_or("cat", "").c_str());
-      if (cat >= kNumCategories) continue;
-      ph.counters.push_back(
-          {static_cast<Category>(cat), c.str_or("name", "?"),
-           static_cast<std::uint64_t>(c.num_or("samples", 0.0)),
-           c.num_or("last", 0.0), c.num_or("max", 0.0),
-           c.num_or("mean", 0.0)});
-    }
-  }
-  return ph;
-}
-
-AttributionReport decode_attribution(const Value& a) {
-  AttributionReport ar;
-  ar.top_k = static_cast<std::size_t>(a.num_or("top_k", 0.0));
-  ar.span = a.num_or("span", 0.0);
-  ar.total_busy = a.num_or("total_busy", 0.0);
-  ar.unattributed_flits =
-      static_cast<std::uint64_t>(a.num_or("unattributed_flits", 0.0));
-  if (const Value* tiles = a.find("tiles"); tiles != nullptr) {
-    for (const Value& t : tiles->items()) {
-      gnna::trace::TileAttribution ta;
-      ta.busy = t.num_or("busy", 0.0);
-      ta.idle = t.num_or("idle", 0.0);
-      ta.agg_busy = t.num_or("agg_busy", 0.0);
-      ta.tasks = static_cast<std::uint64_t>(t.num_or("tasks", 0.0));
-      ta.flits = static_cast<std::uint64_t>(t.num_or("flits", 0.0));
-      ta.flit_hops = static_cast<std::uint64_t>(t.num_or("flit_hops", 0.0));
-      ta.bytes = static_cast<std::uint64_t>(t.num_or("bytes", 0.0));
-      ar.tiles.push_back(ta);
-    }
-  }
-  if (const Value* verts = a.find("vertices"); verts != nullptr) {
-    for (const Value& v : verts->items()) {
-      gnna::trace::VertexHotspot vh;
-      vh.vertex = static_cast<std::uint32_t>(v.num_or("vertex", 0.0));
-      vh.busy = v.num_or("busy", 0.0);
-      vh.agg_busy = v.num_or("agg_busy", 0.0);
-      vh.tasks = static_cast<std::uint64_t>(v.num_or("tasks", 0.0));
-      vh.flits = static_cast<std::uint64_t>(v.num_or("flits", 0.0));
-      vh.bytes = static_cast<std::uint64_t>(v.num_or("bytes", 0.0));
-      const Value* ap = v.find("approx");
-      vh.approx = ap != nullptr && ap->type() == Value::Type::kBool &&
-                  ap->as_bool();
-      ar.vertices.push_back(vh);
-    }
-  }
-  return ar;
-}
-
-LoadedRun load_run(const std::string& path, std::size_t run_index) {
-  LoadedRun run;
-  run.path = path;
-  Value doc = gnna::sim::json::parse_file(path);
-  const Value* obj = &doc;
-  if (doc.is_array()) {
-    if (run_index >= doc.size()) {
-      throw std::runtime_error(path + ": batch has " +
-                               std::to_string(doc.size()) +
-                               " runs, --run " + std::to_string(run_index) +
-                               " is out of range");
-    }
-    obj = &doc.at(run_index);
-  }
-  if (!obj->is_object()) throw std::runtime_error(path + ": not a run object");
-  if (const Value* err = obj->find("error"); err != nullptr) {
-    throw std::runtime_error(path + ": run failed: " +
-                             (err->is_string() ? err->as_string() : "?"));
-  }
-  run.program = obj->str_or("program", "?");
-  run.config = obj->str_or("config", "?");
-  run.cycles = obj->num_or("cycles", 0.0);
-  if (const Value* phases = obj->find("phases"); phases != nullptr) {
-    for (const Value& p : phases->items()) {
-      run.phase_cycles.emplace_back(p.str_or("name", "?"),
-                                    p.num_or("cycles", 0.0));
-    }
-  }
-  if (const Value* prof = obj->find("profile"); prof != nullptr) {
-    if (const Value* phases = prof->find("phases"); phases != nullptr) {
-      for (const Value& p : phases->items()) {
-        run.profile.phases.push_back(decode_phase(p));
-      }
-      run.has_profile = true;
-    }
-  }
-  if (const Value* attr = obj->find("attribution"); attr != nullptr) {
-    run.attr = decode_attribution(*attr);
-    run.has_attr = true;
-  }
-  if (const Value* sm = obj->find("static_model"); sm != nullptr) {
-    run.model.bound_cycles = sm->num_or("bound_cycles", 0.0);
-    if (const Value* phases = sm->find("phases"); phases != nullptr) {
-      for (const Value& p : phases->items()) {
-        StaticModelPhase mp;
-        mp.name = p.str_or("name", "?");
-        mp.bound = p.num_or("bound_cycles", 0.0);
-        mp.compute = p.num_or("compute_cycles", 0.0);
-        mp.memory = p.num_or("memory_cycles", 0.0);
-        mp.noc = p.num_or("noc_cycles", 0.0);
-        mp.bottleneck = p.str_or("bottleneck", "?");
-        mp.imbalance = p.num_or("imbalance", 0.0);
-        run.model.phases.push_back(std::move(mp));
-      }
-    }
-    run.has_model = true;
-  }
-  return run;
+  return std::move(runs[run_index].stats);
 }
 
 /// Phase spans to diff: the profile's when present (includes "(outside)"
 /// and marker-derived spans), else the plain per-phase stats.
 std::vector<std::pair<std::string, double>> diffable_phases(
-    const LoadedRun& run) {
-  if (!run.has_profile) return run.phase_cycles;
+    const RunStats& run) {
   std::vector<std::pair<std::string, double>> out;
-  out.reserve(run.profile.phases.size());
-  for (const auto& ph : run.profile.phases) {
+  if (!run.profile) {
+    for (const auto& ph : run.phases) {
+      out.emplace_back(ph.name, static_cast<double>(ph.cycles));
+    }
+    return out;
+  }
+  for (const auto& ph : run.profile->phases) {
     out.emplace_back(ph.name, ph.cycles());
   }
   return out;
@@ -301,13 +127,13 @@ std::string pct_cell(double a, double b) {
 /// Collapsed-stack emission: one `a;b;c N` line per merged flame path,
 /// weighted by self cycles (the standard flamegraph.pl input, where the
 /// tools re-derive inclusive totals by summing descendants).
-int cmd_report_collapsed(const LoadedRun& run) {
-  if (!run.has_profile) {
-    std::cerr << "error: " << run.path << " has no embedded profile "
+int cmd_report_collapsed(const std::string& path, const RunStats& run) {
+  if (!run.profile) {
+    std::cerr << "error: " << path << " has no embedded profile "
                  "(rerun gnnasim with --profile)\n";
     return 2;
   }
-  for (const FlameNode& f : run.profile.merged_flame()) {
+  for (const FlameNode& f : run.profile->merged_flame()) {
     std::string path = f.path;
     for (char& c : path) {
       if (c == '/') c = ';';
@@ -323,47 +149,48 @@ int cmd_report_collapsed(const LoadedRun& run) {
 /// Returns the gate result when `tolerance` is set: 1 if the bound exceeds
 /// the measurement (model unsound) or undershoots it by more than
 /// `tolerance` percent (model too loose), else 0.
-int print_static_model(const LoadedRun& run, std::optional<double> tolerance) {
-  const StaticModel& sm = run.model;
+int print_static_model(const RunStats& run, std::optional<double> tolerance) {
+  const gnna::accel::ProgramAnalysis& sm = *run.static_model;
+  const double cycles = static_cast<double>(run.cycles);
   std::cout << "\nstatic model (analytic lower bound, accel/analysis.hpp):\n";
   std::map<std::string, std::vector<double>> measured_by_name;
-  for (const auto& [name, cycles] : run.phase_cycles) {
-    measured_by_name[name].push_back(cycles);
+  for (const auto& ph : run.phases) {
+    measured_by_name[ph.name].push_back(static_cast<double>(ph.cycles));
   }
   std::map<std::string, std::size_t> seen;
   Table t({"Phase", "Bound", "Measured", "Bound %", "Bottleneck",
            "Imbalance"});
-  for (const StaticModelPhase& mp : sm.phases) {
+  for (const gnna::accel::PhaseModel& mp : sm.phases) {
     const std::size_t occurrence = seen[mp.name]++;
     const auto it = measured_by_name.find(mp.name);
     const double measured = (it != measured_by_name.end() &&
                              occurrence < it->second.size())
                                 ? it->second[occurrence]
                                 : 0.0;
-    t.add_row({mp.name, format_double(mp.bound, 0),
+    t.add_row({mp.name, format_double(mp.bound_cycles, 0),
                measured > 0.0 ? format_double(measured, 0) : "-",
                measured > 0.0
-                   ? format_double(mp.bound / measured * 100.0, 1) + "%"
+                   ? format_double(mp.bound_cycles / measured * 100.0, 1) + "%"
                    : "-",
                mp.bottleneck,
                mp.imbalance > 0.0 ? format_double(mp.imbalance, 3) : "-"});
   }
   const double ratio =
-      run.cycles > 0.0 ? sm.bound_cycles / run.cycles * 100.0 : 0.0;
+      cycles > 0.0 ? sm.bound_cycles / cycles * 100.0 : 0.0;
   t.add_row({"total", format_double(sm.bound_cycles, 0),
-             format_double(run.cycles, 0), format_double(ratio, 1) + "%",
+             format_double(cycles, 0), format_double(ratio, 1) + "%",
              "", ""});
   t.print(std::cout);
 
   if (!tolerance) return 0;
-  if (sm.bound_cycles > run.cycles) {
+  if (sm.bound_cycles > cycles) {
     std::cout << "\nMODEL UNSOUND: static lower bound "
               << format_double(sm.bound_cycles, 0)
-              << " exceeds measured cycles " << format_double(run.cycles, 0)
+              << " exceeds measured cycles " << format_double(cycles, 0)
               << "\n";
     return 1;
   }
-  const double floor = (1.0 - *tolerance / 100.0) * run.cycles;
+  const double floor = (1.0 - *tolerance / 100.0) * cycles;
   if (sm.bound_cycles < floor) {
     std::cout << "\nMODEL TOO LOOSE: static lower bound "
               << format_double(sm.bound_cycles, 0) << " is "
@@ -378,30 +205,28 @@ int print_static_model(const LoadedRun& run, std::optional<double> tolerance) {
   return 0;
 }
 
-int cmd_report(const LoadedRun& run, std::size_t top_n,
-               std::optional<double> model_tolerance) {
-  std::cout << "run: " << run.program << " on " << run.config << " ("
-            << format_double(run.cycles, 0) << " cycles)\n";
-  if (model_tolerance && !run.has_model) {
-    std::cerr << "error: " << run.path << " has no static_model block "
+int cmd_report(const std::string& path, const RunStats& run,
+               std::size_t top_n, std::optional<double> model_tolerance) {
+  std::cout << "run: " << run.program_name << " on " << run.config_name
+            << " (" << run.cycles << " cycles)\n";
+  if (model_tolerance && !run.static_model) {
+    std::cerr << "error: " << path << " has no static_model block "
                  "(rerun gnnasim with schema v6 or newer)\n";
     return 2;
   }
-  int rc = 0;
-  if (!run.has_profile) {
+  if (!run.profile) {
     std::cout << "no embedded profile (rerun gnnasim with --profile); "
                  "showing phase totals only\n\n";
     Table t({"Phase", "Cycles"});
-    for (const auto& [name, cycles] : run.phase_cycles) {
-      t.add_row({name, format_double(cycles, 0)});
+    for (const auto& ph : run.phases) {
+      t.add_row({ph.name, std::to_string(ph.cycles)});
     }
     t.print(std::cout);
   } else {
     std::cout << '\n';
-    gnna::trace::print_profile(std::cout, run.profile, top_n);
+    gnna::trace::print_profile(std::cout, *run.profile, top_n);
   }
-  if (run.has_model) rc = print_static_model(run, model_tolerance);
-  return rc;
+  return run.static_model ? print_static_model(run, model_tolerance) : 0;
 }
 
 /// ASCII heat bar: `value / max` of the bar filled with '#'.
@@ -416,13 +241,14 @@ std::string heat_bar(double value, double max, std::size_t width = 20) {
   return std::string(fill, '#') + std::string(width - fill, '.');
 }
 
-int cmd_hotspots(const LoadedRun& run, std::size_t top_n, bool csv) {
-  if (!run.has_attr) {
-    std::cerr << "error: " << run.path << " has no attribution block "
+int cmd_hotspots(const std::string& path, const RunStats& run,
+                 std::size_t top_n, bool csv) {
+  if (!run.attribution) {
+    std::cerr << "error: " << path << " has no attribution block "
                  "(rerun gnnasim with --attribution)\n";
     return 2;
   }
-  const AttributionReport& ar = run.attr;
+  const AttributionReport& ar = *run.attribution;
   if (csv) {
     // One flat table; the first column tells tile rows from vertex rows.
     std::cout << "kind,id,busy,idle,agg_busy,tasks,flits,flit_hops,bytes,"
@@ -445,8 +271,8 @@ int cmd_hotspots(const LoadedRun& run, std::size_t top_n, bool csv) {
     return 0;
   }
 
-  std::cout << "run: " << run.program << " on " << run.config << " ("
-            << format_double(run.cycles, 0) << " cycles)\n"
+  std::cout << "run: " << run.program_name << " on " << run.config_name
+            << " (" << run.cycles << " cycles)\n"
             << "attribution: span " << format_double(ar.span, 0)
             << " cycles, GPE busy " << format_double(ar.total_busy, 0)
             << ", busy max/mean " << format_double(ar.busy_max_mean(), 3)
@@ -490,13 +316,16 @@ int cmd_hotspots(const LoadedRun& run, std::size_t top_n, bool csv) {
   return 0;
 }
 
-int cmd_diff(const LoadedRun& a, const LoadedRun& b,
+int cmd_diff(const std::string& path_a, const RunStats& a,
+             const std::string& path_b, const RunStats& b,
              std::optional<double> threshold,
              std::optional<double> imbalance_threshold) {
-  std::cout << "A: " << a.path << " (" << a.program << " on " << a.config
-            << ", " << format_double(a.cycles, 0) << " cycles)\n"
-            << "B: " << b.path << " (" << b.program << " on " << b.config
-            << ", " << format_double(b.cycles, 0) << " cycles)\n\n";
+  std::cout << "A: " << path_a << " (" << a.program_name << " on "
+            << a.config_name << ", " << a.cycles << " cycles)\n"
+            << "B: " << path_b << " (" << b.program_name << " on "
+            << b.config_name << ", " << b.cycles << " cycles)\n\n";
+  const auto cycles_a = static_cast<double>(a.cycles);
+  const auto cycles_b = static_cast<double>(b.cycles);
 
   // Per-phase cycle deltas, matched by (name, occurrence) so repeated
   // phase names (one per layer) line up positionally.
@@ -529,21 +358,21 @@ int cmd_diff(const LoadedRun& a, const LoadedRun& b,
       ++one_sided;
     }
   }
-  phases.add_row({"total", format_double(a.cycles, 0),
-                  format_double(b.cycles, 0), delta_cell(a.cycles, b.cycles),
-                  pct_cell(a.cycles, b.cycles)});
+  phases.add_row({"total", std::to_string(a.cycles),
+                  std::to_string(b.cycles), delta_cell(cycles_a, cycles_b),
+                  pct_cell(cycles_a, cycles_b)});
   phases.print(std::cout);
 
   // Per-unit-category busy deltas (whole-run sums), when both runs carry
   // a profile.
-  if (a.has_profile && b.has_profile) {
+  if (a.profile && b.profile) {
     std::cout << "\nPer-unit busy cycles (duration-event sums; gpe/noc "
                  "overlap across units):\n";
     Table units({"Unit", "A busy", "B busy", "Delta", "Delta %"});
     for (std::size_t c = 0; c < kNumCategories; ++c) {
       const auto cat = static_cast<Category>(c);
-      const double ba = a.profile.busy_total(cat);
-      const double bb = b.profile.busy_total(cat);
+      const double ba = a.profile->busy_total(cat);
+      const double bb = b.profile->busy_total(cat);
       if (ba == 0.0 && bb == 0.0) continue;
       units.add_row({gnna::trace::category_name(cat), format_double(ba, 0),
                      format_double(bb, 0), delta_cell(ba, bb),
@@ -553,38 +382,38 @@ int cmd_diff(const LoadedRun& a, const LoadedRun& b,
   }
 
   // Per-tile busy-imbalance comparison, when both runs carry attribution.
-  const bool both_attr = a.has_attr && b.has_attr;
+  const bool both_attr = a.attribution && b.attribution;
   double imb_a = 0.0, imb_b = 0.0;
   if (both_attr) {
-    imb_a = a.attr.busy_max_mean();
-    imb_b = b.attr.busy_max_mean();
+    imb_a = a.attribution->busy_max_mean();
+    imb_b = b.attribution->busy_max_mean();
     std::cout << "\nPer-tile imbalance (attribution):\n";
     Table imb({"Metric", "A", "B", "Delta %"});
     imb.add_row({"busy max/mean", format_double(imb_a, 3),
                  format_double(imb_b, 3), pct_cell(imb_a, imb_b)});
-    imb.add_row({"flit gini", format_double(a.attr.flit_gini(), 3),
-                 format_double(b.attr.flit_gini(), 3),
-                 pct_cell(a.attr.flit_gini(), b.attr.flit_gini())});
+    const double gini_a = a.attribution->flit_gini();
+    const double gini_b = b.attribution->flit_gini();
+    imb.add_row({"flit gini", format_double(gini_a, 3),
+                 format_double(gini_b, 3), pct_cell(gini_a, gini_b)});
     imb.print(std::cout);
   }
 
   // Prediction vs measurement, for each run that carries a static model:
   // how tight the analytic lower bound is on each side of the A/B pair.
-  if (a.has_model || b.has_model) {
+  if (a.static_model || b.static_model) {
     std::cout << "\nStatic model (analytic lower bound vs measured):\n";
     Table model({"Run", "Bound", "Measured", "Bound %"});
-    const auto add = [&model](const char* label, const LoadedRun& r) {
-      if (!r.has_model) {
-        model.add_row({label, "-", format_double(r.cycles, 0), "-"});
+    const auto add = [&model](const char* label, const RunStats& r) {
+      if (!r.static_model) {
+        model.add_row({label, "-", std::to_string(r.cycles), "-"});
         return;
       }
-      model.add_row(
-          {label, format_double(r.model.bound_cycles, 0),
-           format_double(r.cycles, 0),
-           r.cycles > 0.0
-               ? format_double(r.model.bound_cycles / r.cycles * 100.0, 1) +
-                     "%"
-               : "-"});
+      const double bound = r.static_model->bound_cycles;
+      const auto cycles = static_cast<double>(r.cycles);
+      model.add_row({label, format_double(bound, 0), std::to_string(r.cycles),
+                     cycles > 0.0
+                         ? format_double(bound / cycles * 100.0, 1) + "%"
+                         : "-"});
     };
     add("A", a);
     add("B", b);
@@ -592,7 +421,7 @@ int cmd_diff(const LoadedRun& a, const LoadedRun& b,
   }
 
   const double pct =
-      a.cycles != 0.0 ? (b.cycles - a.cycles) / a.cycles * 100.0 : 0.0;
+      cycles_a != 0.0 ? (cycles_b - cycles_a) / cycles_a * 100.0 : 0.0;
   if (imbalance_threshold) {
     if (!both_attr) {
       std::cerr << "error: --imbalance-threshold needs an attribution block "
@@ -701,25 +530,27 @@ int main(int argc, char** argv) {
         std::cerr << "error: report needs exactly one input file\n";
         return 2;
       }
-      const LoadedRun run = load_run(positional[1], run_index);
-      return collapsed ? cmd_report_collapsed(run)
-                       : cmd_report(run, top_n, model_tolerance);
+      const std::string& path = positional[1];
+      const RunStats run = select_run(path, run_index);
+      return collapsed ? cmd_report_collapsed(path, run)
+                       : cmd_report(path, run, top_n, model_tolerance);
     }
     if (cmd == "hotspots") {
       if (positional.size() != 2) {
         std::cerr << "error: hotspots needs exactly one input file\n";
         return 2;
       }
-      return cmd_hotspots(load_run(positional[1], run_index), top_n, csv);
+      return cmd_hotspots(positional[1], select_run(positional[1], run_index),
+                          top_n, csv);
     }
     if (cmd == "diff") {
       if (positional.size() != 3) {
         std::cerr << "error: diff needs exactly two input files\n";
         return 2;
       }
-      return cmd_diff(load_run(positional[1], run_index),
-                      load_run(positional[2], run_index), threshold,
-                      imbalance_threshold);
+      return cmd_diff(positional[1], select_run(positional[1], run_index),
+                      positional[2], select_run(positional[2], run_index),
+                      threshold, imbalance_threshold);
     }
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
