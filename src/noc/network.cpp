@@ -1,6 +1,8 @@
 #include "noc/network.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cassert>
 #include <cstdlib>
 #include <stdexcept>
@@ -42,17 +44,15 @@ namespace {
 
 }  // namespace
 
-Router::Router(std::uint32_t x, std::uint32_t y, std::uint32_t num_local_ports,
-               const NocParams& params)
-    : x_(x), y_(y), num_local_(num_local_ports), params_(params) {
+Router::Router(std::uint32_t x, std::uint32_t y, std::uint32_t num_local_ports)
+    : x_(x), y_(y), num_local_(num_local_ports) {
   buffers_.resize(num_ports());
   outputs_.resize(num_ports());
-  input_moved_.resize(num_ports(), 0);
 }
 
 MeshNetwork::MeshNetwork(std::uint32_t width, std::uint32_t height,
-                         NocParams params)
-    : width_(width), height_(height), params_(params) {
+                         NocParams /*params*/)
+    : width_(width), height_(height) {
   if (width == 0 || height == 0) {
     throw std::invalid_argument("MeshNetwork: empty mesh");
   }
@@ -66,6 +66,10 @@ EndpointId MeshNetwork::add_endpoint(std::uint32_t x, std::uint32_t y) {
   }
   if (x >= width_ || y >= height_) {
     throw std::out_of_range("MeshNetwork: endpoint off the mesh");
+  }
+  if (kFirstLocalPort + local_ports_per_router_[router_index(x, y)] ==
+      kMaxPorts) {
+    throw std::length_error("MeshNetwork: router has no free local port");
   }
   EndpointState ep;
   ep.x = x;
@@ -82,20 +86,28 @@ void MeshNetwork::finalize() {
   routers_.reserve(local_ports_per_router_.size());
   for (std::uint32_t y = 0; y < height_; ++y) {
     for (std::uint32_t x = 0; x < width_; ++x) {
-      routers_.emplace_back(x, y, local_ports_per_router_[router_index(x, y)],
-                            params_);
+      routers_.emplace_back(x, y, local_ports_per_router_[router_index(x, y)]);
     }
   }
   // Mesh link credits: each output that has a neighbor starts with the
   // neighbor's full input buffer.
+  constexpr std::uint32_t kCredits = NocParams::input_buffer_flits;
   for (auto& r : routers_) {
-    if (r.y() + 1 < height_) r.outputs_[kPortNorth].credits = params_.input_buffer_flits;
-    if (r.y() > 0) r.outputs_[kPortSouth].credits = params_.input_buffer_flits;
-    if (r.x() + 1 < width_) r.outputs_[kPortEast].credits = params_.input_buffer_flits;
-    if (r.x() > 0) r.outputs_[kPortWest].credits = params_.input_buffer_flits;
+    if (r.y() + 1 < height_) r.outputs_[kPortNorth].credits = kCredits;
+    if (r.y() > 0) r.outputs_[kPortSouth].credits = kCredits;
+    if (r.x() + 1 < width_) r.outputs_[kPortEast].credits = kCredits;
+    if (r.x() > 0) r.outputs_[kPortWest].credits = kCredits;
   }
-  for (auto& ep : endpoints_) {
-    ep.injection_credits = params_.input_buffer_flits;
+  for (auto& ep : endpoints_) ep.injection_credits = kCredits;
+  injecting_.assign((endpoints_.size() + 63) / 64, 0);
+  // Routing table: dimension-order routes are fixed by the topology, so
+  // each (router, destination) pair is routed once, here.
+  port_of_.resize(routers_.size() * endpoints_.size());
+  for (std::uint32_t ri = 0; ri < routers_.size(); ++ri) {
+    for (EndpointId d = 0; d < endpoints_.size(); ++d) {
+      port_of_[ri * endpoints_.size() + d] =
+          static_cast<std::uint8_t>(route(routers_[ri], d));
+    }
   }
   // Credit-return map: local input port -> owning endpoint, so the hot
   // path needs no O(endpoints) scan.
@@ -129,6 +141,7 @@ void MeshNetwork::send(Message msg) {
     f.tail = (i == flits - 1);
     src.injection.push_back(f);
   }
+  injecting_[msg.src / 64] |= std::uint64_t{1} << (msg.src % 64);
   inflight_.emplace(msg.seq, msg);
   stats_.packets_sent.add();
   if (tracer_.enabled()) {
@@ -152,21 +165,19 @@ std::uint32_t MeshNetwork::route(const Router& r, EndpointId dst) const {
 }
 
 void MeshNetwork::apply_credits() {
-  while (!credits_.empty() && credits_.front().ready_at <= now_) {
-    const CreditReturn& cr = credits_.front();
+  for (const CreditReturn& cr : credits_due_) {
     if (cr.to_endpoint) {
       ++endpoints_[cr.endpoint].injection_credits;
     } else {
       ++routers_[cr.router].outputs_[cr.port].credits;
     }
-    credits_.pop_front();
   }
+  credits_due_.clear();
 }
 
 void MeshNetwork::return_credit_for_input(std::uint32_t router,
                                           std::uint32_t port) {
   CreditReturn cr;
-  cr.ready_at = now_ + 1;
   const Router& r = routers_[router];
   if (port >= kFirstLocalPort) {
     // Local input: credit goes back to the endpoint occupying that port
@@ -203,45 +214,45 @@ void MeshNetwork::return_credit_for_input(std::uint32_t router,
 }
 
 void MeshNetwork::phase_route() {
+  const std::size_t num_eps = endpoints_.size();
   for (std::uint32_t ri = 0; ri < routers_.size(); ++ri) {
     Router& r = routers_[ri];
-    if (r.buffered_flits_ == 0) continue;  // nothing to arbitrate
-    for (auto& out : r.outputs_) out.busy_this_cycle = false;
-    std::fill(r.input_moved_.begin(), r.input_moved_.end(),
-              static_cast<std::uint8_t>(0));
+    if (r.occupied_ == 0) continue;  // nothing to arbitrate
+    const std::uint8_t* port_of = &port_of_[ri * num_eps];
 
-    // Gather head-of-line requests: input -> desired output.
+    // Input-first requests from the start-of-cycle fronts: every non-empty
+    // input asks for exactly one output, so no input can win twice.
     const std::uint32_t ports = r.num_ports();
-    for (std::uint32_t o = 0; o < ports; ++o) {
+    std::array<std::uint32_t, kMaxPorts> requests;  // output -> inputs
+    std::fill_n(requests.begin(), ports, 0U);
+    std::uint32_t heads = 0;   // inputs whose front is a head flit
+    std::uint32_t wanted = 0;  // outputs with at least one request
+    for (std::uint32_t m = r.occupied_; m != 0; m &= m - 1) {
+      const auto i = static_cast<std::uint32_t>(std::countr_zero(m));
+      const Flit& f = r.buffers_[i].front();
+      const std::uint32_t o = port_of[f.dst];
+      requests[o] |= 1U << i;
+      wanted |= 1U << o;
+      if (f.head) heads |= 1U << i;
+    }
+
+    for (; wanted != 0; wanted &= wanted - 1) {
+      const auto o = static_cast<std::uint32_t>(std::countr_zero(wanted));
       Router::OutputState& out = r.outputs_[o];
-      if (out.busy_this_cycle) continue;
 
-      // Pick the winning input for output o. An input that already
-      // forwarded a flit this cycle is out of the running: each input
-      // port drives one crossbar connection per cycle.
-      int winner = -1;
+      // A locked output serves only its wormhole's input; an unlocked one
+      // grants the first head-flit requester at or after rr_next, wrapping.
+      std::uint32_t wi = 0;
       if (out.locked_input >= 0) {
-        const auto i = static_cast<std::uint32_t>(out.locked_input);
-        if (r.input_moved_[i] == 0 && !r.buffers_[i].empty() &&
-            route(r, r.buffers_[i].front().dst) == o) {
-          winner = out.locked_input;
-        }
+        wi = static_cast<std::uint32_t>(out.locked_input);
+        if ((requests[o] >> wi & 1U) == 0) continue;
       } else {
-        for (std::uint32_t step = 0; step < ports; ++step) {
-          const std::uint32_t i = (out.rr_next + step) % ports;
-          if (r.input_moved_[i] != 0) continue;
-          if (r.buffers_[i].empty()) continue;
-          const Flit& f = r.buffers_[i].front();
-          if (!f.head) continue;  // body flits only follow a lock
-          if (route(r, f.dst) != o) continue;
-          winner = static_cast<int>(i);
-          break;
-        }
+        const std::uint32_t candidates = requests[o] & heads;
+        if (candidates == 0) continue;  // body flits only follow a lock
+        const std::uint32_t from_rr = candidates & (~0U << out.rr_next);
+        wi = static_cast<std::uint32_t>(
+            std::countr_zero(from_rr != 0 ? from_rr : candidates));
       }
-      if (winner < 0) continue;
-
-      const auto wi = static_cast<std::uint32_t>(winner);
-      const Flit f = r.buffers_[wi].front();
 
       const bool is_mesh_out = o < kFirstLocalPort;
       if (is_mesh_out) {
@@ -252,17 +263,16 @@ void MeshNetwork::phase_route() {
       // Commit the move. The round-robin pointer advances only here — a
       // grant that stalled on credits keeps its priority next cycle
       // instead of silently rotating past a starved input.
-      r.buffers_[wi].pop_front();
-      --r.buffered_flits_;
-      out.busy_this_cycle = true;
-      r.input_moved_[wi] = 1;
+      Router::InputBuffer& in = r.buffers_[wi];
+      const Flit f = in.front();
+      in.pop();
+      if (in.size == 0) r.occupied_ &= ~(1U << wi);
       if (out.locked_input < 0) out.rr_next = (wi + 1) % ports;
-      if (f.head) out.locked_input = winner;
+      if (f.head) out.locked_input = static_cast<int>(wi);
       if (f.tail) out.locked_input = -1;
       return_credit_for_input(ri, wi);
 
       LinkEntry le;
-      le.ready_at = now_ + params_.link_delay;
       le.flit = f;
       if (is_mesh_out) {
         std::uint32_t nx = r.x();
@@ -291,17 +301,14 @@ void MeshNetwork::phase_route() {
         le.endpoint = f.dst;
       }
       links_.push_back(le);
-      out.busy.tick(true);
     }
   }
 }
 
 void MeshNetwork::phase_arrive() {
-  // links_ is sorted by ready_at because link_delay is constant.
-  std::size_t n = links_.size();
-  while (n-- > 0 && !links_.empty() && links_.front().ready_at <= now_) {
-    const LinkEntry le = links_.front();
-    links_.pop_front();
+  // Push order (routers ascending, outputs ascending, then injections) is
+  // arrival order, so endpoint deliveries and trace events keep it.
+  for (const LinkEntry& le : links_due_) {
     if (le.to_endpoint) {
       EndpointState& ep = endpoints_[le.endpoint];
       ++ep.assembling_flits;
@@ -337,21 +344,27 @@ void MeshNetwork::phase_arrive() {
       dr.accept(le.dst_port, le.flit);
     }
   }
+  links_due_.clear();
 }
 
 void MeshNetwork::phase_inject() {
-  for (EndpointId e = 0; e < endpoints_.size(); ++e) {
-    EndpointState& ep = endpoints_[e];
-    if (ep.injection.empty() || ep.injection_credits == 0) continue;
-    const Flit f = ep.injection.front();
-    ep.injection.pop_front();
-    --ep.injection_credits;
-    LinkEntry le;
-    le.ready_at = now_ + params_.link_delay;
-    le.flit = f;
-    le.dst_router = router_index(ep.x, ep.y);
-    le.dst_port = ep.local_port;
-    links_.push_back(le);
+  // Only endpoints with queued flits, in ascending order (the push order
+  // phase_arrive replays).
+  for (std::size_t w = 0; w < injecting_.size(); ++w) {
+    for (std::uint64_t m = injecting_[w]; m != 0; m &= m - 1) {
+      const auto e = static_cast<EndpointId>(w * 64 + std::countr_zero(m));
+      EndpointState& ep = endpoints_[e];
+      if (ep.injection_credits == 0) continue;
+      const Flit f = ep.injection.front();
+      ep.injection.pop_front();
+      if (ep.injection.empty()) injecting_[w] &= ~(std::uint64_t{1} << e % 64);
+      --ep.injection_credits;
+      LinkEntry le;
+      le.flit = f;
+      le.dst_router = router_index(ep.x, ep.y);
+      le.dst_port = ep.local_port;
+      links_.push_back(le);
+    }
   }
 }
 
@@ -361,6 +374,9 @@ void MeshNetwork::tick() {
     ++now_;
     return;
   }
+  // Everything made last tick falls due now (link_delay == 1).
+  links_.swap(links_due_);
+  credits_.swap(credits_due_);
   apply_credits();
   phase_route();
   phase_arrive();
@@ -433,7 +449,7 @@ void MeshNetwork::dump_state(std::ostream& os) const {
        << r.buffered_flits() << " in=[";
     for (std::uint32_t p = 0; p < r.num_ports(); ++p) {
       os << (p == 0 ? "" : " ") << port_name(p) << '='
-         << r.buffer_occupancy(p) << '/' << params_.input_buffer_flits;
+         << r.buffer_occupancy(p) << '/' << NocParams::input_buffer_flits;
     }
     os << "]\n";
     for (std::uint32_t p = 0; p < r.num_ports(); ++p) {

@@ -1,6 +1,6 @@
 // Cycle-accurate 2D-mesh network (the Booksim substitute).
 //
-// MeshNetwork owns the routers, the inter-router links (modeled as delay
+// MeshNetwork owns the routers, the inter-router links (one-cycle delay
 // lines), the endpoints, and the credit bookkeeping. Components interact
 // only through send() / poll() on their EndpointId plus the global tick().
 //
@@ -36,14 +36,16 @@ struct NocStats {
 
 class MeshNetwork {
  public:
+  /// NocParams carries only compile-time constants (Table IV).
   MeshNetwork(std::uint32_t width, std::uint32_t height,
               NocParams params = {});
 
   /// Register an endpoint on the router at (x, y). Must precede finalize().
+  /// A router takes at most kMaxPorts - kFirstLocalPort endpoints.
   EndpointId add_endpoint(std::uint32_t x, std::uint32_t y);
 
-  /// Freeze topology and allocate routers. Called implicitly by the first
-  /// send()/tick() if needed.
+  /// Freeze topology, allocate routers and fill the routing table. Called
+  /// implicitly by the first send()/tick() if needed.
   void finalize();
 
   [[nodiscard]] std::uint32_t width() const { return width_; }
@@ -118,8 +120,13 @@ class MeshNetwork {
     std::uint32_t assembling_flits = 0;  // flits of in-progress packet seen
   };
 
+  // Link and credit entries fall due exactly one tick after they are made,
+  // so each queue is two vectors (made this tick / due this tick) swapped
+  // at the top of tick(), and no entry carries a timestamp.
+  static_assert(NocParams::link_delay == 1,
+                "two-slot link and credit queues assume a one-cycle link");
+
   struct LinkEntry {
-    Cycle ready_at = 0;
     Flit flit;
     // Destination: either a router input port or an endpoint ejection.
     std::uint32_t dst_router = 0;
@@ -129,7 +136,6 @@ class MeshNetwork {
   };
 
   struct CreditReturn {
-    Cycle ready_at = 0;
     // Either a router output port or an endpoint injection credit.
     std::uint32_t router = 0;
     std::uint32_t port = 0;
@@ -143,7 +149,8 @@ class MeshNetwork {
   }
 
   /// Output port a flit at router (x, y) should take toward `dst` (XY
-  /// dimension-order: X first, then Y, then the local port).
+  /// dimension-order: X first, then Y, then the local port). Only
+  /// finalize() calls it, to fill port_of_.
   [[nodiscard]] std::uint32_t route(const Router& r, EndpointId dst) const;
 
   void apply_credits();
@@ -154,7 +161,6 @@ class MeshNetwork {
 
   std::uint32_t width_;
   std::uint32_t height_;
-  NocParams params_;
   bool finalized_ = false;
   Cycle now_ = 0;
   std::uint64_t next_seq_ = 1;
@@ -164,9 +170,19 @@ class MeshNetwork {
   // (router, local port - kFirstLocalPort) -> owning endpoint, built by
   // finalize() so credit returns need no endpoint scan.
   std::vector<std::vector<EndpointId>> local_port_owner_;
+  // (router, destination endpoint) -> output port, row-major by router;
+  // built by finalize() from route().
+  std::vector<std::uint8_t> port_of_;
   std::vector<EndpointState> endpoints_;
-  std::deque<LinkEntry> links_;          // in-flight flits (small, scanned)
-  std::deque<CreditReturn> credits_;     // in-flight credit returns
+  // Bit e set: endpoint e has flits awaiting injection.
+  std::vector<std::uint64_t> injecting_;
+  // Flits on a link: made this tick (arrive next tick) / arriving now. A
+  // push-ordered vector each; phase_arrive consumes links_due_ in order.
+  std::vector<LinkEntry> links_;
+  std::vector<LinkEntry> links_due_;
+  // Credit returns: made this tick / applied this tick.
+  std::vector<CreditReturn> credits_;
+  std::vector<CreditReturn> credits_due_;
   std::unordered_map<std::uint64_t, Message> inflight_;
   NocStats stats_;
   trace::Tracer tracer_;

@@ -9,23 +9,25 @@
 // Timing (Table IV): routing delay 1 cycle (input buffer -> crossbar) and
 // link delay 1 cycle (crossbar -> downstream buffer), modeled as a two-phase
 // tick; input buffers hold 4 flits (256B); routing is minimal
-// dimension-order XY, which is deadlock-free on a mesh.
+// dimension-order XY, which is deadlock-free on a mesh. Arbitration is
+// input-first (DESIGN.md §18): each input's front flit requests one output
+// and every output picks among its requesters with bitmask operations.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
-#include "common/stats.hpp"
 #include "common/types.hpp"
 #include "noc/message.hpp"
 
 namespace gnna::noc {
 
-/// Table IV parameters.
+/// Table IV parameters. Both are fixed by the paper, so they are
+/// compile-time constants; the struct keeps the config's shape.
 struct NocParams {
-  std::uint32_t input_buffer_flits = 4;           // 4 flits = 256B
-  static constexpr std::uint32_t link_delay = 1;  // cycles
+  static constexpr std::uint32_t input_buffer_flits = 4;  // 4 flits = 256B
+  static constexpr std::uint32_t link_delay = 1;          // cycles
 };
 
 inline constexpr std::uint32_t kPortNorth = 0;
@@ -33,14 +35,15 @@ inline constexpr std::uint32_t kPortSouth = 1;
 inline constexpr std::uint32_t kPortEast = 2;
 inline constexpr std::uint32_t kPortWest = 3;
 inline constexpr std::uint32_t kFirstLocalPort = 4;
+/// Arbitration keeps one bit per port in a 32-bit mask.
+inline constexpr std::uint32_t kMaxPorts = 32;
 
 class MeshNetwork;
 
 /// One router in the mesh. Owned and ticked by MeshNetwork.
 class Router {
  public:
-  Router(std::uint32_t x, std::uint32_t y, std::uint32_t num_local_ports,
-         const NocParams& params);
+  Router(std::uint32_t x, std::uint32_t y, std::uint32_t num_local_ports);
 
   [[nodiscard]] std::uint32_t x() const { return x_; }
   [[nodiscard]] std::uint32_t y() const { return y_; }
@@ -50,26 +53,43 @@ class Router {
 
   /// True if input buffer `port` can accept a flit this cycle.
   [[nodiscard]] bool can_accept(std::uint32_t port) const {
-    return buffers_[port].size() < params_.input_buffer_flits;
+    return buffers_[port].size < NocParams::input_buffer_flits;
   }
 
   /// Deposit a flit into input buffer `port` (caller must hold a credit).
   void accept(std::uint32_t port, const Flit& flit) {
-    buffers_[port].push_back(flit);
-    ++buffered_flits_;
+    buffers_[port].push(flit);
+    occupied_ |= 1U << port;
   }
 
-  /// Total flits across all input buffers (fast idle check).
+  /// Total flits across all input buffers.
   [[nodiscard]] std::uint32_t buffered_flits() const {
-    return buffered_flits_;
+    std::uint32_t n = 0;
+    for (const InputBuffer& b : buffers_) n += b.size;
+    return n;
   }
 
   [[nodiscard]] std::size_t buffer_occupancy(std::uint32_t port) const {
-    return buffers_[port].size();
+    return buffers_[port].size;
   }
 
  private:
   friend class MeshNetwork;
+
+  /// One input port's flit FIFO: a ring of the Table IV capacity.
+  struct InputBuffer {
+    static constexpr std::uint32_t kCapacity = NocParams::input_buffer_flits;
+    std::array<Flit, kCapacity> slots;
+    std::uint32_t head = 0;
+    std::uint32_t size = 0;
+
+    [[nodiscard]] const Flit& front() const { return slots[head]; }
+    void push(const Flit& f) { slots[(head + size++) % kCapacity] = f; }
+    void pop() {
+      head = (head + 1) % kCapacity;
+      --size;
+    }
+  };
 
   struct OutputState {
     // Wormhole: the input port currently holding this output, or -1.
@@ -79,21 +99,14 @@ class Router {
     // Credits available at the downstream input buffer (mesh ports only;
     // local/ejection ports are rate-limited, not credited).
     std::uint32_t credits = 0;
-    // Whether this output already forwarded a flit this cycle.
-    bool busy_this_cycle = false;
-    BusyTracker busy;
   };
 
   std::uint32_t x_;
   std::uint32_t y_;
   std::uint32_t num_local_;
-  NocParams params_;
-  std::uint32_t buffered_flits_ = 0;
-  std::vector<std::deque<Flit>> buffers_;  // per input port
-  std::vector<OutputState> outputs_;       // per output port
-  // Per-cycle crossbar scratch: an input port has one crossbar connection,
-  // so at most one flit may leave it per cycle. Cleared each phase_route.
-  std::vector<std::uint8_t> input_moved_;
+  std::uint32_t occupied_ = 0;        // bit p: buffers_[p] is non-empty
+  std::vector<InputBuffer> buffers_;  // per input port
+  std::vector<OutputState> outputs_;  // per output port
 };
 
 }  // namespace gnna::noc

@@ -409,8 +409,8 @@ TEST(Simulator, TableVIConfigurations) {
 TEST(Simulator, FixedParametersMatchThePaper) {
   // Constants of the timing model rather than settable parameters
   // (Table IV and Section III): 2kB control scratchpads hold 128 AGG
-  // entries and 256 DNQ destinations, a NoC link takes one cycle and
-  // memory is accessed in 64B lines.
+  // entries and 256 DNQ destinations, a NoC link takes one cycle, a router
+  // input buffer holds 4 flits and memory is accessed in 64B lines.
   for (const AcceleratorConfig& c :
        {AcceleratorConfig::cpu_iso_bw(), AcceleratorConfig::gpu_iso_bw(),
         AcceleratorConfig::gpu_iso_flops()}) {
@@ -418,6 +418,7 @@ TEST(Simulator, FixedParametersMatchThePaper) {
     EXPECT_EQ(tp.agg_ctrl_bytes / tp.agg_ctrl_entry_bytes, 128U) << c.name;
     EXPECT_EQ(tp.dnq_dest_bytes / tp.dnq_dest_entry_bytes, 256U) << c.name;
     EXPECT_EQ(c.noc_params.link_delay, 1U) << c.name;
+    EXPECT_EQ(c.noc_params.input_buffer_flits, 4U) << c.name;
     EXPECT_EQ(c.mem_params.access_granularity, 64U) << c.name;
   }
 }
