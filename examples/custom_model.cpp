@@ -9,7 +9,6 @@
 #include "accel/simulator.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
-#include "gnn/functional.hpp"
 #include "gnn/layer.hpp"
 #include "graph/generator.hpp"
 
@@ -23,10 +22,6 @@ int main() {
   social.graphs.push_back(
       graph::generate_citation_graph(rng, 5000, 40000, /*alpha=*/1.1));
   social.undirected.push_back(social.graphs[0].symmetrized());
-  std::vector<float> feats(std::size_t{5000} * 32);
-  for (auto& x : feats) x = rng.next_float(0.0F, 1.0F);
-  social.node_features.push_back(std::move(feats));
-  social.edge_features.emplace_back();
 
   // 2. A custom model straight from the layer IR: three mean-aggregation
   //    convolutions (GraphSAGE-mean flavour).
@@ -39,17 +34,8 @@ int main() {
     l.norm = gnn::AggNorm::kMean;
     l.in_features = i == 0 ? 32 : 64;
     l.out_features = i == 2 ? 8 : 64;
-    l.act = i == 2 ? gnn::Activation::kNone : gnn::Activation::kRelu;
     sage.layers.push_back(l);
   }
-
-  // Functional sanity: embeddings for the first user.
-  const gnn::FunctionalExecutor exec(sage);
-  const linalg::Matrix x = linalg::Matrix::from_rows(
-      5000, 32, social.node_features[0]);
-  const linalg::Matrix out = exec.run(social.graphs[0], x, {});
-  std::cout << "functional: " << out.rows() << " users x " << out.cols()
-            << " classes\n";
 
   // 3. A bespoke accelerator: 4 tiles + 2 memory nodes on a 3x2 mesh, with
   //    a beefier GPE thread pool.

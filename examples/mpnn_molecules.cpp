@@ -1,7 +1,6 @@
 // Molecular property inference with an MPNN (Gilmer-style message passing)
-// over a batch of QM9-like molecules: run the model functionally to get
-// real property estimates, then simulate the same workload on the
-// accelerator to see where the time goes.
+// over a batch of QM9-like molecules, simulated on the accelerator to see
+// where the time goes.
 //
 //   $ ./examples/mpnn_molecules
 #include <iostream>
@@ -11,7 +10,6 @@
 #include "accel/simulator.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
-#include "gnn/functional.hpp"
 #include "gnn/model.hpp"
 #include "graph/generator.hpp"
 
@@ -27,12 +25,6 @@ int main() {
     const EdgeId bonds = atoms;
     mols.graphs.push_back(graph::generate_molecule_graph(rng, atoms, bonds));
     mols.undirected.push_back(mols.graphs.back().symmetrized());
-    std::vector<float> nf(std::size_t{atoms} * 13);
-    for (auto& x : nf) x = rng.next_float(0.0F, 1.0F);
-    mols.node_features.push_back(std::move(nf));
-    std::vector<float> ef(std::size_t{bonds} * 5);
-    for (auto& x : ef) x = rng.next_float(0.0F, 1.0F);
-    mols.edge_features.push_back(std::move(ef));
   }
   mols.spec.total_nodes = mols.total_nodes();
   mols.spec.total_edges = mols.total_edges();
@@ -41,16 +33,7 @@ int main() {
   std::cout << "model: " << mpnn.name << " with " << mpnn.layers.size()
             << " layers (embed, 3 message-passing steps, readout)\n";
 
-  // 1. Functional inference: one 73-dim property vector per molecule.
-  const gnn::FunctionalExecutor exec(mpnn);
-  const linalg::Matrix props = exec.run_dataset(mols);
-  std::cout << "functional output: " << props.rows() << " molecules x "
-            << props.cols() << " predicted properties\n";
-  std::cout << "molecule 0, first 4 properties: ";
-  for (int i = 0; i < 4; ++i) std::cout << props(0, i) << ' ';
-  std::cout << "\n\n";
-
-  // 2. Cycle-level simulation: per-phase breakdown.
+  // Cycle-level simulation: per-phase breakdown.
   const accel::CompiledProgram prog =
       accel::ProgramCompiler{}.compile(mpnn, mols);
   accel::AcceleratorSim sim(accel::AcceleratorConfig::cpu_iso_bw());

@@ -1,5 +1,5 @@
-// Quickstart: build a GNN, run it functionally, then simulate it on the
-// GNN accelerator and print the timing report.
+// Quickstart: build a GNN, compile it, simulate it on the GNN accelerator
+// and print the timing report.
 //
 //   $ ./examples/quickstart
 #include <cstdio>
@@ -8,7 +8,6 @@
 #include "accel/compiler.hpp"
 #include "accel/config.hpp"
 #include "accel/simulator.hpp"
-#include "gnn/functional.hpp"
 #include "gnn/model.hpp"
 #include "graph/dataset.hpp"
 
@@ -25,13 +24,7 @@ int main() {
   const gnn::ModelSpec gcn =
       gnn::make_gcn(cora.spec.vertex_features, cora.spec.output_features);
 
-  // 3. Functional execution (value-level, for correctness).
-  const gnn::FunctionalExecutor exec(gcn);
-  const linalg::Matrix out = exec.run_dataset(cora);
-  std::cout << "functional output: " << out.rows() << " x " << out.cols()
-            << " (logits for " << out.rows() << " vertices)\n";
-
-  // 4. Cycle-level simulation on the CPU iso-bandwidth configuration
+  // 3. Cycle-level simulation on the CPU iso-bandwidth configuration
   //    (1 tile + 1 memory node, Table VI).
   const accel::ProgramCompiler compiler;
   const accel::CompiledProgram prog = compiler.compile(gcn, cora);

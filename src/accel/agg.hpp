@@ -11,8 +11,8 @@
 // allocation bus (charged on the GPE side); a completed aggregation's
 // result is sent to its configured destination through the NoC injection
 // queue (the 2kB flit buffer, drained one flit per cycle by the network).
-// Entries carry word counts only, no data values: the AGG is timed, and
-// the GNN arithmetic is checked in float by gnn/functional.
+// Entries carry word counts only, no data values: the AGG is timed, not
+// computed.
 #pragma once
 
 #include <cstdint>

@@ -1,11 +1,10 @@
 // Aggregation reduce operators (AGG: bank of 16 32-bit ALUs).
 //
-// The simulator times the AGG's reductions but carries no data values; the
-// GNN arithmetic itself is checked in float by gnn/functional. What the
-// timing model and the verifier need is each op's name and whether the
-// hardware may apply it in arrival order ("only supports aggregation
-// operations that are associative, which allows data to be aggregated in
-// any order").
+// The simulator times the AGG's reductions but carries no data values.
+// What the timing model and the verifier need is each op's name and
+// whether the hardware may apply it in arrival order ("only supports
+// aggregation operations that are associative, which allows data to be
+// aggregated in any order").
 #pragma once
 
 #include <cstdint>

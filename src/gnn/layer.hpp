@@ -1,11 +1,10 @@
 // Layer-level intermediate representation of a GNN model.
 //
-// Both execution paths consume this IR:
-//  * the FunctionalExecutor (src/gnn/functional.*) computes actual outputs
-//    with dense/sparse linear algebra — used to validate semantics;
-//  * the accelerator's ProgramCompiler (src/accel/compiler.*) lowers each
-//    layer to the per-vertex micro-op programs the GPE executes — used to
-//    produce the paper's timing results.
+// The accelerator's ProgramCompiler (src/accel/compiler.*) lowers each layer
+// to the per-vertex micro-op programs the GPE executes; the simulator times
+// those programs to produce the paper's results. The IR carries only what
+// sets the traffic and work of a layer (kind, widths, normalization, heads,
+// hops), never values.
 //
 // The IR deliberately mirrors how the paper decomposes GNNs (Section III):
 // graph traversal, DNN computation (vertex-local dense ops), and
@@ -35,21 +34,12 @@ enum class AggNorm : std::uint8_t {
   kSymNorm,  // 1/sqrt(deg_v * deg_u)  (GCN renormalization trick)
 };
 
-enum class Activation : std::uint8_t {
-  kNone,
-  kRelu,
-  kLeakyRelu,  // slope 0.2 (GAT)
-  kTanh,
-  kSigmoid,
-};
-
 /// One layer of the model.
 struct LayerSpec {
   std::string name;
   LayerKind kind = LayerKind::kConv;
   std::uint32_t in_features = 1;
   std::uint32_t out_features = 1;
-  Activation act = Activation::kNone;
   AggNorm norm = AggNorm::kSum;
   bool include_self = true;  // add the vertex itself to its neighborhood
 
@@ -76,7 +66,6 @@ struct LayerSpec {
 struct ModelSpec {
   std::string name;
   std::vector<LayerSpec> layers;
-  std::uint64_t weight_seed = 7;
 
   [[nodiscard]] std::uint32_t input_features() const {
     return layers.empty() ? 0 : layers.front().in_features;
@@ -85,8 +74,5 @@ struct ModelSpec {
     return layers.empty() ? 0 : layers.back().out_features;
   }
 };
-
-[[nodiscard]] std::string to_string(LayerKind kind);
-[[nodiscard]] std::string to_string(Activation act);
 
 }  // namespace gnna::gnn

@@ -4,40 +4,6 @@
 
 namespace gnna::gnn {
 
-std::string to_string(LayerKind kind) {
-  switch (kind) {
-    case LayerKind::kProject:
-      return "project";
-    case LayerKind::kConv:
-      return "conv";
-    case LayerKind::kAttentionConv:
-      return "attention-conv";
-    case LayerKind::kMessagePass:
-      return "message-pass";
-    case LayerKind::kMultiHopConv:
-      return "multi-hop-conv";
-    case LayerKind::kReadout:
-      return "readout";
-  }
-  return "unknown";
-}
-
-std::string to_string(Activation act) {
-  switch (act) {
-    case Activation::kNone:
-      return "none";
-    case Activation::kRelu:
-      return "relu";
-    case Activation::kLeakyRelu:
-      return "leaky-relu";
-    case Activation::kTanh:
-      return "tanh";
-    case Activation::kSigmoid:
-      return "sigmoid";
-  }
-  return "unknown";
-}
-
 ModelSpec make_gcn(std::uint32_t in_features, std::uint32_t out_features,
                    std::uint32_t hidden) {
   ModelSpec m;
@@ -47,14 +13,12 @@ ModelSpec make_gcn(std::uint32_t in_features, std::uint32_t out_features,
   l1.kind = LayerKind::kConv;
   l1.in_features = in_features;
   l1.out_features = hidden;
-  l1.act = Activation::kRelu;
   l1.norm = AggNorm::kSymNorm;
   l1.include_self = true;
   LayerSpec l2 = l1;
   l2.name = "gc2";
   l2.in_features = hidden;
   l2.out_features = out_features;
-  l2.act = Activation::kNone;  // logits; softmax is part of the loss
   m.layers = {l1, l2};
   return m;
 }
@@ -69,8 +33,7 @@ ModelSpec make_gat(std::uint32_t in_features, std::uint32_t out_features,
   l1.in_features = in_features;
   l1.out_features = heads * head_width;
   l1.heads = heads;
-  l1.act = Activation::kLeakyRelu;  // ELU in the reference; same cost class
-  l1.norm = AggNorm::kSum;          // attention normalization dropped
+  l1.norm = AggNorm::kSum;  // attention normalization dropped
   l1.include_self = true;
   LayerSpec l2;
   l2.name = "gat2";
@@ -78,7 +41,6 @@ ModelSpec make_gat(std::uint32_t in_features, std::uint32_t out_features,
   l2.in_features = heads * head_width;
   l2.out_features = out_features;
   l2.heads = 1;
-  l2.act = Activation::kNone;
   l2.norm = AggNorm::kSum;
   l2.include_self = true;
   m.layers = {l1, l2};
@@ -95,7 +57,6 @@ ModelSpec make_mpnn(std::uint32_t in_features, std::uint32_t edge_features,
   embed.kind = LayerKind::kProject;
   embed.in_features = in_features;
   embed.out_features = hidden;
-  embed.act = Activation::kRelu;
   m.layers.push_back(embed);
   for (std::uint32_t t = 0; t < steps; ++t) {
     LayerSpec mp;
@@ -132,7 +93,6 @@ ModelSpec make_pgnn(std::uint32_t in_features, std::uint32_t out_features,
     l.hops = hops;
     l.norm = AggNorm::kSum;
     l.include_self = true;  // the H * W_self term
-    l.act = i + 1 == layers ? Activation::kNone : Activation::kRelu;
     m.layers.push_back(l);
   }
   return m;

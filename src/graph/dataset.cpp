@@ -16,16 +16,10 @@ const std::array<DatasetSpec, 5>& all_specs() {
       {"Citeseer", 1, 3327, 4732, 3703, 0, 6},
       {"Pubmed", 1, 19717, 44338, 500, 0, 3},
       {"QM9_1000", 1000, 12314, 12080, 13, 5, 73},
+      // DBLP has no native features; PGNN uses the vertex degree as its one.
       {"DBLP_1", 1, 547, 2654, 1, 0, 3},
   }};
   return specs;
-}
-
-std::vector<float> random_features(Rng& rng, std::size_t rows,
-                                   std::size_t cols) {
-  std::vector<float> f(rows * cols);
-  for (auto& x : f) x = rng.next_float(0.0F, 1.0F);
-  return f;
 }
 
 }  // namespace
@@ -83,28 +77,6 @@ Dataset make_dataset(DatasetId id, std::uint64_t seed) {
   ds.undirected.reserve(ds.graphs.size());
   for (const auto& gph : ds.graphs) ds.undirected.push_back(gph.symmetrized());
 
-  ds.node_features.reserve(ds.graphs.size());
-  ds.edge_features.reserve(ds.graphs.size());
-  for (std::size_t i = 0; i < ds.graphs.size(); ++i) {
-    const Graph& gph = ds.graphs[i];
-    if (id == DatasetId::kDblp1) {
-      // DBLP has no native features; the PGNN reference implementation (and
-      // the paper) use the vertex degree as a single-element vertex state.
-      std::vector<float> deg(gph.num_nodes());
-      const Graph& und = ds.undirected[i];
-      for (NodeId v = 0; v < gph.num_nodes(); ++v) {
-        deg[v] = static_cast<float>(und.out_degree(v));
-      }
-      ds.node_features.push_back(std::move(deg));
-    } else {
-      ds.node_features.push_back(
-          random_features(rng, gph.num_nodes(), spec.vertex_features));
-    }
-    ds.edge_features.push_back(
-        spec.edge_features == 0
-            ? std::vector<float>{}
-            : random_features(rng, gph.num_edges(), spec.edge_features));
-  }
   return ds;
 }
 

@@ -1,9 +1,10 @@
 // Evaluation datasets (Table V) and their synthetic stand-ins.
 //
-// A Dataset bundles one or more graphs with their feature matrices and the
-// declared Table V statistics. make_dataset() is deterministic: the same
-// DatasetId + seed always produces bit-identical graphs and features, so
-// every bench and test in the repo sees the same inputs.
+// A Dataset bundles one or more graphs with the declared Table V statistics.
+// The simulator is timing-only: feature widths come from the spec, and no
+// feature values are generated. make_dataset() is deterministic: the same
+// DatasetId + seed always produces bit-identical graphs, so every bench and
+// test in the repo sees the same inputs.
 #pragma once
 
 #include <cstdint>
@@ -46,12 +47,11 @@ struct DatasetSpec {
 
 /// A generated dataset. `graphs[i]` holds the directed structure;
 /// `undirected[i]` the symmetrized version used by graph convolutions.
-/// Feature matrices are row-major [num_nodes x vertex_features] /
-/// [num_edges x edge_features] (edge order = CSR order of `graphs[i]`).
 struct Dataset {
   DatasetSpec spec;
   std::vector<Graph> graphs;
   std::vector<Graph> undirected;
+  // Feature values: hand-built datasets may fill these; nothing reads them.
   std::vector<std::vector<float>> node_features;
   std::vector<std::vector<float>> edge_features;
 
@@ -67,9 +67,9 @@ struct Dataset {
   }
 };
 
-/// Generate the synthetic stand-in for `id`. The defaults reproduce the
-/// exact Table V counts; the seed only varies feature values and edge
-/// placement, never the aggregate statistics.
+/// Generate the synthetic stand-in for `id`: its graphs only, with no
+/// feature values. The defaults reproduce the exact Table V counts; the seed
+/// only varies edge placement, never the aggregate statistics.
 [[nodiscard]] Dataset make_dataset(DatasetId id, std::uint64_t seed = 2020);
 
 }  // namespace gnna::graph

@@ -22,15 +22,6 @@ Graph Graph::symmetrized() const {
   return std::move(b).build(/*dedupe=*/true);
 }
 
-Graph Graph::with_self_loops() const {
-  GraphBuilder b(num_nodes());
-  for (NodeId v = 0; v < num_nodes(); ++v) {
-    b.add_edge(v, v);
-    for (const NodeId u : neighbors(v)) b.add_edge(v, u);
-  }
-  return std::move(b).build(/*dedupe=*/true);
-}
-
 std::uint32_t Graph::max_out_degree() const {
   std::uint32_t m = 0;
   for (NodeId v = 0; v < num_nodes(); ++v) m = std::max(m, out_degree(v));

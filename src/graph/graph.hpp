@@ -53,9 +53,6 @@ class Graph {
   /// duplicates and self-loops are collapsed.
   [[nodiscard]] Graph symmetrized() const;
 
-  /// Graph with self-loop v->v added for every vertex (GCN's A + I).
-  [[nodiscard]] Graph with_self_loops() const;
-
   [[nodiscard]] std::uint32_t max_out_degree() const;
   [[nodiscard]] double mean_out_degree() const;
 

@@ -115,20 +115,6 @@ TEST(Graph, SymmetrizedDropsSelfLoops) {
   EXPECT_EQ(g.num_edges(), 2U);
 }
 
-TEST(Graph, WithSelfLoops) {
-  const Graph g = diamond().with_self_loops();
-  EXPECT_EQ(g.num_edges(), 8U);  // 4 original + 4 loops
-  for (NodeId v = 0; v < 4; ++v) EXPECT_TRUE(g.has_edge(v, v));
-}
-
-TEST(Graph, WithSelfLoopsDoesNotDuplicateExisting) {
-  GraphBuilder b(2);
-  b.add_edge(0, 0);
-  b.add_edge(0, 1);
-  const Graph g = std::move(b).build().with_self_loops();
-  EXPECT_EQ(g.num_edges(), 3U);  // (0,0), (0,1), (1,1)
-}
-
 TEST(Graph, Sparsity) {
   const Graph g = diamond();
   EXPECT_DOUBLE_EQ(g.sparsity(), 1.0 - 4.0 / 16.0);
