@@ -3,9 +3,8 @@
 // Round-robin and block spread vertices across tiles blindly, by id or in
 // contiguous ranges; degree-greedy LPT-packs out-degree + 1 as a static
 // guess at each vertex's work. Profile-guided partitioning closes the
-// loop instead. Pass 1 runs round-robin with the attribution sink on and
-// the hotspot table sized to the whole graph, so every vertex's measured
-// GPE cycles are exact. Pass 2 LPT-packs those loads
+// loop instead. Pass 1 runs round-robin with the attribution sink on, which
+// measures every vertex's GPE cycles exactly. Pass 2 LPT-packs those loads
 // (graph::partition_work: heaviest vertex onto the lightest tile) and
 // reruns with the resulting split. The sweep
 // prints total cycles and the attribution imbalance metrics for every
@@ -14,7 +13,7 @@
 // baseline was skewed.
 //
 // This is the in-process version of the CLI recipe (EXPERIMENTS.md):
-//   gnnasim --benchmark X --attribution=p1.json --attribution-top-k 4096
+//   gnnasim --benchmark X --attribution=p1.json
 //   gnnasim --benchmark X --partition profile-guided --attribution-from p1.json
 #include <iostream>
 #include <memory>
@@ -61,15 +60,10 @@ accel::RunStats run_once(const sim::Session::Resolved& prog,
                          const accel::AcceleratorConfig& cfg,
                          graph::PartitionPolicy policy,
                          std::vector<double> profile,
-                         const benchutil::EnvTrace& env_trace,
-                         NodeId total_vertices) {
+                         const benchutil::EnvTrace& env_trace) {
   accel::AcceleratorSim sim(cfg, policy);
   accel::TraceOptions opts = env_trace.options();
   opts.attribution = true;
-  // Bound the hotspot table by the graph itself: every vertex is tracked
-  // exactly, so the measured loads (and the LPT split built from them)
-  // carry no sketch approximation.
-  opts.attribution_top_k = total_vertices;
   sim.set_trace(opts);
   sim.set_profile_loads(std::move(profile));
   return sim.run(*prog.program, *prog.dataset);
@@ -80,27 +74,25 @@ void sweep(const sim::Session::Resolved& prog,
            const benchutil::EnvTrace& env_trace, const std::string& label) {
   std::cout << "--- " << label << " (" << cfg.num_tiles() << " tiles) ---\n";
 
-  NodeId total_vertices = 0;
-  for (const auto& g : prog.dataset->graphs) total_vertices += g.num_nodes();
-
   std::vector<PolicyResult> results;
   results.push_back({"round-robin",
                      run_once(prog, cfg, graph::PartitionPolicy::kRoundRobin,
-                              {}, env_trace, total_vertices)});
+                              {}, env_trace)});
   results.push_back({"block",
                      run_once(prog, cfg, graph::PartitionPolicy::kBlock, {},
-                              env_trace, total_vertices)});
+                              env_trace)});
   results.push_back({"degree-greedy",
                      run_once(prog, cfg, graph::PartitionPolicy::kDegreeGreedy,
-                              {}, env_trace, total_vertices)});
+                              {}, env_trace)});
 
   // Two-pass: measured per-vertex GPE cycles from the round-robin run
   // drive the LPT rebalance of the rerun.
   results.push_back(
       {"profile-guided",
        run_once(prog, cfg, graph::PartitionPolicy::kProfileGuided,
-                results[0].stats.attribution->vertex_busy(total_vertices),
-                env_trace, total_vertices)});
+                results[0].stats.attribution->vertex_busy(
+                    prog.program->total_vertices()),
+                env_trace)});
 
   const auto base = static_cast<double>(results[0].stats.cycles);
   Table t({"Policy", "Cycles", "vs round-robin", "Busy max/mean",

@@ -29,7 +29,6 @@ namespace gnna::benchutil {
 ///   GNNA_ATTR=1              per-vertex/per-tile work attribution
 ///                            (attached to each run's
 ///                            RunStats::attribution)
-///   GNNA_ATTR_TOP_K=<n>      hotspot-table bound for GNNA_ATTR
 /// Owns the output streams and sink; options() stays valid while this
 /// object is alive. When a bench runs several simulations against one
 /// EnvTrace, their events share the file with per-run cycle timestamps
@@ -52,15 +51,6 @@ class EnvTrace {
     }
     if (const char* p = std::getenv("GNNA_ATTR")) {
       opts_.attribution = *p != '\0' && std::string_view(p) != "0";
-    }
-    if (const char* p = std::getenv("GNNA_ATTR_TOP_K")) {
-      const auto k = sim::parse_u64(p);
-      if (!k || *k == 0) {
-        std::cerr << "warning: ignoring malformed GNNA_ATTR_TOP_K '" << p
-                  << "' (want a positive hotspot count)\n";
-      } else {
-        opts_.attribution_top_k = static_cast<std::size_t>(*k);
-      }
     }
     if (const char* p = std::getenv("GNNA_SAMPLE_EVERY")) {
       // Strict parse: a malformed cadence must not silently disable

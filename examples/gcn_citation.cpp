@@ -5,9 +5,9 @@
 //   $ ./examples/gcn_citation
 #include <iostream>
 
-#include "accel/runner.hpp"
 #include "baseline/baselines.hpp"
 #include "common/table.hpp"
+#include "sim/session.hpp"
 
 int main() {
   using namespace gnna;
@@ -29,7 +29,10 @@ int main() {
     for (const auto& cfg : configs) {
       std::cerr << "simulating " << gnn::benchmark_name(b) << " on "
                 << cfg.name << "...\n";
-      const accel::RunStats rs = accel::simulate_benchmark(b, cfg);
+      sim::RunRequest req;
+      req.benchmark = b;
+      req.config = cfg;
+      const accel::RunStats rs = sim::Session::global().run(req);
       t.add_row({gnn::benchmark_name(b), cfg.name,
                  format_double(rs.millis, 3),
                  format_double(rs.mean_bandwidth_gbps, 1),

@@ -55,7 +55,7 @@ void AcceleratorSim::build() {
   }
 }
 
-void AcceleratorSim::attach_tracers() {
+void AcceleratorSim::attach_tracers(const CompiledProgram& prog) {
   sink_ = trace_.sink;
   if (trace_.profile) {
     profiler_ = std::make_unique<trace::Profiler>();
@@ -63,7 +63,7 @@ void AcceleratorSim::attach_tracers() {
   if (trace_.attribution) {
     attribution_ = std::make_unique<trace::Attribution>(
         static_cast<std::uint32_t>(tiles_.size()), ep_to_tile_,
-        trace_.attribution_top_k);
+        prog.total_vertices());
   }
   // Compose whatever is attached; a single consumer skips the tee.
   std::vector<trace::TraceSink*> sinks;
@@ -238,7 +238,7 @@ RunStats AcceleratorSim::run(const CompiledProgram& prog,
   // evaluated once, for RunStats::static_model.
   if (verify_) verify_or_throw(prog, cfg_.tile_params, &ds);
   build();
-  attach_tracers();
+  attach_tracers(prog);
   begin_sampling();
 
   const auto num_tiles = static_cast<std::uint32_t>(tiles_.size());

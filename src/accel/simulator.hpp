@@ -42,11 +42,9 @@ struct TraceOptions {
   /// Aggregate per-vertex/per-tile work attribution into a
   /// trace::AttributionReport (attached to RunStats::attribution).
   /// Composes with `sink` and `profile` through the same tee. Pure
-  /// observation — cycle counts are unchanged.
+  /// observation — cycle counts are unchanged. Every vertex is counted
+  /// exactly, in a table sized to the program's vertex count.
   bool attribution = false;
-  /// Hotspot-table bound for the attribution sink (count-min + space-
-  /// saving top-K; memory stays O(top_k) regardless of graph size).
-  std::size_t attribution_top_k = 64;
 };
 
 /// Per-phase slice of a run.
@@ -178,7 +176,7 @@ class AcceleratorSim {
 
  private:
   void build();
-  void attach_tracers();
+  void attach_tracers(const CompiledProgram& prog);
   void begin_sampling();
   void maybe_sample(const std::string& phase_name);
   [[nodiscard]] bool everything_idle() const;

@@ -124,7 +124,6 @@ std::vector<RunOption> build_table() {
   using MP = mem::MemParams;
   using TP = accel::TileParams;
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  constexpr double k2p24 = 16777216.0;
   constexpr double k2p30 = 1073741824.0;
 
   std::vector<std::string> benchmarks;
@@ -185,9 +184,6 @@ std::vector<RunOption> build_table() {
       bind(of_type("attribution", T::kSwitch,
                    "charge work to vertices and tiles (stats JSON)"),
            [](auto& r) -> auto& { return r.trace.attribution; }),
-      bind(count("attribution_top_k", 1, k2p24,
-                 "attribution hotspot-table size"),
-           [](auto& r) -> auto& { return r.trace.attribution_top_k; }),
       bind(of_type("attribution_from", T::kPath,
                    "prior run's stats JSON that profile-guided packs"),
            req(&RunRequest::attribution_from)),

@@ -3,12 +3,12 @@
 // programs — plus the single entry point that turns a RunRequest into
 // RunStats.
 //
-// Every driver in the repo (gnnasim, the bench_* sweeps, the legacy
-// accel::simulate_benchmark wrapper) resolves runs through a Session
-// instead of hand-rolling the dataset -> model -> compile -> simulate
-// pipeline. Within one Session, N runs of the same benchmark share one
-// dataset and one compiled program; only the per-run AcceleratorSim (cheap
-// to construct, single-use, fully independent) is rebuilt.
+// Every driver in the repo (gnnasim, the bench_* sweeps, the examples)
+// resolves runs through a Session instead of hand-rolling the dataset ->
+// model -> compile -> simulate pipeline. Within one Session, N runs of the
+// same benchmark share one dataset and one compiled program; only the
+// per-run AcceleratorSim (cheap to construct, single-use, fully
+// independent) is rebuilt.
 //
 // Thread-safety: resolve()/run() may be called concurrently from
 // BatchRunner workers. The caches are mutex-guarded and compile each
@@ -155,9 +155,8 @@ class Session {
 
   [[nodiscard]] CacheCounters cache_counters() const;
 
-  /// The shared process-wide session (used by the legacy
-  /// accel::simulate_benchmark wrapper so every caller benefits from one
-  /// cache).
+  /// The shared process-wide session, for callers that keep no Session of
+  /// their own (one cache for the whole process).
   [[nodiscard]] static Session& global();
 
  private:

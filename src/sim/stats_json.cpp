@@ -137,7 +137,6 @@ template <class Io>
 void schema(Io& io, typename Io::template Ref<trace::TileAttribution> t) {
   io.index("tile");
   io.field("busy", t.busy);
-  io.field("idle", t.idle);
   io.field("agg_busy", t.agg_busy);
   io.field("tasks", t.tasks);
   io.field("flits", t.flits);
@@ -153,16 +152,14 @@ void schema(Io& io, typename Io::template Ref<trace::VertexHotspot> v) {
   io.field("tasks", v.tasks);
   io.field("flits", v.flits);
   io.field("bytes", v.bytes);
-  io.field("approx", v.approx);
 }
 
-/// The embedded attribution block: per-tile busy/idle/traffic totals, the
-/// imbalance metrics derived from them, and the bounded top-K per-vertex
-/// hotspot table (see trace/attribution.hpp).
+/// The embedded attribution block: per-tile busy/traffic totals, the
+/// imbalance metrics derived from them, and the exact per-vertex rows
+/// (see trace/attribution.hpp).
 template <class Io>
 void schema(Io& io, typename Io::template Ref<trace::AttributionReport> ar) {
   io.derived("version", std::uint64_t{1});
-  io.field("top_k", ar.top_k);
   io.field("span", ar.span);
   io.field("total_busy", ar.total_busy);
   io.derived("busy_max_mean", ar.busy_max_mean());
@@ -271,10 +268,9 @@ std::string text(const V& v) {
     const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v);
     return std::isfinite(v) && ec == std::errc() ? std::string(buf, end)
                                                  : "null";
-  } else if constexpr (std::is_same_v<V, bool>) {
-    return v ? "true" : "false";
   } else {
-    static_assert(std::is_unsigned_v<V>, "an id or a count");
+    static_assert(std::is_unsigned_v<V> && !std::is_same_v<V, bool>,
+                  "an id or a count");
     return std::to_string(v);
   }
 }
@@ -492,9 +488,6 @@ class Reader {
       fail_unless(v.is_number() || v.is_null(), "a number");
       dst = v.is_null() ? std::numeric_limits<double>::quiet_NaN()
                         : v.as_number();
-    } else if constexpr (std::is_same_v<V, bool>) {
-      fail_unless(v.type() == json::Value::Type::kBool, "true or false");
-      dst = v.as_bool();
     } else {  // an id or a count: an integer in [0, 2^digits)
       const double d = v.is_number() ? v.as_number() : -1.0;
       if (!(d >= 0.0 && d < std::ldexp(1.0, std::numeric_limits<V>::digits) &&

@@ -22,8 +22,8 @@ namespace gnna::sim {
 /// program-provenance pair "program_hash" (GNNA-IR content hash, 16 hex
 /// digits) and "program_cache" (hit | dedupe | miss | file | adhoc |
 /// given), present when the run went through the session layer; v5 added
-/// the optional embedded "attribution" block (per-tile busy/idle/flit
-/// totals, imbalance metrics, top-K per-vertex hotspots — see
+/// the optional embedded "attribution" block (per-tile busy/flit
+/// totals, imbalance metrics, exact per-vertex rows — see
 /// trace/attribution.hpp) and the time-weighted "mean" field on profile
 /// counters; v6 added the "static_model" block (accel/analysis.hpp): the
 /// analytic cycle lower bound and per-phase roofline terms evaluated on

@@ -6,21 +6,19 @@
 // that ran it and the vertex it computed, every delivered NoC packet to
 // the tile endpoint it touched and the work item whose data it carried
 // (noc::Message::owner), and AGG reduce occupancy to the entry's owner via
-// the charge() hook. Per-tile totals are exact (a fixed array). Per-vertex
-// totals are bounded-memory: a count-min sketch admits candidates into a
-// space-saving top-K table, so memory is O(top_k), not O(V) — large graphs
-// do not blow up the sink.
+// the charge() hook. Both are exact: one fixed array per tile and one dense
+// row per owner, indexed by id. Owners are vertex ids, or graph ids in
+// per-graph phases, so a table of the program's vertex count covers both.
 //
 // Conservation invariant (tested): per-tile `busy` sums every kGpe
 // complete duration — the same event set the profiler folds into its
 // per-phase busy[gpe] totals — so sum(tiles.busy) equals the profiler's
 // GPE busy summed over phases exactly. Per-vertex busy counts only the
 // top-level "task" spans to avoid double-charging the nested
-// traverse/body sub-spans.
+// traverse/body sub-spans, so it sums to the profiler's flame "task" total.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "trace/trace.hpp"
@@ -34,7 +32,6 @@ inline constexpr std::uint32_t kUnowned = 0xffffffffU;
 /// Exact per-tile totals.
 struct TileAttribution {
   double busy = 0.0;      // GPE complete cycles (task + sub-spans)
-  double idle = 0.0;      // run span minus busy (derived at report time)
   double agg_busy = 0.0;  // AGG reduce occupancy charged to this tile
   std::uint64_t tasks = 0;
   std::uint64_t flits = 0;      // flits of packets touching this tile
@@ -42,9 +39,7 @@ struct TileAttribution {
   std::uint64_t bytes = 0;
 };
 
-/// One top-K hotspot row. `approx` marks a candidate admitted after an
-/// eviction: its counters include a count-min-estimated carry-over and are
-/// an upper bound rather than exact.
+/// Exact totals of one owner (a vertex, or a graph in per-graph phases).
 struct VertexHotspot {
   std::uint32_t vertex = 0;
   double busy = 0.0;
@@ -52,16 +47,14 @@ struct VertexHotspot {
   std::uint64_t tasks = 0;
   std::uint64_t flits = 0;
   std::uint64_t bytes = 0;
-  bool approx = false;
 };
 
 struct AttributionReport {
-  std::size_t top_k = 0;
   double span = 0.0;        // cycles covered by phase markers
   double total_busy = 0.0;  // sum of per-tile busy
   std::uint64_t unattributed_flits = 0;  // delivered flits with no owner
   std::vector<TileAttribution> tiles;
-  std::vector<VertexHotspot> vertices;  // sorted by busy desc, then id
+  std::vector<VertexHotspot> vertices;  // charged owners, busy desc then id
 
   /// Imbalance: max over tiles of busy divided by the mean (1.0 =
   /// perfectly balanced; 0 when no tile did work).
@@ -69,10 +62,10 @@ struct AttributionReport {
   /// Gini coefficient of per-tile flit counts (0 = uniform, →1 = one
   /// tile carries everything).
   [[nodiscard]] double flit_gini() const;
-  /// The hotspot table as the dense loads profile-guided partitioning
+  /// The per-vertex rows as the dense loads profile-guided partitioning
   /// packs for a run of `num_vertices` vertices: entry v is vertex v's busy
-  /// cycles, 0 for vertices the table did not capture. Throws
-  /// std::invalid_argument when the table names a vertex past the run's
+  /// cycles, 0 for vertices no event charged. Throws
+  /// std::invalid_argument when a row names a vertex past the run's
   /// (a profile of another workload).
   [[nodiscard]] std::vector<double> vertex_busy(
       std::size_t num_vertices) const;
@@ -83,10 +76,11 @@ struct AttributionReport {
 class Attribution final : public TraceSink {
  public:
   /// `ep_to_tile` maps NoC endpoint id -> owning tile, with kNoTile for
-  /// endpoints that are not tile-attached (memory controllers).
+  /// endpoints that are not tile-attached (memory controllers). Owner ids
+  /// must be below `num_owners` (the program's vertex count).
   static constexpr std::uint32_t kNoTile = 0xffffffffU;
   Attribution(std::uint32_t num_tiles, std::vector<std::uint32_t> ep_to_tile,
-              std::size_t top_k = 64);
+              std::size_t num_owners);
 
   void complete(Category cat, std::uint32_t unit, const char* name,
                 double start, double dur, std::uint64_t a,
@@ -103,51 +97,22 @@ class Attribution final : public TraceSink {
   void charge(Category cat, std::uint32_t unit, std::uint32_t owner,
               double cycles) override;
 
-  /// Snapshot totals; hotspots sorted by busy desc then vertex id, at most
-  /// `top_k` rows.
+  /// Snapshot totals; every owner some event charged, sorted by busy
+  /// desc then id.
   [[nodiscard]] AttributionReport report() const;
 
  private:
-  struct Candidate {
-    double busy = 0.0;
-    double agg_busy = 0.0;
-    std::uint64_t tasks = 0;
-    std::uint64_t flits = 0;
-    std::uint64_t bytes = 0;
-    double carry = 0.0;  // sketch-estimated score inherited on admission
-  };
+  /// The row of `owner`, marked as charged.
+  VertexHotspot& row(std::uint32_t owner);
 
-  /// Route any per-owner update through the sketch + candidate table.
-  /// `score_delta` orders eviction (busy cycles + flits).
-  Candidate& touch(std::uint32_t owner, double score_delta);
-  [[nodiscard]] double score(const Candidate& c) const {
-    return c.busy + c.carry + static_cast<double>(c.flits);
-  }
-
-  void sketch_update(std::uint32_t owner, double w);
-  [[nodiscard]] double sketch_estimate(std::uint32_t owner) const;
-
-  std::size_t top_k_;
   std::vector<std::uint32_t> ep_to_tile_;
   std::vector<TileAttribution> tiles_;
+  // One row per owner id; `vertex` stays kUnowned until an event charges it.
+  std::vector<VertexHotspot> owners_;
   std::uint64_t unattributed_flits_ = 0;
   double span_begin_ = 0.0;
   double span_end_ = 0.0;
   bool span_started_ = false;
-
-  // Count-min sketch (kRows x width_, width a power of two) over the
-  // eviction score of every owner ever seen, including evicted ones.
-  static constexpr std::size_t kRows = 4;
-  std::size_t width_;
-  std::vector<double> sketch_;
-
-  // Space-saving candidate table, keyed by owner (std::map for
-  // deterministic tie-breaking on eviction). `min_score_` is a cached
-  // lower bound on the true minimum: candidate scores only grow, so the
-  // bound stays valid and is refreshed on the occasional full scan.
-  std::map<std::uint32_t, Candidate> candidates_;
-  double min_score_ = 0.0;
-  Candidate discard_;  // sink for updates rejected by admission
 };
 
 }  // namespace gnna::trace

@@ -1,7 +1,8 @@
 // trace::Attribution — unit tests of the sink's charging rules plus the
-// end-to-end conservation invariant: per-tile busy sums the same kGpe
-// completes the profiler folds into its per-phase busy totals, so the two
-// must agree exactly, and attaching the sink must not move a single cycle.
+// end-to-end conservation invariants: per-tile busy sums the same kGpe
+// completes the profiler folds into its per-phase busy totals, per-vertex
+// busy sums its flame "task" spans, and attaching the sink must not move a
+// single cycle.
 #include "trace/attribution.hpp"
 
 #include <gtest/gtest.h>
@@ -26,9 +27,9 @@ using trace::AttributionReport;
 using trace::Category;
 
 /// Two tiles, three endpoints each, one memory endpoint at the end.
-Attribution make_sink(std::size_t top_k = 8) {
-  return Attribution(
-      2, {0, 0, 0, 1, 1, 1, Attribution::kNoTile}, top_k);
+Attribution make_sink(std::size_t num_owners = 16) {
+  return Attribution(2, {0, 0, 0, 1, 1, 1, Attribution::kNoTile},
+                     num_owners);
 }
 
 TEST(Attribution, GpeSpansChargeTileAndTaskChargesVertex) {
@@ -47,7 +48,6 @@ TEST(Attribution, GpeSpansChargeTileAndTaskChargesVertex) {
   ASSERT_EQ(r.vertices.size(), 2U);
   EXPECT_EQ(r.vertices[0].vertex, 7U);  // sorted by busy desc
   EXPECT_DOUBLE_EQ(r.vertices[0].busy, 10.0);
-  EXPECT_FALSE(r.vertices[0].approx);
   EXPECT_EQ(r.vertices[1].vertex, 9U);
 }
 
@@ -91,10 +91,13 @@ TEST(Attribution, ChargeFeedsAggBusy) {
   Attribution a = make_sink();
   a.charge(Category::kAgg, 1, 5, 12.0);
   a.charge(Category::kAgg, 1, trace::kUnowned, 3.0);
+  a.charge(Category::kAgg, 0, 9, 0.0);  // still reports owner 9
   const AttributionReport r = a.report();
   EXPECT_DOUBLE_EQ(r.tiles[1].agg_busy, 15.0);
-  ASSERT_EQ(r.vertices.size(), 1U);
+  ASSERT_EQ(r.vertices.size(), 2U);
+  EXPECT_EQ(r.vertices[0].vertex, 5U);  // equal busy sorts by id
   EXPECT_DOUBLE_EQ(r.vertices[0].agg_busy, 12.0);
+  EXPECT_EQ(r.vertices[1].vertex, 9U);
 }
 
 TEST(Attribution, SpanComesFromPhaseMarkers) {
@@ -106,26 +109,42 @@ TEST(Attribution, SpanComesFromPhaseMarkers) {
   a.complete(Category::kGpe, 0, "task", 20.0, 30.0, 1, 0);
   const AttributionReport r = a.report();
   EXPECT_DOUBLE_EQ(r.span, 150.0);
-  EXPECT_DOUBLE_EQ(r.tiles[0].idle, 120.0);  // span - busy
-  EXPECT_DOUBLE_EQ(r.tiles[1].idle, 150.0);
 }
 
-TEST(Attribution, HotspotTableStaysBoundedAndKeepsHeavyHitters) {
-  Attribution a = make_sink(/*top_k=*/4);
-  // 64 light vertices, then one heavy one that must displace a light one.
-  for (std::uint32_t v = 0; v < 64; ++v) {
-    a.complete(Category::kGpe, 0, "task", 0.0, 1.0, v, 0);
-  }
-  for (int i = 0; i < 16; ++i) {
-    a.complete(Category::kGpe, 1, "task", 0.0, 10.0, 1000, 0);
+TEST(Attribution, EveryOwnerIsReportedExactly) {
+  // Thousands of owners, each charged by every hook: owner v gets
+  // (v % 7) + 1 task spans of (v % 13) + 1 cycles each, a packet of v % 5
+  // flits, and v % 3 AGG cycles.
+  constexpr std::uint32_t kOwners = 5000;
+  Attribution a = make_sink(kOwners);
+  for (std::uint32_t v = 0; v < kOwners; ++v) {
+    for (std::uint32_t t = 0; t <= v % 7; ++t) {
+      a.complete(Category::kGpe, v % 2, "task", 0.0, 1.0 + v % 13, v, 0);
+    }
+    a.packet(0, 6, v, v % 5, 1, 64 * (v % 5));
+    a.charge(Category::kAgg, 1, v, static_cast<double>(v % 3));
   }
   const AttributionReport r = a.report();
-  EXPECT_LE(r.vertices.size(), 4U);
-  ASSERT_FALSE(r.vertices.empty());
-  EXPECT_EQ(r.vertices[0].vertex, 1000U);
-  // Admitted after evictions: its counters are sketch-bounded estimates.
-  EXPECT_TRUE(r.vertices[0].approx);
-  EXPECT_GE(r.vertices[0].busy, 160.0);
+  ASSERT_EQ(r.vertices.size(), kOwners);
+  std::vector<bool> seen(kOwners, false);
+  for (std::size_t i = 0; i < r.vertices.size(); ++i) {
+    const trace::VertexHotspot& h = r.vertices[i];
+    ASSERT_LT(h.vertex, kOwners);
+    EXPECT_FALSE(seen[h.vertex]) << "owner " << h.vertex << " twice";
+    seen[h.vertex] = true;
+    const std::uint32_t v = h.vertex;
+    EXPECT_DOUBLE_EQ(h.busy, (1.0 + v % 13) * (v % 7 + 1)) << "owner " << v;
+    EXPECT_EQ(h.tasks, v % 7 + 1) << "owner " << v;
+    EXPECT_EQ(h.flits, v % 5) << "owner " << v;
+    EXPECT_EQ(h.bytes, 64U * (v % 5)) << "owner " << v;
+    EXPECT_DOUBLE_EQ(h.agg_busy, static_cast<double>(v % 3)) << "owner " << v;
+    if (i > 0) {
+      const trace::VertexHotspot& prev = r.vertices[i - 1];
+      EXPECT_TRUE(prev.busy > h.busy ||
+                  (prev.busy == h.busy && prev.vertex < h.vertex))
+          << "rows " << i - 1 << " and " << i << " out of order";
+    }
+  }
 }
 
 TEST(AttributionReport, ImbalanceMetrics) {
@@ -167,7 +186,6 @@ TEST(AttributionSim, TileBusyConservesProfilerGpeBusy) {
   accel::TraceOptions opts;
   opts.profile = true;
   opts.attribution = true;
-  opts.attribution_top_k = 256;
   sim.set_trace(opts);
   const accel::RunStats rs = sim.run(*r.program, *r.dataset);
 
@@ -179,16 +197,23 @@ TEST(AttributionSim, TileBusyConservesProfilerGpeBusy) {
   // Same event stream, same double-counting of nested spans — exact match.
   EXPECT_DOUBLE_EQ(tile_busy, profiler_gpe);
   EXPECT_DOUBLE_EQ(rs.attribution->total_busy, profiler_gpe);
-  // Every vertex fits in the table: nothing is approximate, and per-vertex
-  // task counts add up to the per-tile ones.
+  // Every task span lands on its vertex: per-vertex task counts add up to
+  // the per-tile ones, and per-vertex busy to the flame's "task" total.
   std::uint64_t vertex_tasks = 0;
+  double vertex_busy = 0.0;
   for (const auto& v : rs.attribution->vertices) {
-    EXPECT_FALSE(v.approx);
     vertex_tasks += v.tasks;
+    vertex_busy += v.busy;
   }
   std::uint64_t tile_tasks = 0;
   for (const auto& t : rs.attribution->tiles) tile_tasks += t.tasks;
   EXPECT_EQ(vertex_tasks, tile_tasks);
+  double flame_task = 0.0;
+  for (const trace::FlameNode& f : rs.profile->merged_flame()) {
+    if (f.path == "task") flame_task = f.total;
+  }
+  ASSERT_GT(flame_task, 0.0);
+  EXPECT_NEAR(vertex_busy, flame_task, 1e-9 * flame_task);
 }
 
 TEST(AttributionSim, SinkIsPureObservation) {

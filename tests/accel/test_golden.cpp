@@ -4,14 +4,20 @@
 // first. Update the constants deliberately when the model changes.
 #include <gtest/gtest.h>
 
-#include "accel/runner.hpp"
+#include "sim/session.hpp"
 
 namespace gnna::accel {
 namespace {
 
+RunStats run_cpu_iso_bw(gnn::Benchmark benchmark) {
+  sim::RunRequest req;
+  req.benchmark = benchmark;
+  req.config = AcceleratorConfig::cpu_iso_bw();
+  return sim::Session::global().run(req);
+}
+
 TEST(Golden, GcnCoraCpuIsoBw) {
-  const RunStats rs = simulate_benchmark(gnn::Benchmark::kGcnCora,
-                                         AcceleratorConfig::cpu_iso_bw());
+  const RunStats rs = run_cpu_iso_bw(gnn::Benchmark::kGcnCora);
   // Re-pinned when memory writes started occupying in-order queue slots
   // (previously 2871286: write completion was not part of idle()).
   EXPECT_EQ(rs.cycles, 2871294U);
@@ -19,8 +25,7 @@ TEST(Golden, GcnCoraCpuIsoBw) {
 }
 
 TEST(Golden, GatCoraCpuIsoBw) {
-  const RunStats rs = simulate_benchmark(gnn::Benchmark::kGatCora,
-                                         AcceleratorConfig::cpu_iso_bw());
+  const RunStats rs = run_cpu_iso_bw(gnn::Benchmark::kGatCora);
   // Re-pinned for the crossbar arbitration fixes: one flit per input per
   // cycle, and the round-robin pointer no longer rotates past an input
   // whose grant stalled on credits (previously 1775055). GCN/Cora above

@@ -64,13 +64,12 @@ TEST(Manifest, NameLookups) {
 
 TEST(Manifest, AttributionKeys) {
   const auto reqs = parse(
-      "benchmark=GCN/Cora attribution=1 attribution_top_k=128\n"
+      "benchmark=GCN/Cora attribution=1\n"
       "benchmark=GCN/Cora partition=profile-guided "
       "attribution_from=p1.json\n"
       "benchmark=GCN/Cora attribution=0\n");
   ASSERT_EQ(reqs.size(), 3U);
   EXPECT_TRUE(reqs[0].trace.attribution);
-  EXPECT_EQ(reqs[0].trace.attribution_top_k, 128U);
   EXPECT_TRUE(reqs[0].attribution_from.empty());
   EXPECT_FALSE(reqs[1].trace.attribution);
   EXPECT_EQ(reqs[1].partition, graph::PartitionPolicy::kProfileGuided);
@@ -81,9 +80,6 @@ TEST(Manifest, AttributionKeys) {
 TEST(Manifest, RejectsMalformedAttributionValues) {
   EXPECT_NE(parse_error("benchmark=GCN/Cora attribution=yes\n")
                 .find("attribution must be 0 or 1"),
-            std::string::npos);
-  EXPECT_NE(parse_error("benchmark=GCN/Cora attribution_top_k=0\n")
-                .find("attribution_top_k"),
             std::string::npos);
   EXPECT_NE(parse_error("benchmark=GCN/Cora attribution_from=\n")
                 .find("attribution_from needs a file path"),

@@ -319,7 +319,6 @@ TEST(Session, FileProfileGuidedEqualsInProcessProfileGuided) {
   measure.benchmark = gnn::Benchmark::kGatCora;
   measure.config = accel::AcceleratorConfig::gpu_iso_bw();
   measure.trace.attribution = true;
-  measure.trace.attribution_top_k = 4096;
   const accel::RunStats run1 = session.run(measure);
   const std::string path = ::testing::TempDir() + "profile_run1.json";
   {

@@ -56,6 +56,8 @@ std::string rejection(const std::string& text) {
   return "";
 }
 
+// An older file: "top_k" and the per-vertex "approx" flags are no longer
+// written, and readers ignore them.
 constexpr const char* kRunWithAttribution = R"({
   "schema_version": 5,
   "cycles": 1000,
@@ -79,7 +81,6 @@ TEST(AttributionIo, LoadsSingleRunObject) {
   const auto ar = read_attribution(f.path());
   ASSERT_NE(ar, nullptr);
   EXPECT_EQ(ar->tiles.size(), 2U);
-  EXPECT_EQ(ar->top_k, 4U);
   EXPECT_EQ(ar->unattributed_flits, 2U);
   EXPECT_DOUBLE_EQ(ar->busy_max_mean(), 40.0 / 30.0);
   // Dense over the run's vertices; untabled vertices stay 0.
@@ -89,7 +90,6 @@ TEST(AttributionIo, LoadsSingleRunObject) {
   EXPECT_DOUBLE_EQ(loads[2], 20.0);
   EXPECT_DOUBLE_EQ(loads[9], 10.0);
   EXPECT_DOUBLE_EQ(loads[0], 0.0);
-  EXPECT_TRUE(ar->vertices[2].approx);
 }
 
 TEST(AttributionIo, FindsFirstAttributedRunInBatchArray) {
@@ -142,9 +142,6 @@ TEST(AttributionIo, RejectsMalformedVertexRows) {
             "in [0, 18446744073709551615], got -3");
   EXPECT_EQ(rejection(vertices(R"({"vertex": 3, "busy": "lots"})")),
             "run 0: attribution.vertices[1]: \"busy\" must be a number");
-  EXPECT_EQ(rejection(vertices(R"({"vertex": 3, "approx": 1})")),
-            "run 0: attribution.vertices[1]: \"approx\" must be true or "
-            "false");
 }
 
 TEST(StatsJson, RejectsMalformedRows) {

@@ -10,7 +10,7 @@
 // per-phase/per-unit profile — or, with --collapsed, the GPE flame rollup
 // in collapsed-stack format ("a;b;c N", one line per path, feedable to
 // flamegraph.pl and friends). `hotspots` renders the attribution block
-// (`gnnasim --attribution`): the top-K per-vertex hotspot table and a
+// (`gnnasim --attribution`): the hottest rows of the per-vertex table and a
 // per-tile heatmap of busy/flit load, or machine-readable CSV rows with
 // --csv. `diff` lines two runs up phase by phase and unit by unit, prints
 // absolute and percentage deltas, flags phases that exist in only one run,
@@ -251,22 +251,19 @@ int cmd_hotspots(const std::string& path, const RunStats& run,
   const AttributionReport& ar = *run.attribution;
   if (csv) {
     // One flat table; the first column tells tile rows from vertex rows.
-    std::cout << "kind,id,busy,idle,agg_busy,tasks,flits,flit_hops,bytes,"
-                 "approx\n";
+    std::cout << "kind,id,busy,agg_busy,tasks,flits,flit_hops,bytes\n";
     for (std::size_t i = 0; i < ar.tiles.size(); ++i) {
       const auto& t = ar.tiles[i];
       std::cout << "tile," << i << ',' << format_double(t.busy, 0) << ','
-                << format_double(t.idle, 0) << ','
                 << format_double(t.agg_busy, 0) << ',' << t.tasks << ','
-                << t.flits << ',' << t.flit_hops << ',' << t.bytes << ",\n";
+                << t.flits << ',' << t.flit_hops << ',' << t.bytes << '\n';
     }
     std::size_t rows = 0;
     for (const auto& v : ar.vertices) {
       if (rows++ >= top_n) break;
       std::cout << "vertex," << v.vertex << ',' << format_double(v.busy, 0)
-                << ",," << format_double(v.agg_busy, 0) << ',' << v.tasks
-                << ',' << v.flits << ",," << v.bytes << ','
-                << (v.approx ? 1 : 0) << '\n';
+                << ',' << format_double(v.agg_busy, 0) << ',' << v.tasks
+                << ',' << v.flits << ",," << v.bytes << '\n';
     }
     return 0;
   }
@@ -286,13 +283,12 @@ int cmd_hotspots(const std::string& path, const RunStats& run,
     max_flits = std::max(max_flits, t.flits);
   }
   std::cout << "per-tile load (heat bars scaled to the hottest tile):\n";
-  Table tiles({"Tile", "Busy", "Heat", "Idle", "AGG busy", "Tasks", "Flits",
+  Table tiles({"Tile", "Busy", "Heat", "AGG busy", "Tasks", "Flits",
                "Flit heat", "Flit-hops", "Bytes"});
   for (std::size_t i = 0; i < ar.tiles.size(); ++i) {
     const auto& t = ar.tiles[i];
     tiles.add_row({std::to_string(i), format_double(t.busy, 0),
-                   heat_bar(t.busy, max_busy),
-                   format_double(t.idle, 0), format_double(t.agg_busy, 0),
+                   heat_bar(t.busy, max_busy), format_double(t.agg_busy, 0),
                    std::to_string(t.tasks), std::to_string(t.flits),
                    heat_bar(static_cast<double>(t.flits),
                             static_cast<double>(max_flits)),
@@ -302,12 +298,11 @@ int cmd_hotspots(const std::string& path, const RunStats& run,
 
   const std::size_t n = std::min(top_n, ar.vertices.size());
   std::cout << "\nvertex hotspots (top " << n << " of " << ar.vertices.size()
-            << " captured, table bound top_k=" << ar.top_k
-            << "; ~ = upper bound after sketch admission):\n";
+            << " charged):\n";
   Table verts({"Vertex", "Busy", "AGG busy", "Tasks", "Flits", "Bytes"});
   for (std::size_t i = 0; i < n; ++i) {
     const auto& v = ar.vertices[i];
-    verts.add_row({(v.approx ? "~" : "") + std::to_string(v.vertex),
+    verts.add_row({std::to_string(v.vertex),
                    format_double(v.busy, 0), format_double(v.agg_busy, 0),
                    std::to_string(v.tasks), std::to_string(v.flits),
                    std::to_string(v.bytes)});
