@@ -18,7 +18,7 @@ namespace {
 
 void sweep(gnna::sim::Session& session,
            const gnna::sim::Session::Resolved& prog,
-           const gnna::benchutil::EnvTrace& env_trace,
+           gnna::benchutil::BenchArgs& args,
            const std::string& label) {
   using namespace gnna;
   std::cout << "--- " << label << " ---\n";
@@ -31,11 +31,11 @@ void sweep(gnna::sim::Session& session,
     req.dataset = prog.dataset;
     req.config = accel::AcceleratorConfig::cpu_iso_bw();
     req.config.tile_params.agg_alus = alus;
-    req.trace = env_trace.options();
+    req.trace = args.next_trace();
     requests.push_back(std::move(req));
   }
 
-  sim::BatchRunner runner(session, benchutil::default_jobs(env_trace));
+  sim::BatchRunner runner(session, args.jobs());
   runner.set_progress([&](std::size_t i, const sim::RunResult& r) {
     std::cerr << "[ablation-agg] " << label << " alus=" << alu_counts[i]
               << (r.ok() ? " done" : " FAILED: " + r.error) << '\n';
@@ -57,13 +57,13 @@ void sweep(gnna::sim::Session& session,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   using namespace gnna;
+  benchutil::BenchArgs args(argc, argv);
 
   std::cout << "=== Ablation: AGG ALU bank width (CPU iso-BW, 2.4 GHz) "
                "===\n\n";
 
-  const benchutil::EnvTrace env_trace;
   sim::Session session;
   const std::shared_ptr<const graph::Dataset> cora =
       session.dataset(graph::DatasetId::kCora);
@@ -71,12 +71,12 @@ int main() {
         session.compile(gnn::make_gcn(cora->spec.vertex_features,
                                       cora->spec.output_features),
                         cora),
-        env_trace, "GCN / Cora (wide 1433-word aggregations)");
+        args, "GCN / Cora (wide 1433-word aggregations)");
   sweep(session,
         session.compile(gnn::make_gat(cora->spec.vertex_features,
                                       cora->spec.output_features),
                         cora),
-        env_trace, "GAT / Cora (64-word aggregations fed by the DNA)");
+        args, "GAT / Cora (64-word aggregations fed by the DNA)");
   std::cout << "Expected shape: below 16 ALUs the bank cannot keep up with "
                "one 64B flit per cycle\nand becomes a serialization point "
                "on wide aggregations; above 16 the NoC link is\nthe limit, "

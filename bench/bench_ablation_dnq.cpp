@@ -5,7 +5,7 @@
 // the latency / switch-count trade-off on MPNN, the only benchmark that
 // exercises both virtual queues (message network on queue 0, GRU on
 // queue 1). The five configurations share one compiled program and fan
-// out across a BatchRunner (GNNA_JOBS caps the pool).
+// out across a BatchRunner (--jobs caps the pool).
 #include <iostream>
 #include <memory>
 #include <vector>
@@ -15,13 +15,13 @@
 #include "gnn/model.hpp"
 #include "sim/batch_runner.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace gnna;
+  benchutil::BenchArgs args(argc, argv);
 
   std::cout << "=== Ablation: DNQ lazy-switch idle threshold (MPNN, 100 "
                "QM9-like molecules, CPU iso-BW) ===\n\n";
 
-  const benchutil::EnvTrace env_trace;
   sim::Session session;
   const sim::Session::Resolved mpnn = session.compile(
       gnn::make_mpnn(13, 5, 73),
@@ -35,11 +35,11 @@ int main() {
     req.dataset = mpnn.dataset;
     req.config = accel::AcceleratorConfig::cpu_iso_bw();
     req.config.tile_params.dnq_idle_switch_cycles = threshold;
-    req.trace = env_trace.options();
+    req.trace = args.next_trace();
     requests.push_back(std::move(req));
   }
 
-  sim::BatchRunner runner(session, benchutil::default_jobs(env_trace));
+  sim::BatchRunner runner(session, args.jobs());
   runner.set_progress([&](std::size_t i, const sim::RunResult& r) {
     std::cerr << "[ablation-dnq] threshold " << thresholds[i]
               << (r.ok() ? " done" : " FAILED: " + r.error) << '\n';

@@ -30,7 +30,7 @@ struct Variant {
 
 void sweep(gnna::sim::Session& session,
            const gnna::sim::Session::Resolved& prog,
-           const gnna::benchutil::EnvTrace& env_trace,
+           gnna::benchutil::BenchArgs& args,
            const std::string& label) {
   using namespace gnna;
   std::cout << "--- " << label << " ---\n";
@@ -52,11 +52,11 @@ void sweep(gnna::sim::Session& session,
     req.config.mem_params.scheduler = v.scheduler;
     req.config.mem_params.banks = v.banks;
     req.config.mem_params.bank_xor = v.bank_xor;
-    req.trace = env_trace.options();
+    req.trace = args.next_trace();
     requests.push_back(std::move(req));
   }
 
-  sim::BatchRunner runner(session, benchutil::default_jobs(env_trace));
+  sim::BatchRunner runner(session, args.jobs());
   runner.set_progress([&](std::size_t i, const sim::RunResult& r) {
     std::cerr << "[ablation-mem] " << label << ' ' << variants[i].label
               << (r.ok() ? " done" : " FAILED: " + r.error) << '\n';
@@ -81,13 +81,13 @@ void sweep(gnna::sim::Session& session,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   using namespace gnna;
+  benchutil::BenchArgs args(argc, argv);
 
   std::cout << "=== Ablation: memory scheduling (CPU iso-BW, 2.4 GHz) "
                "===\n\n";
 
-  const benchutil::EnvTrace env_trace;
   sim::Session session;
   const std::shared_ptr<const graph::Dataset> cora =
       session.dataset(graph::DatasetId::kCora);
@@ -95,12 +95,12 @@ int main() {
         session.compile(gnn::make_gcn(cora->spec.vertex_features,
                                       cora->spec.output_features),
                         cora),
-        env_trace, "GCN / Cora (streaming feature reads)");
+        args, "GCN / Cora (streaming feature reads)");
   sweep(session,
         session.compile(gnn::make_gat(cora->spec.vertex_features,
                                       cora->spec.output_features),
                         cora),
-        env_trace, "GAT / Cora (attention-dominated, lighter mem traffic)");
+        args, "GAT / Cora (attention-dominated, lighter mem traffic)");
   std::cout << "Expected shape: with few banks the 64B interleave spreads "
                "consecutive lines across\nbanks and row reuse is poor; more "
                "banks keep more rows open, the hit rate climbs,\nand FR-FCFS "

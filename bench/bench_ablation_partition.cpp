@@ -13,7 +13,7 @@
 // baseline was skewed.
 //
 // This is the in-process version of the CLI recipe (EXPERIMENTS.md):
-//   gnnasim --benchmark X --attribution=p1.json
+//   gnnasim --benchmark X --attribution --json p1.json
 //   gnnasim --benchmark X --partition profile-guided --attribution-from p1.json
 #include <iostream>
 #include <memory>
@@ -60,9 +60,9 @@ accel::RunStats run_once(const sim::Session::Resolved& prog,
                          const accel::AcceleratorConfig& cfg,
                          graph::PartitionPolicy policy,
                          std::vector<double> profile,
-                         const benchutil::EnvTrace& env_trace) {
+                         benchutil::BenchArgs& args) {
   accel::AcceleratorSim sim(cfg, policy);
-  accel::TraceOptions opts = env_trace.options();
+  accel::TraceOptions opts = args.next_trace();
   opts.attribution = true;
   sim.set_trace(opts);
   sim.set_profile_loads(std::move(profile));
@@ -71,19 +71,19 @@ accel::RunStats run_once(const sim::Session::Resolved& prog,
 
 void sweep(const sim::Session::Resolved& prog,
            const accel::AcceleratorConfig& cfg,
-           const benchutil::EnvTrace& env_trace, const std::string& label) {
+           benchutil::BenchArgs& args, const std::string& label) {
   std::cout << "--- " << label << " (" << cfg.num_tiles() << " tiles) ---\n";
 
   std::vector<PolicyResult> results;
   results.push_back({"round-robin",
                      run_once(prog, cfg, graph::PartitionPolicy::kRoundRobin,
-                              {}, env_trace)});
+                              {}, args)});
   results.push_back({"block",
                      run_once(prog, cfg, graph::PartitionPolicy::kBlock, {},
-                              env_trace)});
+                              args)});
   results.push_back({"degree-greedy",
                      run_once(prog, cfg, graph::PartitionPolicy::kDegreeGreedy,
-                              {}, env_trace)});
+                              {}, args)});
 
   // Two-pass: measured per-vertex GPE cycles from the round-robin run
   // drive the LPT rebalance of the rerun.
@@ -92,7 +92,7 @@ void sweep(const sim::Session::Resolved& prog,
        run_once(prog, cfg, graph::PartitionPolicy::kProfileGuided,
                 results[0].stats.attribution->vertex_busy(
                     prog.program->total_vertices()),
-                env_trace)});
+                args)});
 
   const auto base = static_cast<double>(results[0].stats.cycles);
   Table t({"Policy", "Cycles", "vs round-robin", "Busy max/mean",
@@ -111,11 +111,11 @@ void sweep(const sim::Session::Resolved& prog,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  benchutil::BenchArgs args(argc, argv);
   std::cout << "=== Ablation: partition policy (two-pass profile-guided "
                "rebalance) ===\n\n";
 
-  const benchutil::EnvTrace env_trace;
   sim::Session session;
 
   const std::shared_ptr<const graph::Dataset> cora =
@@ -123,11 +123,11 @@ int main() {
   sweep(session.compile(gnn::make_gcn(cora->spec.vertex_features,
                                       cora->spec.output_features),
                         cora),
-        accel::AcceleratorConfig::gpu_iso_bw(), env_trace, "GCN / Cora");
+        accel::AcceleratorConfig::gpu_iso_bw(), args, "GCN / Cora");
   sweep(session.compile(gnn::make_gat(cora->spec.vertex_features,
                                       cora->spec.output_features),
                         cora),
-        accel::AcceleratorConfig::gpu_iso_bw(), env_trace, "GAT / Cora");
+        accel::AcceleratorConfig::gpu_iso_bw(), args, "GAT / Cora");
 
   // Skewed citation graph: a few Zipf hubs own a large share of the
   // edges, so blind splits leave the hub tiles as barrier stragglers —
@@ -142,7 +142,7 @@ int main() {
             gnn::make_gat(cite->spec.vertex_features,
                           cite->spec.output_features),
             cite),
-        accel::AcceleratorConfig::gpu_iso_bw(), env_trace,
+        accel::AcceleratorConfig::gpu_iso_bw(), args,
         "GAT / citation-hub-2k");
 
   std::cout << "Expected shape: on the memory-bandwidth-bound Cora runs "

@@ -19,7 +19,7 @@ namespace {
 
 void sweep(gnna::sim::Session& session,
            const gnna::sim::Session::Resolved& prog,
-           const gnna::benchutil::EnvTrace& env_trace,
+           gnna::benchutil::BenchArgs& args,
            const std::string& label) {
   using namespace gnna;
   std::cout << "--- " << label << " ---\n";
@@ -33,11 +33,11 @@ void sweep(gnna::sim::Session& session,
     req.dataset = prog.dataset;
     req.config = accel::AcceleratorConfig::cpu_iso_bw();
     req.threads = threads;
-    req.trace = env_trace.options();
+    req.trace = args.next_trace();
     requests.push_back(std::move(req));
   }
 
-  sim::BatchRunner runner(session, benchutil::default_jobs(env_trace));
+  sim::BatchRunner runner(session, args.jobs());
   runner.set_progress([&](std::size_t i, const sim::RunResult& r) {
     std::cerr << "[ablation-threads] " << label
               << " threads=" << thread_counts[i]
@@ -61,13 +61,13 @@ void sweep(gnna::sim::Session& session,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   using namespace gnna;
+  benchutil::BenchArgs args(argc, argv);
 
   std::cout << "=== Ablation: GPE software-thread pool size (CPU iso-BW) "
                "===\n\n";
 
-  const benchutil::EnvTrace env_trace;
   sim::Session session;
   {
     const std::shared_ptr<const graph::Dataset> pubmed =
@@ -76,12 +76,12 @@ int main() {
           session.compile(gnn::make_gcn(pubmed->spec.vertex_features,
                                         pubmed->spec.output_features),
                           pubmed),
-          env_trace, "GCN / Pubmed (memory-bound)");
+          args, "GCN / Pubmed (memory-bound)");
   }
   {
     const auto dblp = std::make_shared<const graph::Dataset>(
         benchutil::make_community_subset(200, 900));
-    sweep(session, session.compile(gnn::make_pgnn(1, 3), dblp), env_trace,
+    sweep(session, session.compile(gnn::make_pgnn(1, 3), dblp), args,
           "PGNN / community-200 (traversal-bound)");
   }
 

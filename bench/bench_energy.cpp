@@ -1,7 +1,7 @@
 // Extension bench: estimated energy per inference for every benchmark on
 // the CPU iso-BW configuration, with the component breakdown and the
 // wasted-DRAM fraction that motivates the paper (Section II). The six runs
-// share one BatchRunner (GNNA_JOBS caps the pool).
+// share one BatchRunner (--jobs caps the pool).
 #include <iostream>
 #include <vector>
 
@@ -10,25 +10,25 @@
 #include "common/table.hpp"
 #include "sim/batch_runner.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace gnna;
+  benchutil::BenchArgs args(argc, argv);
 
   std::cout << "=== Energy per inference (CPU iso-BW, 2.4 GHz; "
                "activity-counter model, see src/accel/energy.hpp) ===\n\n";
 
-  const benchutil::EnvTrace env_trace;
   const accel::AcceleratorConfig cfg = accel::AcceleratorConfig::cpu_iso_bw();
   std::vector<sim::RunRequest> requests;
   for (const gnn::Benchmark b : gnn::kAllBenchmarks) {
     sim::RunRequest req;
     req.benchmark = b;
     req.config = cfg;
-    req.trace = env_trace.options();
+    req.trace = args.next_trace();
     requests.push_back(std::move(req));
   }
 
   sim::BatchRunner runner(sim::Session::global(),
-                          benchutil::default_jobs(env_trace));
+                          args.jobs());
   runner.set_progress([&](std::size_t i, const sim::RunResult& r) {
     benchutil::progress_to_stderr("energy", i, r);
   });

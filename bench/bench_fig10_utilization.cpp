@@ -1,6 +1,6 @@
 // Reproduces Fig 10: observed mean memory bandwidth and DNA utilization of
 // all benchmarks in the CPU iso-bandwidth configuration (2.4 GHz). The six
-// runs go through one BatchRunner (GNNA_JOBS caps the pool); results print
+// runs go through one BatchRunner (--jobs caps the pool); results print
 // in benchmark order regardless of completion order.
 #include <iostream>
 #include <vector>
@@ -9,24 +9,24 @@
 #include "common/table.hpp"
 #include "sim/batch_runner.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace gnna;
+  benchutil::BenchArgs args(argc, argv);
 
   std::cout << "=== Fig 10: mean memory bandwidth and DNA utilization, CPU "
                "iso-BW configuration ===\n\n";
 
-  const benchutil::EnvTrace env_trace;
   std::vector<sim::RunRequest> requests;
   for (const gnn::Benchmark b : gnn::kAllBenchmarks) {
     sim::RunRequest req;
     req.benchmark = b;
     req.config = accel::AcceleratorConfig::cpu_iso_bw();
-    req.trace = env_trace.options();
+    req.trace = args.next_trace();
     requests.push_back(std::move(req));
   }
 
   sim::BatchRunner runner(sim::Session::global(),
-                          benchutil::default_jobs(env_trace));
+                          args.jobs());
   runner.set_progress([&](std::size_t i, const sim::RunResult& r) {
     benchutil::progress_to_stderr("fig10", i, r);
   });

@@ -7,8 +7,8 @@
 //
 // This is the flagship experiment and runs the full cycle-level simulator
 // for every (benchmark, configuration, clock) point — expect several
-// minutes. Set GNNA_QUICK=1 to sweep only the 2.4 GHz points; GNNA_JOBS
-// caps the worker pool. All points go through one BatchRunner, so the six
+// minutes. Set GNNA_QUICK=1 to sweep only the 2.4 GHz points; --jobs caps
+// the worker pool. All points go through one BatchRunner, so the six
 // datasets and programs are built once and shared across the whole sweep.
 #include <cmath>
 #include <cstdlib>
@@ -21,12 +21,12 @@
 #include "common/table.hpp"
 #include "sim/batch_runner.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace gnna;
+  benchutil::BenchArgs args(argc, argv);
   using accel::AcceleratorConfig;
 
   const bool quick = std::getenv("GNNA_QUICK") != nullptr;
-  const benchutil::EnvTrace env_trace;  // GNNA_TRACE / GNNA_SAMPLE_EVERY
   const std::vector<double> clocks =
       quick ? std::vector<double>{2.4} : std::vector<double>{0.6, 1.2, 2.4};
 
@@ -62,14 +62,14 @@ int main() {
         req.benchmark = b;
         req.config = panels[p].cfg;
         req.clock_ghz = ghz;
-        req.trace = env_trace.options();
+        req.trace = args.next_trace();
         requests.push_back(std::move(req));
       }
     }
   }
 
   sim::BatchRunner runner(sim::Session::global(),
-                          benchutil::default_jobs(env_trace));
+                          args.jobs());
   runner.set_progress([&](std::size_t i, const sim::RunResult& r) {
     std::cerr << "[fig8] " << panels[points[i].panel].title << " | "
               << gnn::benchmark_name(points[i].benchmark) << " @ "

@@ -10,7 +10,7 @@
 // memory bandwidths. Note the accelerator's own bandwidth utilization also
 // drifts down with scale as wide hub-vertex gathers monopolize the single
 // memory controller's in-order queue. All five sizes run through one
-// BatchRunner (GNNA_JOBS caps the pool).
+// BatchRunner (--jobs caps the pool).
 #include <iostream>
 #include <memory>
 #include <vector>
@@ -24,13 +24,13 @@
 #include "graph/generator.hpp"
 #include "sim/batch_runner.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace gnna;
+  benchutil::BenchArgs args(argc, argv);
 
   std::cout << "=== Scale sweep: GCN on synthetic citation graphs (mean "
                "degree 4, 64 features, CPU iso-BW @ 2.4 GHz) ===\n\n";
 
-  const benchutil::EnvTrace env_trace;
   const baseline::DeviceModel cpu = baseline::cpu_xeon_e5_2680v4();
   const gnn::ModelSpec gcn = gnn::make_gcn(64, 8);
 
@@ -52,11 +52,11 @@ int main() {
     req.program = prog.program;
     req.dataset = prog.dataset;
     req.config = accel::AcceleratorConfig::cpu_iso_bw();
-    req.trace = env_trace.options();
+    req.trace = args.next_trace();
     requests.push_back(std::move(req));
   }
 
-  sim::BatchRunner runner(session, benchutil::default_jobs(env_trace));
+  sim::BatchRunner runner(session, args.jobs());
   runner.set_progress([&](std::size_t i, const sim::RunResult& r) {
     std::cerr << "[scale] n=" << sizes[i]
               << (r.ok() ? " done" : " FAILED: " + r.error) << '\n';

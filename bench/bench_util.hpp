@@ -1,14 +1,14 @@
-// Shared helpers for the ablation benches: reduced-size datasets so design
-// sweeps finish quickly while exercising the same code paths.
+// Shared helpers for the benches: the simulating benches' command line,
+// and reduced-size datasets so design sweeps finish quickly while
+// exercising the same code paths.
 #pragma once
 
+#include <algorithm>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
-#include <optional>
+#include <stdexcept>
 #include <string>
 #include <string_view>
-#include <thread>
 
 #include "accel/simulator.hpp"
 #include "common/rng.hpp"
@@ -16,98 +16,60 @@
 #include "graph/generator.hpp"
 #include "sim/batch_runner.hpp"
 #include "sim/manifest.hpp"
-#include "trace/trace.hpp"
 
 namespace gnna::benchutil {
 
-/// Observability via the environment, for benches that have no CLI flags:
-///   GNNA_TRACE=<file>        Chrome-trace JSON event log
-///   GNNA_PROFILE=1           aggregate per-phase profiles (attached to
-///                            each run's RunStats::profile)
-///   GNNA_SAMPLE_EVERY=<n>    periodic sample cadence in NoC cycles
-///   GNNA_SAMPLE_FILE=<file>  CSV sidecar for the samples (default stderr)
-///   GNNA_ATTR=1              per-vertex/per-tile work attribution
-///                            (attached to each run's
-///                            RunStats::attribution)
-/// Owns the output streams and sink; options() stays valid while this
-/// object is alive. When a bench runs several simulations against one
-/// EnvTrace, their events share the file with per-run cycle timestamps
-/// (the sink is internally mutex-guarded, so this also holds for parallel
-/// BatchRunner sweeps; the CSV sampler writes whole rows).
-class EnvTrace {
+/// The command line every simulating bench takes:
+///   --trace <file>        Chrome-trace event log, one <file>.runN per run
+///   --sample-every <n>    utilization samples every n NoC cycles
+///   --sample-file <file>  CSV for the samples, one <file>.runN per run
+///                         (default stderr)
+///   --jobs <n>            BatchRunner workers in [1, 1024] (default: one
+///                         per hardware thread)
+/// The first three are run options (sim/options.hpp). Any other argument,
+/// other run options included, exits 2 before any run starts: a bench
+/// picks its own configurations and must not silently ignore one.
+class BenchArgs {
  public:
-  EnvTrace() {
-    if (const char* p = std::getenv("GNNA_TRACE")) {
-      trace_file_.open(p);
-      if (trace_file_) {
-        sink_.emplace(trace_file_);
-        opts_.sink = &*sink_;
-      } else {
-        std::cerr << "warning: cannot open GNNA_TRACE file " << p << '\n';
-      }
-    }
-    if (const char* p = std::getenv("GNNA_PROFILE")) {
-      opts_.profile = *p != '\0' && std::string_view(p) != "0";
-    }
-    if (const char* p = std::getenv("GNNA_ATTR")) {
-      opts_.attribution = *p != '\0' && std::string_view(p) != "0";
-    }
-    if (const char* p = std::getenv("GNNA_SAMPLE_EVERY")) {
-      // Strict parse: a malformed cadence must not silently disable
-      // sampling (bare strtoull would return 0 for garbage).
-      const auto every = sim::parse_u64(p);
-      if (!every) {
-        std::cerr << "warning: ignoring malformed GNNA_SAMPLE_EVERY '" << p
-                  << "' (want a cycle count)\n";
-      } else {
-        opts_.sample_every = *every;
-      }
-      if (opts_.sample_every > 0) {
-        if (const char* f = std::getenv("GNNA_SAMPLE_FILE")) {
-          sample_file_.open(f);
-          if (!sample_file_.is_open()) {
-            std::cerr << "warning: cannot open GNNA_SAMPLE_FILE " << f
-                      << "; samples go to stderr\n";
-          }
+  BenchArgs(int argc, char** argv) {
+    constexpr std::string_view kRunFlags[] = {"--trace", "--sample-every",
+                                              "--sample-file"};
+    try {
+      for (int i = 1; i < argc; ++i) {
+        const std::string_view arg = argv[i];
+        if (arg == "--jobs") {
+          jobs_ = sim::parse_jobs(argc, argv, i);
+        } else if (std::find(std::begin(kRunFlags), std::end(kRunFlags),
+                             arg) == std::end(kRunFlags) ||
+                   !options_.parse_flag(argc, argv, i)) {
+          throw std::invalid_argument(
+              std::string(arg) +
+              " is not a bench option (--trace <file>, --sample-every <n>, "
+              "--sample-file <file>, --jobs <n>)");
         }
-        opts_.sample_out = sample_file_.is_open() ? &sample_file_ : &std::cerr;
       }
+    } catch (const std::invalid_argument& e) {
+      std::cerr << "error: " << e.what() << '\n';
+      std::exit(2);
     }
   }
 
-  [[nodiscard]] const accel::TraceOptions& options() const { return opts_; }
-
-  /// True when any observability output is attached.
-  [[nodiscard]] bool active() const {
-    return opts_.sink != nullptr || opts_.sample_every > 0;
+  /// Observability for the next run, writing its own numbered files.
+  [[nodiscard]] accel::TraceOptions next_trace() {
+    sim::RunRequest req;
+    options_.apply(req);
+    sim::per_run_paths(req.trace, runs_++);
+    return req.trace;
   }
+
+  /// BatchRunner workers; 0 is one per hardware thread.
+  [[nodiscard]] unsigned jobs() const { return jobs_; }
 
  private:
-  std::ofstream trace_file_;
-  std::ofstream sample_file_;
-  std::optional<trace::ChromeTraceSink> sink_;
-  accel::TraceOptions opts_;
+  sim::RunOptions options_;
+  unsigned jobs_ = 0;
+  std::size_t runs_ = 0;
 };
-
-/// Worker count for BatchRunner-based sweeps: GNNA_JOBS if set (malformed
-/// values warn and fall back), otherwise one per hardware thread. Forced
-/// to 1 while env-tracing is active so a shared CSV sample stream stays
-/// ordered per run.
-inline unsigned default_jobs(const EnvTrace& env) {
-  if (env.active()) return 1;
-  if (const char* p = std::getenv("GNNA_JOBS")) {
-    const auto jobs = sim::parse_u64(p);
-    if (!jobs || *jobs > 1024) {
-      std::cerr << "warning: ignoring malformed GNNA_JOBS '" << p << "'\n";
-    } else if (*jobs > 0) {
-      return static_cast<unsigned>(*jobs);
-    }
-    // GNNA_JOBS=0 falls through to "all cores" (unlike gnnasim --jobs,
-    // which requires an explicit count >= 1).
-  }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
-}
 
 /// Progress line printed as each batch run retires (completion order).
 inline void progress_to_stderr(const std::string& tag, std::size_t index,

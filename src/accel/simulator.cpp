@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <iostream>
 #include <sstream>
 #include <stdexcept>
 
@@ -10,6 +11,18 @@
 #include "accel/verify.hpp"
 
 namespace gnna::accel {
+
+namespace {
+
+/// `out`, opened on `path` for writing; throws std::runtime_error when it
+/// cannot be.
+std::ofstream& open_output(std::ofstream& out, const std::string& path) {
+  out.open(path);
+  if (!out) throw std::runtime_error("cannot open " + path + " for writing");
+  return out;
+}
+
+}  // namespace
 
 AcceleratorSim::AcceleratorSim(AcceleratorConfig cfg,
                                graph::PartitionPolicy partition)
@@ -55,7 +68,25 @@ void AcceleratorSim::build() {
   }
 }
 
+void AcceleratorSim::set_trace(TraceOptions opts) {
+  const auto reject_if = [](bool bad, const char* why) {
+    if (bad) throw std::invalid_argument(std::string("TraceOptions: ") + why);
+  };
+  reject_if(!opts.trace_path.empty() && opts.sink != nullptr,
+            "trace_path and sink are exclusive");
+  reject_if(!opts.sample_path.empty() && opts.sample_out != nullptr,
+            "sample_path and sample_out are exclusive");
+  reject_if(!opts.sample_path.empty() && opts.sample_every == 0,
+            "sample_path needs sample_every > 0");
+  trace_ = std::move(opts);
+}
+
 void AcceleratorSim::attach_tracers(const CompiledProgram& prog) {
+  if (!trace_.trace_path.empty()) {
+    chrome_ = std::make_unique<trace::ChromeTraceSink>(
+        open_output(trace_file_, trace_.trace_path));
+    trace_.sink = chrome_.get();
+  }
   sink_ = trace_.sink;
   if (trace_.profile) {
     profiler_ = std::make_unique<trace::Profiler>();
@@ -94,9 +125,12 @@ void AcceleratorSim::begin_sampling() {
   last_sample_cycle_ = 0;
   prev_gpe_busy_ = prev_dna_busy_ = prev_agg_busy_ = 0.0;
   prev_mem_bytes_.assign(mems_.size(), 0);
-  if (trace_.sample_out != nullptr) {
-    *trace_.sample_out << sample_csv_header(mems_.size()) << '\n';
+  if (!trace_.sample_path.empty()) {
+    trace_.sample_out = &open_output(sample_file_, trace_.sample_path);
+  } else if (trace_.sample_out == nullptr) {
+    trace_.sample_out = &std::cerr;
   }
+  *trace_.sample_out << sample_csv_header(mems_.size()) << '\n';
 }
 
 void AcceleratorSim::maybe_sample(const std::string& phase_name) {
@@ -144,17 +178,15 @@ void AcceleratorSim::maybe_sample(const std::string& phase_name) {
     total_gbps += mem_gbps[i];
   }
 
-  if (trace_.sample_out != nullptr) {
-    // Assemble the row first and emit it with one stream write, so rows
-    // stay intact even if several runs share the stream.
-    std::ostringstream row;
-    row << now << ',' << phase_name << ',' << gpe_frac << ',' << dna_frac
-        << ',' << agg_frac << ',' << dnq_live << ',' << agg_live << ','
-        << mem_depth << ',' << inflight << ',' << total_gbps;
-    for (const double g : mem_gbps) row << ',' << g;
-    row << '\n';
-    *trace_.sample_out << row.str();
-  }
+  // Assemble the row first and emit it with one stream write, so rows
+  // stay intact even if several runs share the stream.
+  std::ostringstream row;
+  row << now << ',' << phase_name << ',' << gpe_frac << ',' << dna_frac << ','
+      << agg_frac << ',' << dnq_live << ',' << agg_live << ',' << mem_depth
+      << ',' << inflight << ',' << total_gbps;
+  for (const double g : mem_gbps) row << ',' << g;
+  row << '\n';
+  *trace_.sample_out << row.str();
   if (sink_ != nullptr) {
     const auto at = static_cast<double>(now);
     sink_->counter(trace::Category::kGpe, 0, "busy_frac", at, gpe_frac);
@@ -278,10 +310,10 @@ RunStats AcceleratorSim::run(const CompiledProgram& prog,
     Cycle last_progress = net_->now();
     const auto check_watchdog = [&] {
       if (net_->now() - last_progress <= watchdog_cycles_) return;
-      const std::string report = deadlock_report(phase.name);
-      if (!trace_.deadlock_report_path.empty()) {
-        std::ofstream f(trace_.deadlock_report_path);
-        f << report;
+      std::string report = deadlock_report(phase.name);
+      const std::string& path = trace_.deadlock_report_path;
+      if (!path.empty() && !(std::ofstream(path) << report << std::flush)) {
+        report += "(cannot write this report to " + path + ")\n";
       }
       throw std::runtime_error(
           "AcceleratorSim: no progress in phase " + phase.name + " for " +
@@ -332,6 +364,16 @@ RunStats AcceleratorSim::run(const CompiledProgram& prog,
     mem_served_before_phase = served;
     ps.tasks = part.num_nodes();
     rs.phases.push_back(std::move(ps));
+  }
+
+  // The run's files are complete once it returns, and a failed write
+  // fails the run.
+  if (chrome_) chrome_->close();
+  for (auto [file, path] : {std::pair{&trace_file_, &trace_.trace_path},
+                            std::pair{&sample_file_, &trace_.sample_path}}) {
+    if (!file->is_open()) continue;
+    file->close();
+    if (file->fail()) throw std::runtime_error("cannot write " + *path);
   }
 
   // Aggregate statistics.

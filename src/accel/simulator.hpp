@@ -3,6 +3,7 @@
 // global barriers between phases (Algorithm 1).
 #pragma once
 
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -23,25 +24,35 @@ namespace gnna::accel {
 struct ProgramAnalysis;  // accel/analysis.hpp
 
 /// Observability knobs for one run. All default to "off"; with the
-/// defaults the simulator behaves (and performs) exactly as before.
+/// defaults the simulator behaves (and performs) exactly as before. The
+/// run-option table (sim/options.hpp) sets every field but the two
+/// pointers, which are for API callers.
 struct TraceOptions {
   /// Event sink (e.g. a ChromeTraceSink). Not owned; must outlive run().
+  /// Excludes `trace_path`.
   trace::TraceSink* sink = nullptr;
+  /// Chrome-trace JSON file that run() writes through a ChromeTraceSink of
+  /// its own. It is complete when run() returns, or, if run() throws, once
+  /// the simulator is destroyed. Excludes `sink`.
+  std::string trace_path;
   /// Aggregate the run's event stream into a trace::ProfileReport
-  /// (attached to RunStats::profile). Composes with `sink`: both consume
-  /// the same events. Pure observation — cycle counts are unchanged.
+  /// (attached to RunStats::profile). Composes with the trace: both
+  /// consume the same events. Pure observation — cycle counts are
+  /// unchanged.
   bool profile = false;
   /// Periodic time-series sampling: every `sample_every` NoC cycles emit
-  /// one CSV row to `sample_out` (if set) and counter events to `sink`
-  /// (if set). 0 disables sampling.
+  /// one CSV row and counter events to the trace (if any). 0 disables
+  /// sampling. The rows go to `sample_path` if set, else to `sample_out`
+  /// (not owned; must outlive run()), else to stderr.
   Cycle sample_every = 0;
-  std::ostream* sample_out = nullptr;  // not owned; must outlive run()
+  std::string sample_path;
+  std::ostream* sample_out = nullptr;
   /// When the progress watchdog fires, also write the diagnostics report
   /// to this path (the exception message carries it regardless).
   std::string deadlock_report_path;
   /// Aggregate per-vertex/per-tile work attribution into a
   /// trace::AttributionReport (attached to RunStats::attribution).
-  /// Composes with `sink` and `profile` through the same tee. Pure
+  /// Composes with the trace and `profile` through the same tee. Pure
   /// observation — cycle counts are unchanged. Every vertex is counted
   /// exactly, in a table sized to the program's vertex count.
   bool attribution = false;
@@ -159,8 +170,11 @@ class AcceleratorSim {
   /// errors, instead of deadlocking mid-simulation.
   void set_verify(bool v) { verify_ = v; }
 
-  /// Attach observability outputs; must be called before run().
-  void set_trace(TraceOptions opts) { trace_ = std::move(opts); }
+  /// Attach observability outputs; must be called before run(). Throws
+  /// std::invalid_argument when two outputs of one kind are given (a
+  /// trace path and a sink, a sample path and a stream) or a sample path
+  /// without a cadence.
+  void set_trace(TraceOptions opts);
 
   /// Measured per-vertex loads (e.g. a prior run's attribution busy
   /// cycles) that PartitionPolicy::kProfileGuided packs; see
@@ -193,6 +207,11 @@ class AcceleratorSim {
   Cycle watchdog_cycles_ = 2'000'000;
   TraceOptions trace_;
 
+  // Output files opened from trace_'s paths; each stream outlives the
+  // sink writing to it.
+  std::ofstream trace_file_;
+  std::ofstream sample_file_;
+  std::unique_ptr<trace::ChromeTraceSink> chrome_;
   // Effective event sink: trace_.sink, the profiler, the attribution
   // sink, or a tee of those attached.
   trace::TraceSink* sink_ = nullptr;

@@ -5,11 +5,6 @@
 
 namespace gnna::graph {
 
-bool Graph::has_edge(NodeId u, NodeId v) const {
-  const auto row = neighbors(u);
-  return std::binary_search(row.begin(), row.end(), v);
-}
-
 Graph Graph::symmetrized() const {
   GraphBuilder b(num_nodes());
   for (NodeId v = 0; v < num_nodes(); ++v) {
@@ -26,11 +21,6 @@ std::uint32_t Graph::max_out_degree() const {
   std::uint32_t m = 0;
   for (NodeId v = 0; v < num_nodes(); ++v) m = std::max(m, out_degree(v));
   return m;
-}
-
-double Graph::mean_out_degree() const {
-  if (num_nodes() == 0) return 0.0;
-  return static_cast<double>(num_edges()) / num_nodes();
 }
 
 double Graph::sparsity() const {

@@ -46,15 +46,11 @@ class Graph {
   [[nodiscard]] std::span<const EdgeId> row_ptr() const { return row_ptr_; }
   [[nodiscard]] std::span<const NodeId> col_idx() const { return col_idx_; }
 
-  /// True if a directed edge u->v exists (binary search over the row).
-  [[nodiscard]] bool has_edge(NodeId u, NodeId v) const;
-
   /// Undirected version: every edge u->v yields both u->v and v->u;
   /// duplicates and self-loops are collapsed.
   [[nodiscard]] Graph symmetrized() const;
 
   [[nodiscard]] std::uint32_t max_out_degree() const;
-  [[nodiscard]] double mean_out_degree() const;
 
   /// Fraction of zero entries in the dense N x N adjacency matrix.
   [[nodiscard]] double sparsity() const;

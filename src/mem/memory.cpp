@@ -43,7 +43,6 @@ MemoryController::MemoryController(noc::MeshNetwork& net, EndpointId endpoint,
     : net_(net),
       endpoint_(endpoint),
       params_(params),
-      clk_(clk),
       frfcfs_(params.scheduler == MemScheduler::kFrFcfs),
       bytes_per_cycle_(params.bandwidth.bytes_per_cycle(clk)),
       latency_cycles_(static_cast<double>(
@@ -348,12 +347,6 @@ void MemoryController::dump_state(std::ostream& os) const {
     if (f.issued) os << " done_at=" << f.respond_at;
     os << '\n';
   }
-}
-
-double MemoryController::mean_bandwidth_bytes_per_s(Cycle elapsed) const {
-  if (elapsed == 0) return 0.0;
-  const double seconds = clk_.cycles_to_seconds(static_cast<double>(elapsed));
-  return static_cast<double>(stats_.bytes_served.value()) / seconds;
 }
 
 }  // namespace gnna::mem

@@ -162,9 +162,6 @@ class MemoryController {
   /// accesses were issued.
   [[nodiscard]] double row_hit_rate() const;
 
-  /// Mean bandwidth actually delivered so far, in bytes/second.
-  [[nodiscard]] double mean_bandwidth_bytes_per_s(Cycle elapsed) const;
-
   /// Requests currently occupying queue/window slots.
   [[nodiscard]] std::size_t queue_depth() const { return queue_.size(); }
 
@@ -206,7 +203,6 @@ class MemoryController {
   noc::MeshNetwork& net_;
   EndpointId endpoint_;
   MemParams params_;
-  Frequency clk_;
   bool frfcfs_;
   double bytes_per_cycle_;
   double latency_cycles_;

@@ -4,7 +4,10 @@
 #include <atomic>
 #include <exception>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
+
+#include "sim/options.hpp"
 
 namespace gnna::sim {
 
@@ -56,6 +59,16 @@ std::vector<RunResult> BatchRunner::run(
   }
   for (auto& t : pool) t.join();
   return results;
+}
+
+unsigned parse_jobs(int argc, char** argv, int& i) {
+  const std::string v = i + 1 < argc ? argv[++i] : "";
+  const auto n = parse_u64(v);
+  if (!n || *n < 1 || *n > 1024) {
+    throw std::invalid_argument(
+        "--jobs needs a count in [1, 1024], got '" + v + "'");
+  }
+  return static_cast<unsigned>(*n);
 }
 
 }  // namespace gnna::sim

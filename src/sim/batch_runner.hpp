@@ -55,4 +55,9 @@ class BatchRunner {
   ProgressFn progress_;
 };
 
+/// The worker count a `--jobs` flag at argv[i] gives, consuming its value.
+/// Throws std::invalid_argument unless the value is an integer in
+/// [1, 1024].
+[[nodiscard]] unsigned parse_jobs(int argc, char** argv, int& i);
+
 }  // namespace gnna::sim

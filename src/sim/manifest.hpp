@@ -35,4 +35,9 @@ namespace gnna::sim {
     std::istream& in, const RunRequest& defaults,
     const std::string& source = "manifest", const RunOptions& options = {});
 
+/// Points `trace`'s output files at run `index`'s own copies, so that the
+/// runs of a batch never share one: "t.json" becomes "t.run3.json" (the
+/// suffix goes before the extension, if any); unset paths stay unset.
+void per_run_paths(accel::TraceOptions& trace, std::size_t index);
+
 }  // namespace gnna::sim

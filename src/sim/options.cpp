@@ -95,6 +95,10 @@ auto req(T RunRequest::*m) {
   return [m](auto& r) -> auto& { return r.*m; };
 }
 template <typename T>
+auto trace_opt(T accel::TraceOptions::*m) {
+  return [m](auto& r) -> auto& { return r.trace.*m; };
+}
+template <typename T>
 auto mem_param(T mem::MemParams::*m) {
   return [m](auto& r) -> auto& { return r.config.mem_params.*m; };
 }
@@ -123,6 +127,7 @@ std::vector<RunOption> build_table() {
   using T = OptionType;
   using MP = mem::MemParams;
   using TP = accel::TileParams;
+  using TO = accel::TraceOptions;
   constexpr double kInf = std::numeric_limits<double>::infinity();
   constexpr double k2p30 = 1073741824.0;
 
@@ -183,7 +188,7 @@ std::vector<RunOption> build_table() {
            req(&RunRequest::watchdog_cycles)),
       bind(of_type("attribution", T::kSwitch,
                    "charge work to vertices and tiles (stats JSON)"),
-           [](auto& r) -> auto& { return r.trace.attribution; }),
+           trace_opt(&TO::attribution)),
       bind(of_type("attribution_from", T::kPath,
                    "prior run's stats JSON that profile-guided packs"),
            req(&RunRequest::attribution_from)),
@@ -215,6 +220,23 @@ std::vector<RunOption> build_table() {
       bind(count("tile_dnq_queue0_sixteenths", 0, 16,
                  "sixteenths of the DNQ scratchpad given to virtual queue 0"),
            tile_param(&TP::dnq_queue0_sixteenths)),
+      bind(of_type("profile", T::kSwitch,
+                   "per-phase profile (printed, and in the stats JSON)"),
+           trace_opt(&TO::profile)),
+      bind(of_type("trace", T::kPath,
+                   "Chrome-trace event log (<file>.runN per run in --batch)"),
+           trace_opt(&TO::trace_path)),
+      bind(count("sample_every", 0, kInf,
+                 "NoC cycles between utilization samples (0: none)"),
+           trace_opt(&TO::sample_every)),
+      bind(of_type("sample_file", T::kPath,
+                   "CSV for the samples (default stderr; <file>.runN per "
+                   "run in --batch)"),
+           trace_opt(&TO::sample_path)),
+      bind(of_type("deadlock_report", T::kPath,
+                   "also write watchdog diagnostics here (<file>.runN per "
+                   "run in --batch)"),
+           trace_opt(&TO::deadlock_report_path)),
   };
 }
 
@@ -483,6 +505,21 @@ std::vector<RunRequest> parse_batch_manifest(std::istream& in,
     for (std::uint64_t r = 0; r < repeat; ++r) requests.push_back(req);
   }
   return requests;
+}
+
+void per_run_paths(accel::TraceOptions& trace, std::size_t index) {
+  const std::string suffix = ".run" + std::to_string(index);
+  for (std::string* path :
+       {&trace.trace_path, &trace.sample_path, &trace.deadlock_report_path}) {
+    if (path->empty()) continue;
+    const auto slash = path->find_last_of('/');
+    auto dot = path->find_last_of('.');
+    if (dot == std::string::npos ||
+        (slash != std::string::npos && dot < slash)) {
+      dot = path->size();
+    }
+    path->insert(dot, suffix);
+  }
 }
 
 }  // namespace gnna::sim

@@ -80,9 +80,10 @@ struct RunRequest {
   /// output cannot be proved equivalent (the unproven program is never
   /// run). Off by default.
   bool optimize = false;
-  /// Per-run observability. Under a parallel BatchRunner each run should
-  /// get its own sink/stream, or share a thread-safe sink (ChromeTraceSink
-  /// is internally locked); plain ostream sample_out must not be shared.
+  /// Per-run observability. The run opens its output paths itself; under a
+  /// BatchRunner each run needs its own (sim::per_run_paths). A sink may be
+  /// shared if it is thread-safe (ChromeTraceSink is internally locked); a
+  /// plain ostream sample_out must not be.
   accel::TraceOptions trace;
   /// Optional display name; overrides the program name in the stats.
   std::string label;

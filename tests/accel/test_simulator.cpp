@@ -302,6 +302,83 @@ TEST(Simulator, TracingDoesNotChangeTiming) {
   EXPECT_GT(sink.events_written(), 0U);
 }
 
+TEST(Simulator, OutputPathsWriteWhatTheStreamsGet) {
+  // A trace and a sample path give the same bytes as a sink and a stream.
+  const auto ds = small_dataset();
+  const auto prog = ProgramCompiler{}.compile(gnn::make_gcn(8, 3, 4), ds);
+  std::ostringstream json;
+  std::ostringstream csv;
+  {
+    trace::ChromeTraceSink sink(json);
+    AcceleratorSim sim(AcceleratorConfig::cpu_iso_bw());
+    TraceOptions topts;
+    topts.sink = &sink;
+    topts.sample_every = 1000;
+    topts.sample_out = &csv;
+    sim.set_trace(topts);
+    (void)sim.run(prog, ds);
+  }
+  AcceleratorSim sim(AcceleratorConfig::cpu_iso_bw());
+  TraceOptions topts;
+  topts.trace_path = ::testing::TempDir() + "paths_trace.json";
+  topts.sample_every = 1000;
+  topts.sample_path = ::testing::TempDir() + "paths_samples.csv";
+  sim.set_trace(topts);
+  (void)sim.run(prog, ds);
+  const auto contents = [](const std::string& path) {
+    std::stringstream ss;
+    ss << std::ifstream(path).rdbuf();
+    return ss.str();
+  };
+  EXPECT_EQ(contents(topts.trace_path), json.str());
+  EXPECT_EQ(contents(topts.sample_path), csv.str());
+}
+
+TEST(Simulator, UnwritableOutputFailsTheRun) {
+  const auto ds = small_dataset();
+  const auto prog = ProgramCompiler{}.compile(gnn::make_gcn(8, 3, 4), ds);
+  for (const char* path : {"/nonexistent-dir/t.json", "/dev/full"}) {
+    AcceleratorSim sim(AcceleratorConfig::cpu_iso_bw());
+    TraceOptions topts;
+    topts.trace_path = path;
+    sim.set_trace(topts);
+    EXPECT_THROW((void)sim.run(prog, ds), std::runtime_error) << path;
+  }
+  // The watchdog's error still carries the report it could not write.
+  AcceleratorSim sim(AcceleratorConfig::cpu_iso_bw());
+  sim.set_watchdog_cycles(3);
+  TraceOptions topts;
+  topts.deadlock_report_path = "/nonexistent-dir/report.txt";
+  sim.set_trace(topts);
+  try {
+    (void)sim.run(prog, ds);
+    FAIL() << "expected the watchdog to fire";
+  } catch (const std::runtime_error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("deadlock diagnostics"), std::string::npos);
+    EXPECT_NE(msg.find("cannot write this report to /nonexistent-dir/"),
+              std::string::npos);
+  }
+}
+
+TEST(Simulator, TraceOptionsRejectTwoOutputsOfOneKind) {
+  std::ostringstream out;
+  trace::ChromeTraceSink sink(out);
+  TraceOptions both_traces;
+  both_traces.trace_path = "t.json";
+  both_traces.sink = &sink;
+  TraceOptions both_samples;
+  both_samples.sample_every = 100;
+  both_samples.sample_path = "s.csv";
+  both_samples.sample_out = &out;
+  TraceOptions no_cadence;
+  no_cadence.sample_path = "s.csv";
+  for (const TraceOptions& topts : {both_traces, both_samples, no_cadence}) {
+    AcceleratorSim sim(AcceleratorConfig::cpu_iso_bw());
+    EXPECT_THROW(sim.set_trace(topts), std::invalid_argument);
+  }
+}
+
 /// Records every DNA "entry" span as (phase index, virtual queue, width),
 /// the phase taken from the runtime's phase markers.
 struct DnaEntrySink final : trace::TraceSink {

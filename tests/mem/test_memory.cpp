@@ -225,8 +225,10 @@ TEST(Memory, MeanBandwidthReflectsServedBytes) {
   Rig rig;
   rig.send_read(0, 64000);
   rig.collect(1);
-  const double bw = rig.mem->mean_bandwidth_bytes_per_s(rig.net.now());
-  EXPECT_GT(bw, 0.0);
+  const std::uint64_t served = rig.mem->stats().bytes_served.value();
+  EXPECT_EQ(served, 64000U);
+  const double bw = static_cast<double>(served) /
+                    kClk.cycles_to_seconds(static_cast<double>(rig.net.now()));
   EXPECT_LE(bw, 64e9 * 1.01);
 }
 

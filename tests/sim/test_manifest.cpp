@@ -190,6 +190,16 @@ TEST(Manifest, ConfigOverridesApplyWhateverTheTokenOrder) {
             "tile_dnq_data_bytes=4096");
 }
 
+TEST(Manifest, PerRunPathsNumberEveryOutputFile) {
+  accel::TraceOptions t;
+  t.trace_path = "out/t.json";
+  t.sample_path = "runs.d/samples";
+  per_run_paths(t, 3);
+  EXPECT_EQ(t.trace_path, "out/t.run3.json");
+  EXPECT_EQ(t.sample_path, "runs.d/samples.run3");
+  EXPECT_EQ(t.deadlock_report_path, "");
+}
+
 TEST(Manifest, EmptyManifestYieldsNoRuns) {
   EXPECT_TRUE(parse("").empty());
   EXPECT_TRUE(parse("# only comments\n\n").empty());

@@ -11,14 +11,9 @@
 // line of a manifest through the shared session caches, fanned across
 // --jobs worker threads, and reports per-run latencies (machine-readable
 // with --json).
-#include <cstdint>
-#include <cstring>
 #include <fstream>
 #include <functional>
 #include <iostream>
-#include <memory>
-#include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -26,13 +21,11 @@
 #include "accel/ir.hpp"
 #include "baseline/baselines.hpp"
 #include "common/table.hpp"
-#include "mem/memory.hpp"
 #include "sim/batch_runner.hpp"
 #include "sim/manifest.hpp"
 #include "sim/session.hpp"
 #include "sim/stats_json.hpp"
 #include "trace/profiler.hpp"
-#include "trace/trace.hpp"
 
 namespace {
 
@@ -46,13 +39,6 @@ void usage(std::ostream& os) {
         "  --batch <manifest>         one run per line (see --help-batch)\n"
         "  --jobs <n>                 worker threads for --batch (default 1)\n"
         "  --json <file>              run stats JSON (an array for --batch)\n"
-        "  --profile[=<file>]         per-phase profile, also to <file>\n"
-        "  --attribution=<file>       --attribution, stats JSON to <file>\n"
-        "  --trace <file>             Chrome-trace event log (<file>.runN\n"
-        "                             per run in --batch)\n"
-        "  --sample-every <cycles>    periodic utilization samples\n"
-        "  --sample-file <file>       CSV for the samples (default stderr)\n"
-        "  --deadlock-report <file>   also write watchdog diagnostics here\n"
         "  --help-batch               the batch manifest format\n"
         "  --help                     this text\n"
         "run options (each is also a manifest key: --mem-banks 4 is"
@@ -71,59 +57,6 @@ void usage_batch(std::ostream& os) {
         "they appear on the line. Keys:\n";
   sim::print_run_options(os, /*manifest_keys=*/true);
 }
-
-/// "t.json" -> "t.run3.json" (suffix before the extension, if any); ""
-/// stays "".
-std::string per_run_path(const std::string& path, std::size_t index) {
-  if (path.empty()) return path;
-  const auto slash = path.find_last_of('/');
-  const auto dot = path.find_last_of('.');
-  const std::string suffix = ".run" + std::to_string(index);
-  if (dot == std::string::npos ||
-      (slash != std::string::npos && dot < slash)) {
-    return path + suffix;
-  }
-  return path.substr(0, dot) + suffix + path.substr(dot);
-}
-
-/// Opens `path` for writing into `out`; false, with a message on stderr,
-/// when it cannot.
-bool open_for_writing(std::ofstream& out, const std::string& path) {
-  out.open(path);
-  if (!out) std::cerr << "error: cannot open " << path << " for writing\n";
-  return static_cast<bool>(out);
-}
-
-/// Owns the streams and sinks behind one run's TraceOptions; must outlive
-/// the run (the sink's destructor closes the JSON document).
-struct TraceFiles {
-  std::ofstream trace_file;
-  std::ofstream sample_file;
-  std::optional<trace::ChromeTraceSink> sink;
-
-  /// Fills `opts` from the CLI paths; returns false (with a message on
-  /// stderr) if a file cannot be opened.
-  bool open(const std::string& trace_path, const std::string& sample_path,
-            Cycle sample_every, const std::string& deadlock_path,
-            accel::TraceOptions& opts) {
-    if (!trace_path.empty()) {
-      if (!open_for_writing(trace_file, trace_path)) return false;
-      sink.emplace(trace_file);
-      opts.sink = &*sink;
-    }
-    if (sample_every > 0) {
-      opts.sample_every = sample_every;
-      if (!sample_path.empty()) {
-        if (!open_for_writing(sample_file, sample_path)) return false;
-        opts.sample_out = &sample_file;
-      } else {
-        opts.sample_out = &std::cerr;
-      }
-    }
-    opts.deadlock_report_path = deadlock_path;
-    return true;
-  }
-};
 
 void print_single_run_report(const accel::RunStats& rs, gnn::Benchmark b,
                              const accel::AcceleratorConfig& cfg,
@@ -187,17 +120,18 @@ void print_single_run_report(const accel::RunStats& rs, gnn::Benchmark b,
   }
 }
 
-/// Writes `emit`'s JSON to every non-empty path in `paths`.
-bool write_json_files(const std::vector<std::string>& paths,
-                      const std::function<void(std::ostream&)>& emit) {
-  for (const std::string& path : paths) {
-    if (path.empty()) continue;
-    std::ofstream out;
-    if (!open_for_writing(out, path)) return false;
-    emit(out);
-    if (!out.good()) return false;
+/// Writes `emit`'s JSON to `path`, if one is given; false, with a message
+/// on stderr, when it cannot.
+bool write_json_file(const std::string& path,
+                     const std::function<void(std::ostream&)>& emit) {
+  if (path.empty()) return true;
+  std::ofstream out(path);
+  if (!out) {
+    std::cerr << "error: cannot open " << path << " for writing\n";
+    return false;
   }
-  return true;
+  emit(out);
+  return out.good();
 }
 
 }  // namespace
@@ -207,14 +141,7 @@ int main(int argc, char** argv) {
   bool want_energy = false;
   std::string batch_path;
   std::string json_path;
-  bool profile = false;
-  std::string profile_path;
-  std::string attribution_path;
   unsigned jobs = 1;
-  std::string trace_path;
-  std::string sample_path;
-  std::string deadlock_path;
-  Cycle sample_every = 0;
   std::string emit_program_path;
 
   sim::RunRequest req;
@@ -227,16 +154,6 @@ int main(int argc, char** argv) {
           throw std::invalid_argument(arg + " needs " + what);
         }
         return argv[++i];
-      };
-      // A tool-local count in [lo, hi]; exits 2 otherwise.
-      auto count = [&](std::uint64_t lo, std::uint64_t hi, const char* what) {
-        const std::string v = i + 1 < argc ? argv[++i] : "";
-        const auto n = sim::parse_u64(v);
-        if (!n || *n < lo || *n > hi) {
-          throw std::invalid_argument(arg + " needs " + what + ", got '" + v +
-                                      "'");
-        }
-        return *n;
       };
       if (arg == "--help" || arg == "-h") {
         usage(std::cout);
@@ -261,31 +178,9 @@ int main(int argc, char** argv) {
       } else if (arg == "--batch") {
         batch_path = next("a manifest file");
       } else if (arg == "--jobs") {
-        jobs = static_cast<unsigned>(count(1, 1024, "a count in [1, 1024]"));
+        jobs = sim::parse_jobs(argc, argv, i);
       } else if (arg == "--json") {
         json_path = next("a file name");
-      } else if (arg == "--profile") {
-        profile = true;
-      } else if (arg.rfind("--profile=", 0) == 0) {
-        profile = true;
-        profile_path = arg.substr(std::strlen("--profile="));
-        if (profile_path.empty()) {
-          throw std::invalid_argument("--profile= needs a file name");
-        }
-      } else if (arg.rfind("--attribution=", 0) == 0) {
-        options.set("attribution", "1");
-        attribution_path = arg.substr(std::strlen("--attribution="));
-        if (attribution_path.empty()) {
-          throw std::invalid_argument("--attribution= needs a file name");
-        }
-      } else if (arg == "--trace") {
-        trace_path = next("a file name");
-      } else if (arg == "--sample-every") {
-        sample_every = count(0, UINT64_MAX, "a cycle count");
-      } else if (arg == "--sample-file") {
-        sample_path = next("a file name");
-      } else if (arg == "--deadlock-report") {
-        deadlock_path = next("a file name");
       } else if (arg == "--emit-program") {
         emit_program_path = next("an output file");
       } else {
@@ -299,7 +194,6 @@ int main(int argc, char** argv) {
     std::cerr << "error: " << e.what() << '\n';
     return 2;
   }
-  req.trace.profile = profile;
 
   sim::Session& session = sim::Session::global();
 
@@ -338,12 +232,10 @@ int main(int argc, char** argv) {
       std::cerr << "error: cannot open manifest " << batch_path << '\n';
       return 2;
     }
-    sim::RunRequest defaults;
-    defaults.trace.profile = profile;
     std::vector<sim::RunRequest> requests;
     try {
-      requests = sim::parse_batch_manifest(manifest, defaults, batch_path,
-                                           options);
+      requests = sim::parse_batch_manifest(manifest, sim::RunRequest{},
+                                           batch_path, options);
     } catch (const std::invalid_argument& e) {
       std::cerr << "error: " << e.what() << '\n';
       return 2;
@@ -357,19 +249,8 @@ int main(int argc, char** argv) {
                    "--batch mode\n";
     }
 
-    // Per-run observability files (a shared sink would interleave events
-    // from unrelated runs; per-run files keep each trace self-contained).
-    std::vector<std::unique_ptr<TraceFiles>> trace_files(requests.size());
-    if (!trace_path.empty() || sample_every > 0 || !deadlock_path.empty()) {
-      for (std::size_t i = 0; i < requests.size(); ++i) {
-        trace_files[i] = std::make_unique<TraceFiles>();
-        if (!trace_files[i]->open(per_run_path(trace_path, i),
-                                  per_run_path(sample_path, i), sample_every,
-                                  per_run_path(deadlock_path, i),
-                                  requests[i].trace)) {
-          return 2;
-        }
-      }
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      sim::per_run_paths(requests[i].trace, i);
     }
 
     sim::BatchRunner runner(session, jobs);
@@ -382,9 +263,6 @@ int main(int argc, char** argv) {
                 << '\n';
     });
     const std::vector<sim::RunResult> results = runner.run(requests);
-    for (auto& tf : trace_files) {
-      if (tf && tf->sink) tf->sink->close();
-    }
 
     std::cout << "batch     : " << batch_path << " (" << results.size()
               << " runs, " << runner.jobs() << " jobs)\n\n";
@@ -412,10 +290,9 @@ int main(int argc, char** argv) {
               << " program hits, " << cc.program_dedupes
               << " deduped by IR hash\n";
 
-    if (!write_json_files({json_path, profile_path, attribution_path},
-                          [&](std::ostream& os) {
-                            sim::write_batch_json(os, results);
-                          })) {
+    if (!write_json_file(json_path, [&](std::ostream& os) {
+          sim::write_batch_json(os, results);
+        })) {
       return 2;
     }
     if (failures > 0) {
@@ -437,30 +314,17 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Observability outputs. The streams must outlive run(); the trace
-  // sink's destructor closes the JSON document.
-  TraceFiles tf;
-  if (!tf.open(trace_path, sample_path, sample_every, deadlock_path,
-               req.trace)) {
-    return 2;
-  }
-
   accel::RunStats rs;
   try {
     rs = session.run(req);
   } catch (const std::exception& e) {
     // Watchdog diagnostics land here; the report is in the message (and in
     // --deadlock-report's file if given). So does a request Session::run
-    // rejects, e.g. profile-guided partitioning without a profile.
+    // rejects, e.g. profile-guided partitioning without a profile, or an
+    // output file that cannot be opened.
     std::cerr << "error: " << e.what() << '\n';
     return 1;
   }
-  if (tf.sink) {
-    tf.sink->close();
-    std::cout << "trace: wrote " << tf.sink->events_written() << " events to "
-              << trace_path << '\n';
-  }
-
   print_single_run_report(rs, *req.benchmark, req.effective_config(),
                           want_energy);
 
@@ -473,16 +337,14 @@ int main(int argc, char** argv) {
     std::cout << "\nattribution: " << ar.tiles.size()
               << " tiles, busy max/mean "
               << format_double(ar.busy_max_mean(), 3) << ", flit gini "
-              << format_double(ar.flit_gini(), 3) << ", top-"
+              << format_double(ar.flit_gini(), 3) << ", "
               << ar.vertices.size()
-              << " hotspots captured (gnnatrace hotspots for the tables)\n";
+              << " vertices charged (gnnatrace hotspots for the tables)\n";
   }
 
-  const auto emit_run = [&](std::ostream& os) {
+  const bool written = write_json_file(json_path, [&](std::ostream& os) {
     sim::write_run_stats_json(os, rs);
     os << '\n';
-  };
-  const bool written =
-      write_json_files({json_path, profile_path, attribution_path}, emit_run);
+  });
   return written ? 0 : 2;
 }
