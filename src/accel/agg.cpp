@@ -43,7 +43,6 @@ std::optional<AggHandle> Agg::allocate(std::uint32_t width_words,
       params_.agg_ctrl_bytes / params_.agg_ctrl_entry_bytes;
   if (live_entries_ >= max_entries ||
       data_bytes_used_ + bytes > params_.agg_data_bytes) {
-    stats_.alloc_failures.add();
     return std::nullopt;
   }
 
@@ -66,7 +65,6 @@ std::optional<AggHandle> Agg::allocate(std::uint32_t width_words,
 
   ++live_entries_;
   data_bytes_used_ += bytes;
-  stats_.allocations.add();
 
   // Degenerate aggregation over an empty neighborhood: complete at once
   // (the result is the op's identity).
@@ -74,56 +72,11 @@ std::optional<AggHandle> Agg::allocate(std::uint32_t width_words,
   return h;
 }
 
-void Agg::on_message(const noc::Message& msg) {
-  inbox_.push_back(msg);
-}
-
 void Agg::complete(AggHandle h) {
   Entry& e = entries_[h];
   assert(e.active);
-  const std::uint32_t bytes = e.width_words * kWordBytes;
-  switch (e.dest.kind) {
-    case Dest::Kind::kNone:
-      break;
-    case Dest::Kind::kMemWrite:
-      addr_map_.for_each_segment(
-          e.dest.addr, bytes,
-          [&](EndpointId mem_ep, Addr addr, std::uint64_t seg_bytes) {
-            noc::Message m;
-            m.src = endpoint_;
-            m.dst = mem_ep;
-            m.kind = noc::MsgKind::kMemWriteReq;
-            m.payload_bytes = static_cast<std::uint32_t>(seg_bytes);
-            m.owner = e.owner;
-            m.a = addr;
-            m.b = seg_bytes;
-            net_.send(m);
-          });
-      break;
-    case Dest::Kind::kDnqEntry: {
-      noc::Message m;
-      m.src = endpoint_;
-      m.dst = e.dest.ep;
-      m.kind = noc::MsgKind::kDnqWrite;
-      m.payload_bytes = bytes;
-      m.owner = e.owner;
-      m.a = e.dest.handle;
-      net_.send(m);
-      break;
-    }
-    case Dest::Kind::kAggEntry: {
-      noc::Message m;
-      m.src = endpoint_;
-      m.dst = e.dest.ep;
-      m.kind = noc::MsgKind::kAggWrite;
-      m.payload_bytes = bytes;
-      m.owner = e.owner;
-      m.a = e.dest.handle;
-      net_.send(m);
-      break;
-    }
-  }
-  stats_.completions.add();
+  send_result(net_, addr_map_, endpoint_, e.dest, e.width_words * kWordBytes,
+              e.owner);
   tracer_.instant("complete", h, e.expected_words);
   e.active = false;
   data_bytes_used_ -= std::uint64_t{e.width_words} * kWordBytes;

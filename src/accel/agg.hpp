@@ -32,10 +32,7 @@ namespace gnna::accel {
 using AggHandle = std::uint32_t;
 
 struct AggStats {
-  Counter allocations;
-  Counter alloc_failures;
   Counter contributions;  // messages reduced
-  Counter completions;
   Counter words_reduced;
   double busy_cycles = 0.0;  // NoC cycles the ALU bank was busy
 };
@@ -55,13 +52,12 @@ class Agg {
       std::uint32_t width_words, std::uint64_t expected_words, ReduceOp op,
       Dest dest, std::uint32_t owner = noc::kNoOwner);
 
-  /// NoC delivery (kMemReadResp / kAggWrite with a = handle).
-  void on_message(const noc::Message& msg);
-
   [[nodiscard]] bool entry_active(AggHandle h) const {
     return h < entries_.size() && entries_[h].active;
   }
 
+  /// Drains the NoC deliveries (kMemReadResp tagged c = handle, kAggWrite
+  /// with a = handle) and reduces them as the ALU bank frees up.
   void tick();
 
   /// Earliest NoC cycle >= `now` at which tick() could change state: the

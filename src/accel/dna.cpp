@@ -52,52 +52,6 @@ void Dna::on_weight_data(std::uint64_t bytes) {
   weights_pending_ = bytes >= weights_pending_ ? 0 : weights_pending_ - bytes;
 }
 
-void Dna::emit(const PendingResult& r) {
-  const std::uint32_t bytes = r.out_words * kWordBytes;
-  switch (r.dest.kind) {
-    case Dest::Kind::kNone:
-      break;
-    case Dest::Kind::kMemWrite:
-      addr_map_.for_each_segment(
-          r.dest.addr, bytes,
-          [&](EndpointId mem_ep, Addr addr, std::uint64_t seg_bytes) {
-            noc::Message m;
-            m.src = endpoint_;
-            m.dst = mem_ep;
-            m.kind = noc::MsgKind::kMemWriteReq;
-            m.payload_bytes = static_cast<std::uint32_t>(seg_bytes);
-            m.owner = r.owner;
-            m.a = addr;
-            m.b = seg_bytes;
-            net_.send(m);
-          });
-      break;
-    case Dest::Kind::kDnqEntry: {
-      noc::Message m;
-      m.src = endpoint_;
-      m.dst = r.dest.ep;
-      m.kind = noc::MsgKind::kDnqWrite;
-      m.payload_bytes = bytes;
-      m.owner = r.owner;
-      m.a = r.dest.handle;
-      net_.send(m);
-      break;
-    }
-    case Dest::Kind::kAggEntry: {
-      noc::Message m;
-      m.src = endpoint_;
-      m.dst = r.dest.ep;
-      m.kind = noc::MsgKind::kAggWrite;
-      m.payload_bytes = bytes;
-      m.owner = r.owner;
-      m.a = r.dest.handle;
-      net_.send(m);
-      break;
-    }
-  }
-  stats_.results_sent.add();
-}
-
 void Dna::dump_state(std::ostream& os) const {
   os << "    dna: " << (busy_ ? "BUSY" : "idle")
      << " array_free_at=" << array_free_at_
@@ -138,7 +92,9 @@ void Dna::tick(Dnq& dnq) {
 
   // Emit finished results (pipeline output port + flit buffer).
   while (!results_.empty() && results_.front().ready_at <= now) {
-    emit(results_.front());
+    const PendingResult& r = results_.front();
+    send_result(net_, addr_map_, endpoint_, r.dest, r.out_words * kWordBytes,
+                r.owner);
     results_.pop_front();
   }
 

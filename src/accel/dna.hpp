@@ -47,7 +47,6 @@ struct DnaModelTiming {
 
 struct DnaStats {
   Counter entries_processed;
-  Counter results_sent;
   Counter macs;              // useful MACs executed (energy accounting)
   double busy_cycles = 0.0;  // NoC cycles the array was busy
 };
@@ -94,8 +93,6 @@ class Dna {
     std::uint32_t owner = noc::kNoOwner;  // attribution only
     Dest dest;
   };
-
-  void emit(const PendingResult& r);
 
   TileParams params_;
   noc::MeshNetwork& net_;

@@ -64,7 +64,6 @@ std::optional<DnqHandle> Dnq::allocate(std::uint8_t queue,
       params_.dnq_dest_bytes / params_.dnq_dest_entry_bytes;
   if (live_entries_ >= max_dest_entries ||
       bytes_used_[queue] + bytes > capacity_bytes_[queue]) {
-    stats_.alloc_failures.add();
     return std::nullopt;
   }
   DnqHandle h;
@@ -85,7 +84,6 @@ std::optional<DnqHandle> Dnq::allocate(std::uint8_t queue,
   bytes_used_[queue] += bytes;
   fifo_[queue].push_back(h);
   ++live_entries_;
-  stats_.allocations.add();
   tracer_.instant("alloc", h, queue);
   return h;
 }
@@ -122,7 +120,6 @@ DnqEntry Dnq::pop_head(std::uint8_t q) {
   e.active = false;
   --live_entries_;
   free_list_.push_back(h);
-  stats_.dequeues.add();
   tracer_.instant("dequeue", h, q);
   return out;
 }

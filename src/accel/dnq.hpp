@@ -33,10 +33,7 @@ namespace gnna::accel {
 using DnqHandle = std::uint32_t;
 
 struct DnqStats {
-  Counter allocations;
-  Counter alloc_failures;
   Counter enqueued_words;
-  Counter dequeues;
   Counter queue_switches;
 };
 

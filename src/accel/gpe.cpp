@@ -41,39 +41,59 @@ bool Gpe::idle() const {
   return true;
 }
 
-std::uint32_t Gpe::issue_load(Addr addr, std::uint64_t bytes,
-                              EndpointId reply_to, std::uint64_t tag,
-                              std::uint32_t owner) {
-  std::uint32_t segments = 0;
-  addr_map_.for_each_segment(
-      addr, bytes, [&](EndpointId mem_ep, Addr a, std::uint64_t seg) {
-        noc::Message m;
-        m.src = ep_gpe_;
-        m.dst = mem_ep;
-        m.reply_to = reply_to;
-        m.kind = noc::MsgKind::kMemReadReq;
-        m.payload_bytes = 0;  // request header: one flit
-        m.owner = owner;
-        m.a = a;
-        m.b = seg;
-        m.c = tag;
-        net_.send(m);
-        ++segments;
-      });
-  stats_.loads_issued.add();
-  stats_.load_segments.add(segments);
-  return segments;
+void Gpe::load_rows(const Thread& t, const BufferRef& buf, std::uint64_t first,
+                    EndpointId reply_to, std::uint64_t tag,
+                    std::uint64_t rows) {
+  send_read(net_, addr_map_, ep_gpe_, reply_to, row_addr(buf, first),
+            rows * buf.width_words * std::uint64_t{kWordBytes}, tag, t.work);
 }
 
-void Gpe::send_to_dnq(DnqHandle h, std::uint32_t words, std::uint32_t owner) {
-  noc::Message m;
-  m.src = ep_gpe_;
-  m.dst = ep_dnq_;
-  m.kind = noc::MsgKind::kDnqWrite;
-  m.payload_bytes = words * kWordBytes;
-  m.owner = owner;
-  m.a = h;
-  net_.send(m);
+double Gpe::load_and_wait(Thread& t, Addr addr, std::uint64_t bytes) {
+  t.pending_responses = send_read(net_, addr_map_, ep_gpe_, ep_gpe_, addr,
+                                  bytes, index_of(t), t.work);
+  t.state = Thread::State::kWaitMem;
+  return params_.cost_issue_load;
+}
+
+double Gpe::fetch_row(Thread& t, NodeId v, std::uint32_t fetched,
+                      std::uint32_t edge_bytes) {
+  const GraphLayout& gl = prog_->graphs[t.graph_idx];
+  if (fetched == 0) {
+    return load_and_wait(
+        t, prog_->memmap.addr(gl.row_ptr, std::uint64_t{v} * kWordBytes),
+        2 * kWordBytes);
+  }
+  const graph::Graph& g = task_graph(t);
+  const std::uint32_t deg = g.out_degree(v);
+  if (deg == 0) return params_.cost_loop_iter;
+  return load_and_wait(
+      t,
+      prog_->memmap.addr(gl.col_idx,
+                         std::uint64_t{g.edge_index(v, 0)} * 2 * kWordBytes),
+      std::uint64_t{deg} * edge_bytes);
+}
+
+void Gpe::send_to_dnq(const Thread& t, DnqHandle h, std::uint32_t words) {
+  send_result(net_, addr_map_, ep_gpe_,
+              Dest{.kind = Dest::Kind::kDnqEntry, .ep = ep_dnq_, .handle = h},
+              words * kWordBytes, t.work);
+}
+
+bool Gpe::granted(Thread& t, std::optional<std::uint32_t> h,
+                  std::uint32_t& slot) {
+  if (!h.has_value()) {
+    stall(t);
+    return false;
+  }
+  slot = *h;
+  return true;
+}
+
+Dest Gpe::result_dest(bool projected, DnqHandle h, Addr out) const {
+  if (projected) {
+    return Dest{.kind = Dest::Kind::kDnqEntry, .ep = ep_dnq_, .handle = h};
+  }
+  return Dest{.kind = Dest::Kind::kMemWrite, .addr = out};
 }
 
 const char* Gpe::body_span_name() const {
@@ -94,7 +114,7 @@ void Gpe::finish_task(Thread& t) {
   t.state = Thread::State::kFree;
   stats_.tasks_completed.add();
   if (tracer_.enabled()) {
-    const auto ti = static_cast<std::uint64_t>(&t - threads_.data());
+    const std::uint64_t ti = index_of(t);
     // Flame sub-span: body of the task ('/' nesting under "task"). The gap
     // between traverse and body spans is memory wait, surfaced by the
     // profiler as the task's self time.
@@ -110,9 +130,7 @@ void Gpe::stall(Thread& t) {
   t.stalled_until = static_cast<double>(net_.now()) + 16.0;
   stats_.alloc_stalls.add();
   if (tracer_.enabled()) {
-    tracer_.instant_at("alloc_stall", gpe_time_,
-                       static_cast<std::uint64_t>(&t - threads_.data()),
-                       t.work);
+    tracer_.instant_at("alloc_stall", gpe_time_, index_of(t), t.work);
   }
 }
 
@@ -215,7 +233,6 @@ void Gpe::tick(Agg& agg, Dnq& dnq) {
     double cost = 0.0;
     if (static_cast<std::size_t>(ti) != last_thread_) {
       cost += params_.cost_context_switch;
-      stats_.context_switches.add();
       if (tracer_.enabled()) {
         tracer_.instant_at("switch", gpe_time_,
                            static_cast<std::uint64_t>(ti),
@@ -236,44 +253,23 @@ double Gpe::step(Thread& t, Agg& agg, Dnq& dnq) {
   if (ph.per_graph) return step_graph_readout(t, agg, dnq);
 
   // Common prologue: traversal of the vertex's adjacency row.
-  if (t.stage == 0) {
-    // Bind the task to its graph and issue the row-pointer pair load.
+  if (t.stage == 0) {  // bind the task to its graph
     t.graph_idx = prog_->graph_of(t.work);
-    const GraphLayout& gl = prog_->graphs[t.graph_idx];
-    t.local_v = t.work - gl.node_offset;
-    const Addr a = prog_->memmap.addr(gl.row_ptr,
-                                      std::uint64_t{t.local_v} * kWordBytes);
-    t.pending_responses = issue_load(a, 2 * kWordBytes, ep_gpe_,
-                                     static_cast<std::uint64_t>(
-                                         &t - threads_.data()),
-                                     t.work);
-    t.state = Thread::State::kWaitMem;
-    t.stage = 1;
-    return params_.cost_issue_load;
-  }
-  if (t.stage == 1) {
-    const graph::Graph& g = task_graph(t);
-    const std::uint32_t deg = g.out_degree(t.local_v);
-    t.n_contrib = deg + (ph.include_self ? 1 : 0);
-    t.stage = 2;
+    t.local_v = t.work - prog_->graphs[t.graph_idx].node_offset;
+  } else if (t.stage == 1) {  // row pointers resident: the degree is known
+    t.n_contrib = task_graph(t).out_degree(t.local_v) +
+                  (ph.include_self ? 1 : 0);
     if (tracer_.enabled()) {
       tracer_.complete("task/traverse", t.task_started,
-                       gpe_time_ - t.task_started, t.work,
-                       static_cast<std::uint64_t>(&t - threads_.data()));
+                       gpe_time_ - t.task_started, t.work, index_of(t));
     }
     t.body_started = gpe_time_;
-    if (deg == 0) return params_.cost_loop_iter;
-    const GraphLayout& gl = prog_->graphs[t.graph_idx];
-    const Addr a = prog_->memmap.addr(
-        gl.col_idx, std::uint64_t{g.edge_index(t.local_v, 0)} * 2 * kWordBytes);
-    const std::uint64_t bytes =
-        std::uint64_t{deg} * (ph.weighted_edges ? 2 * kWordBytes : kWordBytes);
-    t.pending_responses = issue_load(a, bytes, ep_gpe_,
-                                     static_cast<std::uint64_t>(
-                                         &t - threads_.data()),
-                                     t.work);
-    t.state = Thread::State::kWaitMem;
-    return params_.cost_issue_load;
+    // A walk starts at the task vertex, whose row this prologue fetches.
+    if (ph.walk_len > 1) t.walk[t.walk_depth++] = WalkFrame{t.local_v, 0, 2};
+  }
+  if (t.stage < 2) {
+    return fetch_row(t, t.local_v, t.stage++,
+                     ph.weighted_edges ? 2 * kWordBytes : kWordBytes);
   }
 
   switch (ph.kind) {
@@ -288,57 +284,43 @@ double Gpe::step(Thread& t, Agg& agg, Dnq& dnq) {
   return 1.0;
 }
 
-double Gpe::step_gather_aggregate(Thread& t, Agg& agg, Dnq& dnq) {
+double Gpe::step_alloc_aggregate(Thread& t, Agg& agg, Dnq& dnq, Addr out,
+                                 std::uint64_t expected_words) {
   const PhaseSpec& ph = *phase_;
-  const Addr out_addr = vertex_addr(ph.output, t.work);
-
-  if (t.stage == 2) {  // allocate the DNQ entry (if the phase projects)
+  if (t.stage == 2) {  // the DNQ entry, if the phase projects
     if (!ph.has_dna()) {
       t.stage = 3;
       return params_.cost_loop_iter;
     }
-    Dest dest;
-    dest.kind = Dest::Kind::kMemWrite;
-    dest.addr = out_addr;
-    auto h = dnq.allocate(0, fp_.dnq0_entry_words, dest, t.work);
-    if (!h.has_value()) {
-      stall(t);
-      return params_.cost_alloc;
+    if (granted(t,
+                dnq.allocate(0, fp_.dnq0_entry_words,
+                             Dest{.kind = Dest::Kind::kMemWrite, .addr = out},
+                             t.work),
+                t.cur_dnq0_h)) {
+      t.stage = 3;
     }
-    t.cur_dnq0_h = *h;
-    t.stage = 3;
     return params_.cost_alloc;
   }
-  if (t.stage == 3) {  // allocate the AGG entry
-    Dest dest;
-    if (ph.has_dna()) {
-      dest.kind = Dest::Kind::kDnqEntry;
-      dest.ep = ep_dnq_;
-      dest.handle = t.cur_dnq0_h;
-    } else {
-      dest.kind = Dest::Kind::kMemWrite;
-      dest.addr = out_addr;
-    }
+  // Stage 3: the AGG entry.
+  if (granted(t,
+              agg.allocate(fp_.agg_entry_words, expected_words, ph.agg_op,
+                           result_dest(ph.has_dna(), t.cur_dnq0_h, out),
+                           t.work),
+              t.agg_h)) {
+    t.stage = 4;
+  }
+  return params_.cost_alloc;
+}
+
+double Gpe::step_gather_aggregate(Thread& t, Agg& agg, Dnq& dnq) {
+  const PhaseSpec& ph = *phase_;
+  if (t.stage < 4) {
     // Multi-hop phases know their contribution count from the walk tree;
     // plain gathers contribute once per neighbor (+ self).
     const std::uint64_t contribs =
         ph.walk_len > 1 ? ph.expected_contribs[t.work] : t.n_contrib;
-    auto h = agg.allocate(fp_.agg_entry_words,
-                          contribs * fp_.agg_entry_words, ph.agg_op, dest,
-                          t.work);
-    if (!h.has_value()) {
-      stall(t);
-      return params_.cost_alloc;
-    }
-    t.agg_h = *h;
-    t.stage = 4;
-    t.loop_i = 0;
-    if (ph.walk_len > 1) {
-      // Root frame: its row was fetched by the prologue.
-      t.walk_depth = 1;
-      t.walk[0] = WalkFrame{t.local_v, 0, 2};
-    }
-    return params_.cost_alloc;
+    return step_alloc_aggregate(t, agg, dnq, row_addr(ph.output, t.work),
+                                contribs * fp_.agg_entry_words);
   }
   if (ph.walk_len > 1) return step_walk(t);
   // Stage 4: gather loop — one indirect load per contribution.
@@ -347,16 +329,11 @@ double Gpe::step_gather_aggregate(Thread& t, Agg& agg, Dnq& dnq) {
     return params_.cost_loop_iter;
   }
   const graph::Graph& g = task_graph(t);
-  const std::uint32_t deg = g.out_degree(t.local_v);
-  const NodeId u_local =
-      t.loop_i < deg ? g.neighbors(t.local_v)[t.loop_i] : t.local_v;
-  const NodeId u_global =
-      prog_->graphs[t.graph_idx].node_offset + u_local;
-  issue_load(vertex_addr(ph.gather, u_global),
-             std::uint64_t{ph.gather.width_words} * kWordBytes, ep_agg_,
-             t.agg_h, t.work);
-  ++t.loop_i;
-  if (t.loop_i >= t.n_contrib) finish_task(t);
+  const NodeId u = t.loop_i < g.out_degree(t.local_v)
+                       ? g.neighbors(t.local_v)[t.loop_i]
+                       : t.local_v;
+  load_rows(t, ph.gather, global_id(t, u), ep_agg_, t.agg_h);
+  if (++t.loop_i >= t.n_contrib) finish_task(t);
   return params_.cost_loop_iter + params_.cost_issue_load;
 }
 
@@ -368,45 +345,17 @@ double Gpe::step_walk(Thread& t) {
   // indirect loads routed straight to the AGG entry.
   const PhaseSpec& ph = *phase_;
   const graph::Graph& g = task_graph(t);
-  const GraphLayout& gl = prog_->graphs[t.graph_idx];
-  const auto thread_tag =
-      static_cast<std::uint64_t>(&t - threads_.data());
-
   WalkFrame& f = t.walk[t.walk_depth - 1];
-  if (f.row_state == 0) {  // fetch row pointers of this interior vertex
-    f.row_state = 1;
-    const Addr a =
-        prog_->memmap.addr(gl.row_ptr, std::uint64_t{f.node} * kWordBytes);
-    t.pending_responses =
-        issue_load(a, 2 * kWordBytes, ep_gpe_, thread_tag, t.work);
-    t.state = Thread::State::kWaitMem;
-    return params_.cost_issue_load;
-  }
-  if (f.row_state == 1) {  // fetch column indices (dependent on row ptrs)
-    f.row_state = 2;
-    const std::uint32_t deg = g.out_degree(f.node);
-    if (deg == 0) return params_.cost_loop_iter;
-    const Addr a = prog_->memmap.addr(
-        gl.col_idx, std::uint64_t{g.edge_index(f.node, 0)} * 2 * kWordBytes);
-    t.pending_responses = issue_load(a, std::uint64_t{deg} * kWordBytes,
-                                     ep_gpe_, thread_tag, t.work);
-    t.state = Thread::State::kWaitMem;
-    return params_.cost_issue_load;
-  }
+  if (f.row_state < 2) return fetch_row(t, f.node, f.row_state++, kWordBytes);
 
   // Row resident: visit the next child.
-  const std::uint32_t deg = g.out_degree(f.node);
-  if (f.next_child >= deg) {  // subtree done
-    --t.walk_depth;
-    if (t.walk_depth == 0) finish_task(t);
+  if (f.next_child >= g.out_degree(f.node)) {  // subtree done
+    if (--t.walk_depth == 0) finish_task(t);
     return params_.cost_loop_iter;
   }
   const NodeId w = g.neighbors(f.node)[f.next_child++];
   if (t.walk_depth == ph.walk_len) {  // endpoint: gather its vector
-    const NodeId w_global = gl.node_offset + w;
-    issue_load(vertex_addr(ph.gather, w_global),
-               std::uint64_t{ph.gather.width_words} * kWordBytes, ep_agg_,
-               t.agg_h, t.work);
+    load_rows(t, ph.gather, global_id(t, w), ep_agg_, t.agg_h);
     return params_.cost_loop_iter + params_.cost_issue_load;
   }
   // Interior: descend.
@@ -417,148 +366,107 @@ double Gpe::step_walk(Thread& t) {
 double Gpe::step_project(Thread& t, Dnq& dnq) {
   const PhaseSpec& ph = *phase_;
   if (t.stage == 2) {  // allocate the DNQ entry
-    Dest dest;
-    dest.kind = Dest::Kind::kMemWrite;
-    dest.addr = vertex_addr(ph.output, t.work);
-    auto h = dnq.allocate(0, fp_.dnq0_entry_words, dest, t.work);
-    if (!h.has_value()) {
-      stall(t);
-      return params_.cost_alloc;
+    if (granted(t,
+                dnq.allocate(0, fp_.dnq0_entry_words,
+                             Dest{.kind = Dest::Kind::kMemWrite,
+                                  .addr = row_addr(ph.output, t.work)},
+                             t.work),
+                t.cur_dnq0_h)) {
+      t.stage = 3;
     }
-    t.cur_dnq0_h = *h;
-    t.stage = 3;
-    t.loop_i = 0;
     return params_.cost_alloc;
   }
   // Stage 3: one load per input buffer.
-  const BufferRef& b = ph.extra_inputs[t.loop_i];
-  issue_load(vertex_addr(b, t.work),
-             std::uint64_t{b.width_words} * kWordBytes, ep_dnq_,
-             t.cur_dnq0_h, t.work);
-  ++t.loop_i;
-  if (t.loop_i >= ph.extra_inputs.size()) finish_task(t);
+  load_rows(t, ph.extra_inputs[t.loop_i], t.work, ep_dnq_, t.cur_dnq0_h);
+  if (++t.loop_i >= ph.extra_inputs.size()) finish_task(t);
   return params_.cost_loop_iter + params_.cost_issue_load;
 }
 
 double Gpe::step_edge_dna_aggregate(Thread& t, Agg& agg, Dnq& dnq) {
   const PhaseSpec& ph = *phase_;
-  const Addr out_addr = vertex_addr(ph.output, t.work);
-  const bool needs_own =
-      ph.gpe_words_per_entry > 0 || ph.dna2_gpe_words > 0;
+  const Addr out_addr = row_addr(ph.output, t.work);
 
   if (t.stage == 2) {  // fetch the vertex's own vector into the scratchpad
     t.stage = 3;
-    if (!needs_own) return params_.cost_loop_iter;
-    t.pending_responses = issue_load(
-        vertex_addr(ph.gather, t.work),
-        std::uint64_t{ph.gather.width_words} * kWordBytes, ep_gpe_,
-        static_cast<std::uint64_t>(&t - threads_.data()), t.work);
-    t.state = Thread::State::kWaitMem;
-    return params_.cost_issue_load;
+    if (ph.gpe_words_per_entry == 0 && ph.dna2_gpe_words == 0) {
+      return params_.cost_loop_iter;
+    }
+    return load_and_wait(t, row_addr(ph.gather, t.work),
+                         std::uint64_t{ph.gather.width_words} * kWordBytes);
   }
   if (t.stage == 3) {  // allocate the virtual-queue-1 entry (GRU etc.)
     if (!ph.has_dna2()) {
       t.stage = 4;
       return params_.cost_loop_iter;
     }
-    Dest dest;
-    dest.kind = Dest::Kind::kMemWrite;
-    dest.addr = out_addr;
-    auto h = dnq.allocate(1, fp_.dnq1_entry_words, dest, t.work);
-    if (!h.has_value()) {
-      stall(t);
-      return params_.cost_alloc;
+    if (granted(t,
+                dnq.allocate(1, fp_.dnq1_entry_words,
+                             Dest{.kind = Dest::Kind::kMemWrite,
+                                  .addr = out_addr},
+                             t.work),
+                t.dnq1_h)) {
+      t.stage = 4;
     }
-    t.dnq1_h = *h;
-    t.stage = 4;
     return params_.cost_alloc;
   }
   if (t.stage == 4) {  // allocate the AGG entry
-    Dest dest;
-    if (ph.has_dna2()) {
-      dest.kind = Dest::Kind::kDnqEntry;
-      dest.ep = ep_dnq_;
-      dest.handle = t.dnq1_h;
-    } else {
-      dest.kind = Dest::Kind::kMemWrite;
-      dest.addr = out_addr;
+    if (granted(t,
+                agg.allocate(fp_.agg_entry_words,
+                             std::uint64_t{t.n_contrib} * fp_.agg_entry_words,
+                             ph.agg_op,
+                             result_dest(ph.has_dna2(), t.dnq1_h, out_addr),
+                             t.work),
+                t.agg_h)) {
+      t.stage = 5;
     }
-    auto h = agg.allocate(fp_.agg_entry_words,
-                          std::uint64_t{t.n_contrib} * fp_.agg_entry_words,
-                          ph.agg_op, dest, t.work);
-    if (!h.has_value()) {
-      stall(t);
-      return params_.cost_alloc;
-    }
-    t.agg_h = *h;
-    t.stage = 5;
     return params_.cost_alloc;
   }
   if (t.stage == 5) {  // copy h_v into the queue-1 entry
     t.stage = 6;
-    t.loop_i = 0;
-    t.loop_sub = 0;
-    if (!ph.has_dna2() || ph.dna2_gpe_words == 0) {
-      if (t.n_contrib == 0) finish_task(t);
-      return params_.cost_loop_iter;
-    }
-    send_to_dnq(t.dnq1_h, ph.dna2_gpe_words, t.work);
+    const bool copy = ph.has_dna2() && ph.dna2_gpe_words > 0;
+    if (copy) send_to_dnq(t, t.dnq1_h, ph.dna2_gpe_words);
     if (t.n_contrib == 0) finish_task(t);
-    return params_.cost_send;
+    return copy ? params_.cost_send : params_.cost_loop_iter;
   }
 
   // Stage 6: per-edge loop; each iteration allocates a queue-0 entry and
   // feeds it (loads + GPE copy).
   const graph::Graph& g = task_graph(t);
-  const std::uint32_t deg = g.out_degree(t.local_v);
-  const bool is_self = t.loop_i >= deg;
+  const bool is_self = t.loop_i >= g.out_degree(t.local_v);
   assert(!(is_self && !ph.extra_inputs.empty() && ph.extra_inputs_per_edge) &&
          "self contribution cannot carry per-edge inputs");
 
   if (t.loop_sub == 0) {  // allocate queue-0 entry
-    Dest dest;
-    dest.kind = Dest::Kind::kAggEntry;
-    dest.ep = ep_agg_;
-    dest.handle = t.agg_h;
-    auto h = dnq.allocate(0, fp_.dnq0_entry_words, dest, t.work);
-    if (!h.has_value()) {
-      stall(t);
-      return params_.cost_alloc;
+    if (granted(t,
+                dnq.allocate(0, fp_.dnq0_entry_words,
+                             Dest{.kind = Dest::Kind::kAggEntry,
+                                  .ep = ep_agg_,
+                                  .handle = t.agg_h},
+                             t.work),
+                t.cur_dnq0_h)) {
+      t.loop_sub = 1;
     }
-    t.cur_dnq0_h = *h;
-    t.loop_sub = 1;
     return params_.cost_alloc;
   }
   if (t.loop_sub == 1) {  // load the neighbor vector
-    const NodeId u_local =
-        is_self ? t.local_v : g.neighbors(t.local_v)[t.loop_i];
-    const NodeId u_global =
-        prog_->graphs[t.graph_idx].node_offset + u_local;
-    issue_load(vertex_addr(ph.gather, u_global),
-               std::uint64_t{ph.gather.width_words} * kWordBytes, ep_dnq_,
-               t.cur_dnq0_h, t.work);
+    const NodeId u = is_self ? t.local_v : g.neighbors(t.local_v)[t.loop_i];
+    load_rows(t, ph.gather, global_id(t, u), ep_dnq_, t.cur_dnq0_h);
     t.loop_sub = 2;
     return params_.cost_loop_iter + params_.cost_issue_load;
   }
   if (t.loop_sub == 2 && !ph.extra_inputs.empty()) {  // per-edge extras
-    const BufferRef& b = ph.extra_inputs.front();
-    std::uint64_t index;
-    if (ph.extra_inputs_per_edge) {
-      index = std::uint64_t{prog_->graphs[t.graph_idx].edge_offset} +
-              g.edge_index(t.local_v, t.loop_i);
-    } else {
-      index = t.work;
-    }
-    issue_load(prog_->memmap.addr(b.region,
-                                  index * b.width_words * kWordBytes),
-               std::uint64_t{b.width_words} * kWordBytes, ep_dnq_,
-               t.cur_dnq0_h, t.work);
+    const std::uint64_t row =
+        ph.extra_inputs_per_edge
+            ? std::uint64_t{prog_->graphs[t.graph_idx].edge_offset} +
+                  g.edge_index(t.local_v, t.loop_i)
+            : t.work;
+    load_rows(t, ph.extra_inputs.front(), row, ep_dnq_, t.cur_dnq0_h);
     t.loop_sub = 3;
     return params_.cost_loop_iter + params_.cost_issue_load;
   }
   // Final sub-step: GPE copy of p_v / advance to next edge.
   if (ph.gpe_words_per_entry > 0) {
-    send_to_dnq(t.cur_dnq0_h, ph.gpe_words_per_entry, t.work);
+    send_to_dnq(t, t.cur_dnq0_h, ph.gpe_words_per_entry);
   }
   ++t.loop_i;
   t.loop_sub = 0;
@@ -577,53 +485,13 @@ double Gpe::step_graph_readout(Thread& t, Agg& agg, Dnq& dnq) {
     t.stage = 2;
     return params_.cost_loop_iter;
   }
-  const Addr out_addr = prog_->memmap.addr(
-      ph.output.region,
-      std::uint64_t{t.work} * ph.output.width_words * kWordBytes);
-  if (t.stage == 2) {  // DNQ entry for the pooled vector
-    if (!ph.has_dna()) {
-      t.stage = 3;
-      return params_.cost_loop_iter;
-    }
-    Dest dest;
-    dest.kind = Dest::Kind::kMemWrite;
-    dest.addr = out_addr;
-    auto h = dnq.allocate(0, fp_.dnq0_entry_words, dest, t.work);
-    if (!h.has_value()) {
-      stall(t);
-      return params_.cost_alloc;
-    }
-    t.cur_dnq0_h = *h;
-    t.stage = 3;
-    return params_.cost_alloc;
-  }
-  if (t.stage == 3) {  // AGG entry summing the whole block
-    Dest dest;
-    if (ph.has_dna()) {
-      dest.kind = Dest::Kind::kDnqEntry;
-      dest.ep = ep_dnq_;
-      dest.handle = t.cur_dnq0_h;
-    } else {
-      dest.kind = Dest::Kind::kMemWrite;
-      dest.addr = out_addr;
-    }
-    auto h = agg.allocate(
-        fp_.agg_entry_words,
-        std::uint64_t{t.n_contrib} * ph.gather.width_words, ph.agg_op, dest,
-        t.work);
-    if (!h.has_value()) {
-      stall(t);
-      return params_.cost_alloc;
-    }
-    t.agg_h = *h;
-    t.stage = 4;
-    return params_.cost_alloc;
+  if (t.stage < 4) {  // DNQ entry for the pooled vector, AGG entry summing it
+    return step_alloc_aggregate(
+        t, agg, dnq, row_addr(ph.output, t.work),
+        std::uint64_t{t.n_contrib} * ph.gather.width_words);
   }
   // Stage 4: one wide load of the graph's contiguous state block.
-  const NodeId first_global = prog_->graphs[t.graph_idx].node_offset;
-  issue_load(vertex_addr(ph.gather, first_global),
-             std::uint64_t{t.n_contrib} * ph.gather.width_words * kWordBytes,
-             ep_agg_, t.agg_h, t.work);
+  load_rows(t, ph.gather, global_id(t, 0), ep_agg_, t.agg_h, t.n_contrib);
   finish_task(t);
   return params_.cost_issue_load;
 }

@@ -20,6 +20,7 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "accel/addrmap.hpp"
@@ -37,10 +38,7 @@ namespace gnna::accel {
 struct GpeStats {
   Counter actions;          // micro-ops executed
   Counter tasks_completed;  // vertex programs retired
-  Counter loads_issued;     // logical memory loads
-  Counter load_segments;    // NoC request messages (after page splits)
   Counter alloc_stalls;     // failed AGG/DNQ allocations
-  Counter context_switches;
   double busy_cycles = 0.0;  // NoC cycles spent executing
 };
 
@@ -114,16 +112,40 @@ class Gpe {
   double step_project(Thread& t, Dnq& dnq);
   double step_edge_dna_aggregate(Thread& t, Agg& agg, Dnq& dnq);
   double step_graph_readout(Thread& t, Agg& agg, Dnq& dnq);
+  /// Stages 2 and 3 of a gather or readout: the DNQ entry a projecting
+  /// phase feeds its aggregate into, then the AGG entry that sums
+  /// `expected_words` into it (or straight to memory at `out`). The thread
+  /// reaches stage 4 holding both.
+  double step_alloc_aggregate(Thread& t, Agg& agg, Dnq& dnq, Addr out,
+                              std::uint64_t expected_words);
 
-  /// Issue a logical load of [addr, addr+bytes) whose response(s) go to
-  /// `reply_to` tagged `tag`, on behalf of work item `owner` (attribution
-  /// only). Returns the number of request messages sent.
-  std::uint32_t issue_load(Addr addr, std::uint64_t bytes,
-                           EndpointId reply_to, std::uint64_t tag,
-                           std::uint32_t owner);
+  /// `t`'s load of `rows` rows of `buf` from row `first`, answered at
+  /// `reply_to` with `tag`.
+  void load_rows(const Thread& t, const BufferRef& buf, std::uint64_t first,
+                 EndpointId reply_to, std::uint64_t tag,
+                 std::uint64_t rows = 1);
+  /// Load [addr, addr+bytes) into the scratchpad and block `t` until every
+  /// segment has landed.
+  double load_and_wait(Thread& t, Addr addr, std::uint64_t bytes);
+  /// One of the two dependent loads that bring vertex `v`'s adjacency row
+  /// into the scratchpad: its row-pointer pair when nothing is `fetched`
+  /// yet, then its column indices at `edge_bytes` per edge (none for a
+  /// vertex without edges).
+  double fetch_row(Thread& t, NodeId v, std::uint32_t fetched,
+                   std::uint32_t edge_bytes);
 
   /// Send `words` of GPE scratchpad data to a DNQ entry.
-  void send_to_dnq(DnqHandle h, std::uint32_t words, std::uint32_t owner);
+  void send_to_dnq(const Thread& t, DnqHandle h, std::uint32_t words);
+
+  /// The allocation-bus step's outcome: keep the granted entry `h` in
+  /// `slot`, or stall `t` to retry when the scratchpad is full. The step
+  /// costs cost_alloc either way.
+  bool granted(Thread& t, std::optional<std::uint32_t> h,
+               std::uint32_t& slot);
+  /// Where an aggregate goes: into DNQ entry `h` when the phase's DNA
+  /// model projects it next (`projected`), else straight to memory at
+  /// `out`.
+  [[nodiscard]] Dest result_dest(bool projected, DnqHandle h, Addr out) const;
 
   void finish_task(Thread& t);
   void stall(Thread& t);
@@ -140,9 +162,14 @@ class Gpe {
   [[nodiscard]] const graph::Graph& task_graph(const Thread& t) const {
     return ds_->undirected[t.graph_idx];
   }
-  [[nodiscard]] Addr vertex_addr(const BufferRef& buf, NodeId global_v) const {
-    return prog_->memmap.addr(buf.region, std::uint64_t{global_v} *
-                                              buf.width_words * kWordBytes);
+  [[nodiscard]] NodeId global_id(const Thread& t, NodeId local) const {
+    return prog_->graphs[t.graph_idx].node_offset + local;
+  }
+  [[nodiscard]] Addr row_addr(const BufferRef& buf, std::uint64_t row) const {
+    return prog_->memmap.addr(buf.region, row * buf.width_words * kWordBytes);
+  }
+  [[nodiscard]] std::uint64_t index_of(const Thread& t) const {
+    return static_cast<std::uint64_t>(&t - threads_.data());
   }
 
   TileParams params_;

@@ -45,20 +45,9 @@ void Tile::begin_phase(const CompiledProgram& prog, const graph::Dataset& ds,
   // Stream this tile's copy of the weights into the DNA, tagged so the
   // dispatcher can tell weight fills apart from DNQ entry fills.
   if (phase.weight_bytes > 0) {
-    const Addr base = prog.memmap.region(phase.weight_region).base;
-    addr_map_.for_each_segment(
-        base, phase.weight_bytes,
-        [&](EndpointId mem_ep, Addr a, std::uint64_t bytes) {
-          noc::Message m;
-          m.src = ep_dnq_;
-          m.dst = mem_ep;
-          m.kind = noc::MsgKind::kMemReadReq;
-          m.payload_bytes = 0;
-          m.a = a;
-          m.b = bytes;
-          m.c = kWeightTag;
-          net_.send(m);
-        });
+    send_read(net_, addr_map_, ep_dnq_, kInvalidEndpoint,
+              prog.memmap.region(phase.weight_region).base,
+              phase.weight_bytes, kWeightTag, noc::kNoOwner);
   }
 
   gpe_.begin_phase(prog, ds, phase, std::move(work));

@@ -101,22 +101,13 @@ void MemoryController::admit(double now) {
     InFlight inf;
     inf.request = *msg;
     inf.served_bytes = served_bytes;
-    switch (msg->kind) {
-      case noc::MsgKind::kMemReadReq:
-        stats_.read_requests.add();
-        break;
-      case noc::MsgKind::kMemWriteReq:
-        // Writes hold their queue slot until the data bus has moved their
-        // bytes; they retire silently (no response message) but exert the
-        // same backpressure as reads.
-        stats_.write_requests.add();
-        inf.is_write = true;
-        break;
-      default:
-        // Unknown traffic to a memory endpoint is a wiring bug.
-        assert(false && "MemoryController: unexpected message kind");
-        break;
-    }
+    // Writes hold their queue slot until the data bus has moved their
+    // bytes; they retire silently (no response message) but exert the same
+    // backpressure as reads. Other traffic to a memory endpoint is a wiring
+    // bug.
+    inf.is_write = msg->kind == noc::MsgKind::kMemWriteReq;
+    assert((inf.is_write || msg->kind == noc::MsgKind::kMemReadReq) &&
+           "MemoryController: unexpected message kind");
     stats_.bytes_requested.add(requested);
 
     if (frfcfs_) {

@@ -108,8 +108,6 @@ struct BankStats {
 };
 
 struct MemStats {
-  Counter read_requests;
-  Counter write_requests;
   Counter bytes_requested;  // payload bytes the components asked for
   Counter bytes_served;     // bytes the DRAM actually moved (64B granules)
   /// Queue/window occupancy over time. Each sample is weighted by the

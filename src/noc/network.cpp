@@ -143,7 +143,6 @@ void MeshNetwork::send(Message msg) {
   }
   injecting_[msg.src / 64] |= std::uint64_t{1} << (msg.src % 64);
   inflight_.emplace(msg.seq, msg);
-  stats_.packets_sent.add();
   if (tracer_.enabled()) {
     tracer_.instant(send_event_name(msg.kind),
                     (std::uint64_t{msg.src} << 32) | msg.dst,

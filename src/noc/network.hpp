@@ -27,7 +27,6 @@ namespace gnna::noc {
 
 /// Aggregate network statistics.
 struct NocStats {
-  Counter packets_sent;
   Counter packets_delivered;
   Counter flits_delivered;
   Counter flit_hops;

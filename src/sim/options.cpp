@@ -122,6 +122,10 @@ RunOption count(std::string key, double min, double max, std::string help) {
   o.max = max;
   return o;
 }
+RunOption simulation_only(RunOption o) {
+  o.simulation_only = true;
+  return o;
+}
 
 std::vector<RunOption> build_table() {
   using T = OptionType;
@@ -182,12 +186,14 @@ std::vector<RunOption> build_table() {
       bind(of_type("optimize", T::kSwitch,
                    "run the validator-gated GNNA-IR optimizer (see gnnaopt)"),
            req(&RunRequest::optimize)),
-      bind(count("watchdog", 0, kInf,
-                 "cycles without progress before a run aborts (default "
-                 "2000000)"),
+      bind(simulation_only(
+               count("watchdog", 0, kInf,
+                     "cycles without progress before a run aborts (default "
+                     "2000000)")),
            req(&RunRequest::watchdog_cycles)),
-      bind(of_type("attribution", T::kSwitch,
-                   "charge work to vertices and tiles (stats JSON)"),
+      bind(simulation_only(
+               of_type("attribution", T::kSwitch,
+                       "charge work to vertices and tiles (stats JSON)")),
            trace_opt(&TO::attribution)),
       bind(of_type("attribution_from", T::kPath,
                    "prior run's stats JSON that profile-guided packs"),
@@ -220,22 +226,27 @@ std::vector<RunOption> build_table() {
       bind(count("tile_dnq_queue0_sixteenths", 0, 16,
                  "sixteenths of the DNQ scratchpad given to virtual queue 0"),
            tile_param(&TP::dnq_queue0_sixteenths)),
-      bind(of_type("profile", T::kSwitch,
-                   "per-phase profile (printed, and in the stats JSON)"),
+      bind(simulation_only(
+               of_type("profile", T::kSwitch,
+                       "per-phase profile (printed, and in the stats JSON)")),
            trace_opt(&TO::profile)),
-      bind(of_type("trace", T::kPath,
-                   "Chrome-trace event log (<file>.runN per run in --batch)"),
+      bind(simulation_only(of_type(
+               "trace", T::kPath,
+               "Chrome-trace event log (<file>.runN per run in --batch)")),
            trace_opt(&TO::trace_path)),
-      bind(count("sample_every", 0, kInf,
-                 "NoC cycles between utilization samples (0: none)"),
+      bind(simulation_only(
+               count("sample_every", 0, kInf,
+                     "NoC cycles between utilization samples (0: none)")),
            trace_opt(&TO::sample_every)),
-      bind(of_type("sample_file", T::kPath,
-                   "CSV for the samples (default stderr; <file>.runN per "
-                   "run in --batch)"),
+      bind(simulation_only(
+               of_type("sample_file", T::kPath,
+                       "CSV for the samples (default stderr; <file>.runN per "
+                       "run in --batch)")),
            trace_opt(&TO::sample_path)),
-      bind(of_type("deadlock_report", T::kPath,
-                   "also write watchdog diagnostics here (<file>.runN per "
-                   "run in --batch)"),
+      bind(simulation_only(
+               of_type("deadlock_report", T::kPath,
+                       "also write watchdog diagnostics here (<file>.runN per "
+                       "run in --batch)")),
            trace_opt(&TO::deadlock_report_path)),
   };
 }
@@ -366,17 +377,22 @@ void RunOptions::set(std::string_view key, const std::string& value) {
   store(index_of(key), key, value);
 }
 
-bool RunOptions::parse_flag(int argc, char** argv, int& i) {
+bool RunOptions::parse_flag(int argc, char** argv, int& i, bool simulates) {
   const std::string arg = argv[i];
   const auto& table = run_options();
   for (std::size_t k = 0; k < table.size(); ++k) {
     const std::string flag = table[k].flag();
-    if (table[k].type == OptionType::kSwitch &&
-        (arg == flag || arg == "--no-" + flag.substr(2))) {
+    const bool is_switch = table[k].type == OptionType::kSwitch &&
+                           (arg == flag || arg == "--no-" + flag.substr(2));
+    if (!is_switch && arg != flag) continue;
+    if (table[k].simulation_only && !simulates) {
+      throw std::invalid_argument(
+          arg + " only steers a simulation, and this tool runs none");
+    }
+    if (is_switch) {
       values_[k] = arg == flag ? "1" : "0";
       return true;
     }
-    if (arg != flag) continue;
     if (i + 1 >= argc) throw std::invalid_argument(flag + " needs a value");
     store(k, flag, argv[++i]);
     return true;
@@ -398,9 +414,10 @@ void RunOptions::apply(RunRequest& req) const {
   mem::validate(req.config.mem_params);
 }
 
-void print_run_options(std::ostream& os, bool manifest_keys) {
+void print_run_options(std::ostream& os, bool manifest_keys,
+                       bool simulates) {
   const RunRequest defaults;
-  for (const RunOption& opt : run_options()) {
+  const auto print = [&](const RunOption& opt) {
     const bool is_switch = opt.type == OptionType::kSwitch;
     constexpr const char* kMetavars[] = {"<n>", "<x>", "0|1", "<name>",
                                          "<file>"};  // OptionType order
@@ -418,6 +435,14 @@ void print_run_options(std::ostream& os, bool manifest_keys) {
       os << " (default " << dflt << ")";
     }
     os << "\n      " << opt.help << '\n';
+  };
+  for (const RunOption& opt : run_options()) {
+    if (simulates || !opt.simulation_only) print(opt);
+  }
+  if (simulates) return;
+  os << "refused here, since only a simulation reads them:\n";
+  for (const RunOption& opt : run_options()) {
+    if (opt.simulation_only) print(opt);
   }
 }
 

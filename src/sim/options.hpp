@@ -58,6 +58,8 @@ struct RunOption {
   std::function<void(RunRequest&, const std::string&)> set;
   /// The request's value as option text ("" when unset).
   std::function<std::string(const RunRequest&)> show;
+  /// Only a simulation reads it (the watchdog, the observability outputs).
+  bool simulation_only = false;
 
   /// "--mem-banks".
   [[nodiscard]] std::string flag() const;
@@ -82,8 +84,10 @@ class RunOptions {
 
   /// Stores argv[i] if it is a run-option flag (consuming argv[i + 1]
   /// unless it is a switch); false for any other argument. Throws
-  /// std::invalid_argument ("<flag> <reason>") for a bad or missing value.
-  bool parse_flag(int argc, char** argv, int& i);
+  /// std::invalid_argument ("<flag> <reason>") for a bad or missing value,
+  /// and, unless the tool `simulates`, for a simulation-only option, which
+  /// it would otherwise take and ignore.
+  bool parse_flag(int argc, char** argv, int& i, bool simulates = true);
 
   void erase(std::string_view key);
   [[nodiscard]] std::optional<std::string> value(std::string_view key) const;
@@ -101,7 +105,10 @@ class RunOptions {
 
 /// One entry per option: `--mem-banks <n>` flags, or with `manifest_keys`
 /// `mem_banks=<n>` keys, each with its help, default and accepted values.
-void print_run_options(std::ostream& os, bool manifest_keys = false);
+/// Unless the tool `simulates`, the simulation-only flags are listed apart,
+/// as refused.
+void print_run_options(std::ostream& os, bool manifest_keys = false,
+                       bool simulates = true);
 
 /// `req` as option tokens in table order: its config, and every option
 /// whose value differs from that config's defaults, e.g.

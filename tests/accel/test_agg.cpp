@@ -68,7 +68,7 @@ TEST(Agg, AllocateAndComplete) {
   EXPECT_EQ(out[0].a, 99U);
   EXPECT_EQ(out[0].payload_bytes, 16U);
   EXPECT_TRUE(rig.agg->idle());
-  EXPECT_EQ(rig.agg->stats().completions.value(), 1U);
+  EXPECT_FALSE(rig.agg->entry_active(*h));
 }
 
 TEST(Agg, ZeroExpectedCompletesImmediately) {
@@ -104,7 +104,7 @@ TEST(Agg, DataScratchpadCapacityEnforced) {
   }
   EXPECT_FALSE(
       rig.agg->allocate(64, 64, ReduceOp::kSum, rig.to_sink()).has_value());
-  EXPECT_EQ(rig.agg->stats().alloc_failures.value(), 1U);
+  EXPECT_EQ(rig.agg->live_entries(), 4U);  // the refusal took no entry
   // Freeing one entry re-enables allocation.
   rig.contribute(hs[0], 64);
   rig.run(20);

@@ -156,7 +156,7 @@ TEST(Memory, WritesConsumeBandwidthSilently) {
     rig.mem->tick();
     rig.net.tick();
   }
-  EXPECT_EQ(rig.mem->stats().write_requests.value(), 1U);
+  EXPECT_EQ(rig.mem->stats().bytes_requested.value(), 640U);
   EXPECT_EQ(rig.mem->stats().bytes_served.value(), 640U);
   EXPECT_EQ(rig.net.delivery_queue_depth(rig.requester), 0U);
 }

@@ -50,9 +50,9 @@ void usage(std::ostream& os) {
         "  --quiet               only print errors\n"
         "  --help                this text\n"
         "run options (gnnasim's; the effective config bounds scratchpad\n"
-        "footprints for fusion and the cycle-bound obligation, --seed picks\n"
-        "the --bind dataset, and the rest change nothing here):\n";
-  sim::print_run_options(os);
+        "footprints for fusion and the cycle-bound obligation, and --seed\n"
+        "picks the --bind dataset):\n";
+  sim::print_run_options(os, /*manifest_keys=*/false, /*simulates=*/false);
 }
 
 std::vector<std::string> split_passes(const std::string& csv) {
@@ -105,7 +105,7 @@ int main(int argc, char** argv) {
           throw std::invalid_argument(
               "--bind needs a known benchmark name (try gnnasim --list)");
         }
-      } else if (options.parse_flag(argc, argv, i)) {
+      } else if (options.parse_flag(argc, argv, i, /*simulates=*/false)) {
         continue;
       } else if (arg == "--passes") {
         passes = split_passes(next("a comma-separated list"));

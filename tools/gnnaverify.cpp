@@ -66,10 +66,10 @@ void usage(std::ostream& os) {
         "  --list-codes          print the lint-code catalog and exit\n"
         "  --help                this text\n"
         "run options (gnnasim's; they set the run each program is checked\n"
-        "for and default every manifest line; --benchmark may repeat;\n"
-        "options that only steer simulation, such as --watchdog, change\n"
-        "nothing here):\n";
-  sim::print_run_options(os);
+        "for and default every manifest line; --benchmark may repeat; a\n"
+        "manifest line may still carry the simulation-only keys, for\n"
+        "gnnasim):\n";
+  sim::print_run_options(os, /*manifest_keys=*/false, /*simulates=*/false);
 }
 
 void print_codes(std::ostream& os) {
@@ -207,7 +207,7 @@ int main(int argc, char** argv) {
         print_codes(std::cout);
         return 0;
       }
-      if (options.parse_flag(argc, argv, i)) {
+      if (options.parse_flag(argc, argv, i, /*simulates=*/false)) {
         // Each --benchmark names one more program to lint.
         if (arg == "--benchmark") {
           benchmarks.push_back(
