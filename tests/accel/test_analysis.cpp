@@ -76,25 +76,34 @@ bool lints_fire(const std::vector<PerfDiagnostic>& lints, LintCode code) {
 
 // ---- cycle lower bound vs. the measured golden counts ----
 
-// Measured end-to-end cycle counts on cpu-iso-bw, seed 2020, default
-// threads, round-robin partition. test_golden pins the two Cora counts; CI
-// (the full-size-cycles job) simulates all six and reads its expected
-// counts from this table, so keep one `{"<name>", <cycles>.0},` row each.
+// Measured end-to-end cycle counts of the six benchmarks on cpu-iso-bw and
+// gpu-iso-bw, seed 2020, default threads, round-robin partition.
+// test_golden pins the two cpu-iso-bw Cora counts; CI (the
+// full-size-cycles job) simulates all twelve runs and reads its expected
+// counts from this table, so keep one `{"<name>", "<config>",
+// <cycles>.0},` row each.
 // The static bound must sit at or below every one of them: the model
 // counts a strict subset of the work the simulator serializes on the same
 // resource.
 struct GoldenBound {
   const char* benchmark;  // gnn::benchmark_name
+  const char* config;     // sim::config_by_name
   double measured_cycles;
 };
 
 constexpr GoldenBound kGoldens[] = {
-    {"GCN/Cora", 2871294.0},
-    {"GCN/Citeseer", 6822970.0},
-    {"GCN/Pubmed", 8687246.0},
-    {"GAT/Cora", 1775046.0},
-    {"MPNN/QM9_1000", 220668937.0},
-    {"PGNN/DBLP_1", 47914224.0},
+    {"GCN/Cora", "cpu-iso-bw", 2871294.0},
+    {"GCN/Citeseer", "cpu-iso-bw", 6822970.0},
+    {"GCN/Pubmed", "cpu-iso-bw", 8687246.0},
+    {"GAT/Cora", "cpu-iso-bw", 1775046.0},
+    {"MPNN/QM9_1000", "cpu-iso-bw", 220668937.0},
+    {"PGNN/DBLP_1", "cpu-iso-bw", 47914224.0},
+    {"GCN/Cora", "gpu-iso-bw", 415489.0},
+    {"GCN/Citeseer", "gpu-iso-bw", 1040417.0},
+    {"GCN/Pubmed", "gpu-iso-bw", 1348707.0},
+    {"GAT/Cora", "gpu-iso-bw", 250121.0},
+    {"MPNN/QM9_1000", "gpu-iso-bw", 30543846.0},
+    {"PGNN/DBLP_1", "gpu-iso-bw", 17482014.0},
 };
 
 TEST(Analysis, BoundIsBelowMeasuredOnAllGoldenBenchmarks) {
@@ -102,14 +111,15 @@ TEST(Analysis, BoundIsBelowMeasuredOnAllGoldenBenchmarks) {
   for (const GoldenBound& g : kGoldens) {
     sim::RunRequest req;
     req.benchmark = *sim::benchmark_by_name(g.benchmark);
+    req.config = *sim::config_by_name(g.config);
     const auto resolved = session.resolve(req);
     AnalysisOptions opt;
     opt.dataset = resolved.dataset.get();
     const ProgramAnalysis pa =
         analyze_program(*resolved.program, req.config, opt);
-    EXPECT_GT(pa.bound_cycles, 0.0) << g.benchmark;
+    EXPECT_GT(pa.bound_cycles, 0.0) << g.benchmark << ' ' << g.config;
     EXPECT_LE(pa.bound_cycles, g.measured_cycles)
-        << g.benchmark
+        << g.benchmark << ' ' << g.config
         << ": static bound exceeds the measured cycle count "
            "(the model is no longer a lower bound)";
   }
