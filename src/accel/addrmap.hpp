@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/types.hpp"
@@ -61,6 +63,16 @@ struct Dest {
   EndpointId ep = kInvalidEndpoint;  // target NoC endpoint (DNQ/AGG dests)
   std::uint64_t handle = 0;          // DNQ/AGG entry handle
   Addr addr = 0;                     // memory destination
+
+  /// Throws std::invalid_argument, naming `unit` (the allocating call),
+  /// when a DNQ or AGG destination has no endpoint to send to.
+  void check_endpoint(const char* unit) const {
+    if ((kind == Kind::kDnqEntry || kind == Kind::kAggEntry) &&
+        ep == kInvalidEndpoint) {
+      throw std::invalid_argument(std::string(unit) +
+                                  ": unit destination with invalid endpoint");
+    }
+  }
 };
 
 /// Send `bytes` of a result from endpoint `src` to `dest`, on behalf of

@@ -32,12 +32,7 @@ std::optional<AggHandle> Agg::allocate(std::uint32_t width_words,
         "Agg::allocate: non-associative reduce op (the AGG only supports "
         "associative aggregation)");
   }
-  if ((dest.kind == Dest::Kind::kDnqEntry ||
-       dest.kind == Dest::Kind::kAggEntry) &&
-      dest.ep == kInvalidEndpoint) {
-    throw std::invalid_argument(
-        "Agg::allocate: unit destination with invalid endpoint");
-  }
+  dest.check_endpoint("Agg::allocate");
   const std::uint64_t bytes = std::uint64_t{width_words} * kWordBytes;
   const std::uint32_t max_entries =
       params_.agg_ctrl_bytes / params_.agg_ctrl_entry_bytes;
@@ -81,6 +76,7 @@ void Agg::complete(AggHandle h) {
   e.active = false;
   data_bytes_used_ -= std::uint64_t{e.width_words} * kWordBytes;
   --live_entries_;
+  ++frees_;
   free_list_.push_back(h);
 }
 

@@ -69,6 +69,10 @@ class Agg {
     return inbox_.empty() && live_entries_ == 0;
   }
   [[nodiscard]] std::uint32_t live_entries() const { return live_entries_; }
+  /// Entries freed so far. allocate() fails only on live entries and
+  /// bytes used, which only a completion lowers, so a refused allocation
+  /// is refused again until this count moves.
+  [[nodiscard]] std::uint64_t frees() const { return frees_; }
   [[nodiscard]] const AggStats& stats() const { return stats_; }
 
   /// Attach an event tracer (reductions, completions). Disabled by default.
@@ -100,6 +104,7 @@ class Agg {
   std::vector<AggHandle> free_list_;
   std::uint32_t live_entries_ = 0;
   std::uint64_t data_bytes_used_ = 0;
+  std::uint64_t frees_ = 0;
 
   std::deque<noc::Message> inbox_;  // internal flit-buffer stand-in
   double alu_free_at_ = 0.0;

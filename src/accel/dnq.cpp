@@ -53,12 +53,7 @@ std::optional<DnqHandle> Dnq::allocate(std::uint8_t queue,
   if (width_words == 0) {
     throw std::invalid_argument("Dnq::allocate: zero-width entry");
   }
-  if ((dest.kind == Dest::Kind::kDnqEntry ||
-       dest.kind == Dest::Kind::kAggEntry) &&
-      dest.ep == kInvalidEndpoint) {
-    throw std::invalid_argument(
-        "Dnq::allocate: unit destination with invalid endpoint");
-  }
+  dest.check_endpoint("Dnq::allocate");
   const std::uint64_t bytes = std::uint64_t{width_words} * 4;
   const std::uint32_t max_dest_entries =
       params_.dnq_dest_bytes / params_.dnq_dest_entry_bytes;
@@ -119,6 +114,7 @@ DnqEntry Dnq::pop_head(std::uint8_t q) {
   bytes_used_[q] -= std::uint64_t{e.width_words} * 4;
   e.active = false;
   --live_entries_;
+  ++frees_;
   free_list_.push_back(h);
   tracer_.instant("dequeue", h, q);
   return out;

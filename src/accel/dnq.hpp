@@ -79,6 +79,10 @@ class Dnq {
   [[nodiscard]] bool head_ready(std::uint8_t q) const;
 
   [[nodiscard]] bool empty() const { return live_entries_ == 0; }
+  /// Entries freed so far. allocate() fails only on live entries and
+  /// bytes used, which only a free lowers, so a refused allocation is
+  /// refused again until this count moves.
+  [[nodiscard]] std::uint64_t frees() const { return frees_; }
   [[nodiscard]] std::uint32_t live_entries() const { return live_entries_; }
   [[nodiscard]] std::uint8_t active_queue() const { return active_queue_; }
   [[nodiscard]] std::uint32_t queue_capacity_bytes(std::uint8_t q) const {
@@ -118,6 +122,7 @@ class Dnq {
   std::vector<Entry> entries_;
   std::vector<DnqHandle> free_list_;
   std::uint32_t live_entries_ = 0;
+  std::uint64_t frees_ = 0;
   std::uint8_t active_queue_ = 0;
   DnqStats stats_;
   trace::Tracer tracer_;

@@ -1,10 +1,27 @@
 #include "accel/gpe.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 
 namespace gnna::accel {
+
+namespace {
+
+using Bits = std::vector<std::uint64_t>;
+
+constexpr std::uint64_t bit(std::size_t i) {
+  return std::uint64_t{1} << (i % 64);
+}
+
+/// Both units' frees: an allocation that failed at one epoch fails again
+/// while the epoch stands.
+std::uint64_t alloc_epoch(const Agg& agg, const Dnq& dnq) {
+  return agg.frees() + dnq.frees();
+}
+
+}  // namespace
 
 Gpe::Gpe(const TileParams& params, noc::MeshNetwork& net, EndpointId ep_gpe,
          EndpointId ep_agg, EndpointId ep_dnq, const AddressMap& addr_map,
@@ -17,6 +34,23 @@ Gpe::Gpe(const TileParams& params, noc::MeshNetwork& net, EndpointId ep_gpe,
       addr_map_(addr_map),
       scale_(core_scale) {
   threads_.resize(params.gpe_threads);
+  stall_ring_.resize(threads_.size());
+  reset_threads();
+}
+
+void Gpe::reset_threads() {
+  for (auto& t : threads_) t = Thread{};
+  const std::size_t words = (threads_.size() + 63) / 64;
+  for (Bits& b : in_state_) b.assign(words, 0);
+  due_.assign(words, 0);
+  Bits& free = in_state_[static_cast<int>(Thread::State::kFree)];
+  for (std::size_t i = 0; i < threads_.size(); ++i) free[i / 64] |= bit(i);
+  count_ = {};
+  count_[static_cast<int>(Thread::State::kFree)] =
+      static_cast<std::uint32_t>(threads_.size());
+  count_due_ = 0;
+  ring_head_ = ring_tail_ = ring_size_ = 0;
+  count_doomed_ = 0;
 }
 
 void Gpe::begin_phase(const CompiledProgram& prog, const graph::Dataset& ds,
@@ -29,16 +63,24 @@ void Gpe::begin_phase(const CompiledProgram& prog, const graph::Dataset& ds,
   fp_ = phase_footprint(phase, params_);
   work_ = std::move(work);
   next_work_ = 0;
-  for (auto& t : threads_) t = Thread{};
+  reset_threads();
   gpe_time_ = static_cast<double>(net_.now());
 }
 
 bool Gpe::idle() const {
-  if (next_work_ < work_.size()) return false;
-  for (const auto& t : threads_) {
-    if (t.state != Thread::State::kFree) return false;
-  }
-  return true;
+  return next_work_ >= work_.size() &&
+         count(Thread::State::kFree) == threads_.size();
+}
+
+void Gpe::set_state(Thread& t, Thread::State s) {
+  const std::size_t i = index_of(t);
+  const auto from = static_cast<int>(t.state);
+  const auto to = static_cast<int>(s);
+  in_state_[from][i / 64] &= ~bit(i);
+  --count_[from];
+  in_state_[to][i / 64] |= bit(i);
+  ++count_[to];
+  t.state = s;
 }
 
 void Gpe::load_rows(const Thread& t, const BufferRef& buf, std::uint64_t first,
@@ -51,7 +93,7 @@ void Gpe::load_rows(const Thread& t, const BufferRef& buf, std::uint64_t first,
 double Gpe::load_and_wait(Thread& t, Addr addr, std::uint64_t bytes) {
   t.pending_responses = send_read(net_, addr_map_, ep_gpe_, ep_gpe_, addr,
                                   bytes, index_of(t), t.work);
-  t.state = Thread::State::kWaitMem;
+  set_state(t, Thread::State::kWaitMem);
   return params_.cost_issue_load;
 }
 
@@ -82,7 +124,7 @@ void Gpe::send_to_dnq(const Thread& t, DnqHandle h, std::uint32_t words) {
 bool Gpe::granted(Thread& t, std::optional<std::uint32_t> h,
                   std::uint32_t& slot) {
   if (!h.has_value()) {
-    stall(t);
+    set_state(t, Thread::State::kStalled);
     return false;
   }
   slot = *h;
@@ -111,7 +153,7 @@ const char* Gpe::body_span_name() const {
 }
 
 void Gpe::finish_task(Thread& t) {
-  t.state = Thread::State::kFree;
+  set_state(t, Thread::State::kFree);
   stats_.tasks_completed.add();
   if (tracer_.enabled()) {
     const std::uint64_t ti = index_of(t);
@@ -125,33 +167,61 @@ void Gpe::finish_task(Thread& t) {
   }
 }
 
-void Gpe::stall(Thread& t) {
-  t.state = Thread::State::kStalled;
-  t.stalled_until = static_cast<double>(net_.now()) + 16.0;
+void Gpe::stall(Thread& t, Cycle now, std::uint64_t epoch) {
+  assert(t.state == Thread::State::kStalled);
+  t.stalled_until = now + 16;
+  t.stall_epoch = epoch;
+  if (epoch != doomed_epoch_) {
+    doomed_epoch_ = epoch;
+    count_doomed_ = 0;
+  }
+  ++count_doomed_;
+  stall_ring_[ring_tail_] = static_cast<std::uint32_t>(index_of(t));
+  if (++ring_tail_ == stall_ring_.size()) ring_tail_ = 0;
+  ++ring_size_;
   stats_.alloc_stalls.add();
   if (tracer_.enabled()) {
     tracer_.instant_at("alloc_stall", gpe_time_, index_of(t), t.work);
   }
 }
 
-int Gpe::pick_runnable(double now) {
-  const std::size_t n = threads_.size();
-  for (std::size_t off = 1; off <= n; ++off) {
-    const std::size_t i = (last_thread_ + off) % n;
+int Gpe::pick_runnable(double at) {
+  while (ring_size_ > 0 &&
+         static_cast<double>(threads_[stall_ring_[ring_head_]].stalled_until) <=
+             at) {
+    const std::uint32_t i = stall_ring_[ring_head_];
+    due_[i / 64] |= bit(i);
+    ++count_due_;
+    if (++ring_head_ == stall_ring_.size()) ring_head_ = 0;
+    --ring_size_;
+  }
+  // The first candidate at or after last_thread_ + 1, wrapping around: a
+  // rotated priority encoder over the candidate mask, word by word.
+  const Bits& runnable = in_state_[static_cast<int>(Thread::State::kRunnable)];
+  const Bits& free = in_state_[static_cast<int>(Thread::State::kFree)];
+  const std::uint64_t claimable = next_work_ < work_.size() ? ~0ULL : 0;
+  const std::size_t words = due_.size();
+  const std::size_t start =
+      last_thread_ + 1 == threads_.size() ? 0 : last_thread_ + 1;
+  const std::uint64_t from_start = ~0ULL << (start % 64);
+  for (std::size_t k = 0, w = start / 64; k <= words;
+       ++k, w = w + 1 == words ? 0 : w + 1) {
+    std::uint64_t m = runnable[w] | due_[w] | (free[w] & claimable);
+    if (k == 0) m &= from_start;
+    if (k == words) m &= ~from_start;
+    if (m == 0) continue;
+    const std::size_t i =
+        w * 64 + static_cast<std::size_t>(std::countr_zero(m));
     Thread& t = threads_[i];
-    if (t.state == Thread::State::kStalled && t.stalled_until <= now) {
-      t.state = Thread::State::kRunnable;
-    }
-    if (t.state == Thread::State::kRunnable) return static_cast<int>(i);
-    if (t.state == Thread::State::kFree && next_work_ < work_.size()) {
+    if (t.state == Thread::State::kFree) {
       // Claim the next work item and start its vertex program.
       t = Thread{};
-      t.state = Thread::State::kRunnable;
+      set_state(t, Thread::State::kRunnable);
       t.work = work_[next_work_++];
-      t.task_started = now;
-      t.body_started = now;  // overwritten when a traversal prologue ends
-      return static_cast<int>(i);
+      t.task_started = at;
+      t.body_started = at;  // overwritten when a traversal prologue ends
     }
+    return static_cast<int>(i);
   }
   return -1;
 }
@@ -167,7 +237,7 @@ void Gpe::dump_state(std::ostream& os) const {
     return "?";
   };
   os << "    gpe: work=" << next_work_ << '/' << work_.size()
-     << " dispatched, gpe_time=" << resume_time() << '\n';
+     << " dispatched, gpe_time=" << resume_time(net_.now()) << '\n';
   for (std::size_t i = 0; i < threads_.size(); ++i) {
     const Thread& t = threads_[i];
     if (t.state == Thread::State::kFree) continue;
@@ -181,35 +251,33 @@ void Gpe::dump_state(std::ostream& os) const {
   }
 }
 
-double Gpe::resume_time() const {
-  const auto now = static_cast<double>(net_.now());
-  return gpe_time_ <= now - 1.0 ? now : gpe_time_;
+double Gpe::resume_time(Cycle now) const {
+  const auto at = static_cast<double>(now);
+  return gpe_time_ <= at - 1.0 ? at : gpe_time_;
 }
 
 Cycle Gpe::next_event(Cycle now) const {
   const auto core_free = static_cast<Cycle>(std::ceil(gpe_time_));
   if (core_free > now) return core_free;
-  Cycle t = kNeverCycle;
-  for (const Thread& th : threads_) {
-    switch (th.state) {
-      case Thread::State::kRunnable:
-        return now;
-      case Thread::State::kFree:
-        if (next_work_ < work_.size()) return now;
-        break;
-      case Thread::State::kStalled:
-        t = std::min(t, static_cast<Cycle>(std::ceil(th.stalled_until)));
-        break;
-      case Thread::State::kWaitMem:
-        break;
-    }
+  if (count(Thread::State::kRunnable) > 0 || count_due_ > 0 ||
+      (count(Thread::State::kFree) > 0 && next_work_ < work_.size())) {
+    return now;
   }
-  return t == kNeverCycle ? t : std::max(t, now);
+  if (ring_size_ == 0) return kNeverCycle;
+  return std::max(threads_[stall_ring_[ring_head_]].stalled_until, now);
 }
 
-void Gpe::tick(Agg& agg, Dnq& dnq) {
-  const auto now = static_cast<double>(net_.now());
-  gpe_time_ = resume_time();
+bool Gpe::spinning(const Agg& agg, const Dnq& dnq) const {
+  const std::uint32_t stalled = count(Thread::State::kStalled);
+  return count(Thread::State::kRunnable) == 0 &&
+         (count(Thread::State::kFree) == 0 || next_work_ >= work_.size()) &&
+         stalled > 0 && count_doomed_ == stalled &&
+         doomed_epoch_ == alloc_epoch(agg, dnq);
+}
+
+void Gpe::tick(Cycle now, Agg& agg, Dnq& dnq) {
+  const auto end = static_cast<double>(now);
+  gpe_time_ = resume_time(now);
 
   // Wake threads whose blocking loads completed (flit buffer -> scratchpad
   // happens without core intervention; the wake is free).
@@ -219,15 +287,15 @@ void Gpe::tick(Agg& agg, Dnq& dnq) {
     assert(ti < threads_.size());
     Thread& t = threads_[ti];
     assert(t.state == Thread::State::kWaitMem && t.pending_responses > 0);
-    if (--t.pending_responses == 0) t.state = Thread::State::kRunnable;
+    if (--t.pending_responses == 0) set_state(t, Thread::State::kRunnable);
   }
 
   // Single-threaded core: execute micro-actions until we catch up with the
   // NoC clock.
-  while (gpe_time_ <= now) {
+  while (gpe_time_ <= end) {
     const int ti = pick_runnable(gpe_time_);
     if (ti < 0) {
-      gpe_time_ = now + 1.0;  // idle this cycle
+      gpe_time_ = end + 1.0;  // idle this cycle
       return;
     }
     double cost = 0.0;
@@ -240,7 +308,22 @@ void Gpe::tick(Agg& agg, Dnq& dnq) {
       }
     }
     last_thread_ = static_cast<std::size_t>(ti);
-    cost += step(threads_[last_thread_], agg, dnq);
+    Thread& t = threads_[last_thread_];
+    const std::uint64_t epoch = alloc_epoch(agg, dnq);
+    if (t.state == Thread::State::kStalled) {  // due to retry
+      due_[last_thread_ / 64] &= ~bit(last_thread_);
+      --count_due_;
+      if (t.stall_epoch == doomed_epoch_) --count_doomed_;
+      if (t.stall_epoch != epoch) set_state(t, Thread::State::kRunnable);
+    }
+    if (t.state == Thread::State::kStalled) {
+      // Neither unit has freed an entry since this allocation failed, so
+      // it fails again: retire the retry without running it.
+      cost += params_.cost_alloc;
+    } else {
+      cost += step(t, agg, dnq);
+    }
+    if (t.state == Thread::State::kStalled) stall(t, now, epoch);
     stats_.actions.add();
     gpe_time_ += cost * scale_;
     stats_.busy_cycles += cost * scale_;

@@ -54,12 +54,20 @@ class Gpe {
   void begin_phase(const CompiledProgram& prog, const graph::Dataset& ds,
                    const PhaseSpec& phase, std::vector<std::uint32_t> work);
 
-  void tick(Agg& agg, Dnq& dnq);
+  /// Run the core through NoC cycle `now`: wake the threads whose loads
+  /// landed, then execute micro-actions until the core passes `now`.
+  void tick(Cycle now, Agg& agg, Dnq& dnq);
 
   /// Earliest NoC cycle >= `now` at which tick() could change state
   /// (kNeverCycle when only a NoC delivery can wake it). Threads waiting on
   /// memory wake through the NoC, which the caller tracks.
   [[nodiscard]] Cycle next_event(Cycle now) const;
+
+  /// True when every action left to this GPE, until `agg` or `dnq` frees
+  /// an entry or a load lands, is an allocation retry bound to fail: no
+  /// thread is runnable, none is free with work left, and no entry has
+  /// been freed since any stalled thread's allocation failed. O(1).
+  [[nodiscard]] bool spinning(const Agg& agg, const Dnq& dnq) const;
 
   [[nodiscard]] bool idle() const;
   [[nodiscard]] const GpeStats& stats() const { return stats_; }
@@ -89,7 +97,8 @@ class Gpe {
     std::uint32_t loop_i = 0;
     std::uint32_t loop_sub = 0;
     std::uint32_t pending_responses = 0;
-    double stalled_until = 0.0;
+    Cycle stalled_until = 0;      // when a stalled thread may retry
+    std::uint64_t stall_epoch = 0;  // frees() of both units at the failure
     double task_started = 0.0;  // gpe_time_ when the work item was claimed
     double body_started = 0.0;  // gpe_time_ when the post-traversal body began
     // Cached task context:
@@ -138,8 +147,8 @@ class Gpe {
   void send_to_dnq(const Thread& t, DnqHandle h, std::uint32_t words);
 
   /// The allocation-bus step's outcome: keep the granted entry `h` in
-  /// `slot`, or stall `t` to retry when the scratchpad is full. The step
-  /// costs cost_alloc either way.
+  /// `slot`, or leave `t` stalled, for tick() to retry, when the
+  /// scratchpad is full. The step costs cost_alloc either way.
   bool granted(Thread& t, std::optional<std::uint32_t> h,
                std::uint32_t& slot);
   /// Where an aggregate goes: into DNQ entry `h` when the phase's DNA
@@ -148,13 +157,26 @@ class Gpe {
   [[nodiscard]] Dest result_dest(bool projected, DnqHandle h, Addr out) const;
 
   void finish_task(Thread& t);
-  void stall(Thread& t);
-  [[nodiscard]] int pick_runnable(double now);
-  /// The core time the next tick resumes from. A tick that finds no
-  /// runnable thread leaves gpe_time_ at now + 1, so after a span of
+  /// Free every thread, with no stall pending.
+  void reset_threads();
+  /// Move `t` to state `s`, keeping the per-state sets and counts.
+  void set_state(Thread& t, Thread::State s);
+  [[nodiscard]] std::uint32_t count(Thread::State s) const {
+    return count_[static_cast<int>(s)];
+  }
+  /// Record the failed allocation that left `t` stalled in the tick of
+  /// cycle `now`, with both units' frees() at `epoch`: `t` may retry 16
+  /// cycles on.
+  void stall(Thread& t, Cycle now, std::uint64_t epoch);
+  /// The next thread to run at core time `at`, round-robin from the last
+  /// one: runnable, stalled and due to retry (left stalled, for the caller
+  /// to wake), or free and now claiming the next work item. -1 if none.
+  [[nodiscard]] int pick_runnable(double at);
+  /// The core time the tick of cycle `now` resumes from. A tick that finds
+  /// no runnable thread leaves gpe_time_ at now + 1, so after a span of
   /// skipped idle ticks the core resumes at `now`, exactly as if every
   /// idle tick had run.
-  [[nodiscard]] double resume_time() const;
+  [[nodiscard]] double resume_time(Cycle now) const;
   /// Flame path of the current phase's post-traversal body span
   /// ("task/gather", "task/walk", ...), for the profiler's rollup.
   [[nodiscard]] const char* body_span_name() const;
@@ -189,6 +211,24 @@ class Gpe {
 
   std::vector<Thread> threads_;
   std::size_t last_thread_ = 0;
+  // The scheduler's view of threads_, so that no step scans it. One bit
+  // per thread, in 64-bit words: the threads in each state, and the
+  // stalled threads already due to retry. Stalled threads wake in the
+  // order they stalled, since each retries 16 cycles after its tick, so a
+  // ring of the stalled threads not yet due holds them by wake-up time.
+  std::array<std::vector<std::uint64_t>, 4> in_state_;
+  std::array<std::uint32_t, 4> count_{};  // threads in each state
+  std::vector<std::uint64_t> due_;
+  std::uint32_t count_due_ = 0;
+  std::vector<std::uint32_t> stall_ring_;
+  std::size_t ring_head_ = 0;
+  std::size_t ring_tail_ = 0;
+  std::size_t ring_size_ = 0;
+  // Stalled threads whose stall_epoch is `doomed_epoch_`, the epoch of
+  // the latest stall: all of them are doomed once no entry has been
+  // freed since then.
+  std::uint64_t doomed_epoch_ = 0;
+  std::uint32_t count_doomed_ = 0;
   double gpe_time_ = 0.0;
   GpeStats stats_;
   trace::Tracer tracer_;

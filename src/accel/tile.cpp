@@ -84,14 +84,14 @@ void Tile::tick() {
   }
   agg_.tick();
   dna_.tick(dnq_);
-  gpe_.tick(agg_, dnq_);
+  gpe_.tick(net_.now(), agg_, dnq_);
 }
 
 Cycle Tile::next_event(Cycle now) const {
   for (const EndpointId ep : {ep_gpe_, ep_agg_, ep_dnq_}) {
     if (net_.delivery_queue_depth(ep) != 0) return now;
   }
-  const Cycle gpe = gpe_.next_event(now);
+  const Cycle gpe = gpe_spinning() ? kNeverCycle : gpe_.next_event(now);
   if (gpe <= now) return now;
   return std::min({gpe, agg_.next_event(now), dna_.next_event(now, dnq_)});
 }

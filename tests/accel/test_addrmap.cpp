@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace gnna::accel {
@@ -73,6 +75,24 @@ TEST(AddressMap, ZeroBytesProducesNoSegments) {
 TEST(AddressMap, SingleControllerNeverSplitsOwnership) {
   const AddressMap map({9}, 4096);
   for (const auto& s : segments(map, 0, 100000)) EXPECT_EQ(s.ep, 9U);
+}
+
+// A DNQ or AGG destination needs an endpoint; the error names the
+// allocating call. Memory destinations are named by address alone.
+TEST(Dest, CheckEndpointNamesTheUnit) {
+  for (const Dest::Kind kind : {Dest::Kind::kDnqEntry, Dest::Kind::kAggEntry}) {
+    const Dest d{.kind = kind};
+    try {
+      d.check_endpoint("Agg::allocate");
+      ADD_FAILURE() << "no throw";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "Agg::allocate: unit destination with invalid endpoint");
+    }
+    EXPECT_NO_THROW(Dest({.kind = kind, .ep = 3}).check_endpoint("x"));
+  }
+  EXPECT_NO_THROW(Dest{.kind = Dest::Kind::kMemWrite}.check_endpoint("x"));
+  EXPECT_NO_THROW(Dest{}.check_endpoint("x"));
 }
 
 }  // namespace
