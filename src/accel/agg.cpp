@@ -2,19 +2,18 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <cstdio>
 #include <stdexcept>
 
 namespace gnna::accel {
 
 Agg::Agg(const TileParams& params, noc::MeshNetwork& net, EndpointId endpoint,
-         const AddressMap& addr_map, double core_scale)
+         const AddressMap& addr_map, ClockRatio ratio)
     : params_(params),
       net_(net),
       endpoint_(endpoint),
       addr_map_(addr_map),
-      scale_(core_scale) {}
+      ratio_(ratio) {}
 
 std::optional<AggHandle> Agg::allocate(std::uint32_t width_words,
                                        std::uint64_t expected_words,
@@ -105,7 +104,7 @@ void Agg::dump_state(std::ostream& os) const {
   }
   os << "    agg: live_entries=" << live_entries_ << " inbox="
      << inbox_.size() << " data_used=" << data_bytes_used_
-     << "B alu_free_at=" << alu_free_at_
+     << "B alu_free_at=" << ratio_.format(alu_free_at_)
      << " remaining_words_total=" << remaining_total << '\n';
   std::size_t shown = 0;
   for (AggHandle h = 0; h < entries_.size(); ++h) {
@@ -127,11 +126,11 @@ void Agg::dump_state(std::ostream& os) const {
 
 Cycle Agg::next_event(Cycle now) const {
   if (inbox_.empty()) return kNeverCycle;
-  return std::max(now, static_cast<Cycle>(std::ceil(alu_free_at_)));
+  return std::max(now, ratio_.ceil_cycle(alu_free_at_));
 }
 
 void Agg::tick() {
-  const auto now = static_cast<double>(net_.now());
+  const std::uint64_t now = ratio_.at(net_.now());
   // Drain NoC deliveries into the internal buffer.
   while (auto msg = net_.poll(endpoint_)) inbox_.push_back(*msg);
 
@@ -155,17 +154,18 @@ void Agg::tick() {
     assert(entry_active(h) && "contribution to dead aggregation");
     Entry& e = entries_[h];
     const std::uint64_t words = msg.payload_bytes / kWordBytes;
-    const double cycles =
-        static_cast<double>((words + params_.agg_alus - 1) / params_.agg_alus);
-    const double start = std::max(alu_free_at_, now);
-    alu_free_at_ = start + cycles * scale_;
-    stats_.busy_cycles += cycles * scale_;
+    const std::uint64_t busy =
+        ratio_.core((words + params_.agg_alus - 1) / params_.agg_alus);
+    const std::uint64_t start = std::max(alu_free_at_, now);
+    alu_free_at_ = start + busy;
+    stats_.busy_time += busy;
     stats_.contributions.add();
     stats_.words_reduced.add(words);
     if (tracer_.enabled()) {
-      tracer_.complete("reduce", start, cycles * scale_, h, words);
+      tracer_.complete("reduce", ratio_.cycles(start), ratio_.cycles(busy), h,
+                       words);
       // Attribution: the entry's owner paid for this ALU occupancy.
-      tracer_.charge(e.owner, cycles * scale_);
+      tracer_.charge(e.owner, ratio_.cycles(busy));
     }
     e.received_words += words;
     if (e.received_words >= e.expected_words) complete(h);

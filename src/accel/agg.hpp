@@ -34,14 +34,14 @@ using AggHandle = std::uint32_t;
 struct AggStats {
   Counter contributions;  // messages reduced
   Counter words_reduced;
-  double busy_cycles = 0.0;  // NoC cycles the ALU bank was busy
+  std::uint64_t busy_time = 0;  // time the ALU bank was busy (ClockRatio)
 };
 
 class Agg {
  public:
-  /// `core_scale` = noc_clock / core_clock (>= 1 when the core is slower).
+  /// `ratio` = noc_clock / core_clock, the unit of the AGG's time.
   Agg(const TileParams& params, noc::MeshNetwork& net, EndpointId endpoint,
-      const AddressMap& addr_map, double core_scale);
+      const AddressMap& addr_map, ClockRatio ratio);
 
   /// Allocation-bus interface (same-tile GPE). `expected_words` is the
   /// total number of 4B elements that will arrive before the aggregation
@@ -98,7 +98,7 @@ class Agg {
   noc::MeshNetwork& net_;
   EndpointId endpoint_;
   const AddressMap& addr_map_;
-  double scale_;
+  ClockRatio ratio_;
 
   std::vector<Entry> entries_;
   std::vector<AggHandle> free_list_;
@@ -107,7 +107,7 @@ class Agg {
   std::uint64_t frees_ = 0;
 
   std::deque<noc::Message> inbox_;  // internal flit-buffer stand-in
-  double alu_free_at_ = 0.0;
+  std::uint64_t alu_free_at_ = 0;
   AggStats stats_;
   trace::Tracer tracer_;
 };

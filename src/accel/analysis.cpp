@@ -171,16 +171,17 @@ class PhaseAnalyzer {
     // queue, from the same model timings and widths the tile runs.
     const double dna_ii_q0 =
         ph_.has_dna()
-            ? dna_entry_ii(dna_model_timing(ph_.dna_shapes, ph_.dna_out_words,
-                                            tp_, cfg_.core_clock),
-                           fp_.dnq0_entry_words, tp_)
+            ? static_cast<double>(dna_entry_ii(
+                  dna_model_timing(ph_.dna_shapes, ph_.dna_out_words, tp_,
+                                   cfg_.core_clock),
+                  fp_.dnq0_entry_words, tp_))
             : 0.0;
     const double dna_ii_q1 =
         ph_.has_dna2()
-            ? dna_entry_ii(dna_model_timing(ph_.dna2_shapes,
-                                            ph_.dna2_out_words, tp_,
-                                            cfg_.core_clock),
-                           fp_.dnq1_entry_words, tp_)
+            ? static_cast<double>(dna_entry_ii(
+                  dna_model_timing(ph_.dna2_shapes, ph_.dna2_out_words, tp_,
+                                   cfg_.core_clock),
+                  fp_.dnq1_entry_words, tp_))
             : 0.0;
 
     if (ph_.per_graph) {

@@ -1,6 +1,31 @@
 #include "accel/config.hpp"
 
+#include <numeric>
+#include <stdexcept>
+
 namespace gnna::accel {
+
+std::string ClockRatio::format(std::uint64_t t) const {
+  std::string s = std::to_string(t / q);
+  if (const std::uint64_t r = t % q; r != 0) {
+    const std::uint64_t g = std::gcd(r, q);
+    s += '+' + std::to_string(r / g) + '/' + std::to_string(q / g);
+  }
+  return s;
+}
+
+ClockRatio AcceleratorConfig::clock_ratio() const {
+  const auto mhz = [](Frequency f, const char* which) {
+    if (const auto m = f.whole_mhz()) return *m;
+    throw std::invalid_argument(std::string(which) + " clock of " +
+                                std::to_string(f.ghz()) +
+                                " GHz is not a whole number of MHz");
+  };
+  const std::uint64_t noc = mhz(noc_clock, "NoC");
+  const std::uint64_t core = mhz(core_clock, "core");
+  const std::uint64_t g = std::gcd(noc, core);
+  return {noc / g, core / g};
+}
 
 AcceleratorConfig AcceleratorConfig::cpu_iso_bw() {
   AcceleratorConfig c;

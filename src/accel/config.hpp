@@ -51,6 +51,33 @@ struct TileParams {
   static constexpr std::uint32_t cost_send = 1;   // initiate a NoC send
 };
 
+/// noc_clock / core_clock as a reduced fraction p/q of the two clocks in
+/// whole MHz: 2.4/2.4 GHz is 1/1, 2.4/1.8 is 4/3, 2.4/1.0 is 12/5. The
+/// GPE, DNA and AGG keep time as integers in units of 1/q NoC cycle, in
+/// which a core cycle is exactly p units, so no sum of costs rounds
+/// (DESIGN.md §17).
+struct ClockRatio {
+  std::uint64_t p = 1;  // time units per core cycle
+  std::uint64_t q = 1;  // time units per NoC cycle
+
+  /// The time at NoC cycle `c`.
+  [[nodiscard]] constexpr std::uint64_t at(Cycle c) const { return c * q; }
+  /// The duration of `core_cycles` core cycles.
+  [[nodiscard]] constexpr std::uint64_t core(std::uint64_t core_cycles) const {
+    return core_cycles * p;
+  }
+  /// The first NoC cycle at or after time `t`.
+  [[nodiscard]] constexpr Cycle ceil_cycle(std::uint64_t t) const {
+    return (t + q - 1) / q;
+  }
+  /// Time `t` in NoC cycles, for stats and trace timestamps.
+  [[nodiscard]] constexpr double cycles(std::uint64_t t) const {
+    return static_cast<double>(t) / static_cast<double>(q);
+  }
+  /// Time `t` in NoC cycles, exactly: "1000320", or "1000320+1/3".
+  [[nodiscard]] std::string format(std::uint64_t t) const;
+};
+
 /// A full accelerator configuration: mesh shape, tile and memory-node
 /// placement, clocks, and per-module parameters.
 struct AcceleratorConfig {
@@ -87,6 +114,10 @@ struct AcceleratorConfig {
   [[nodiscard]] double total_mem_bandwidth_gbps() const {
     return mem_params.bandwidth.gbps() * num_mem_nodes();
   }
+
+  /// noc_clock / core_clock, reduced. Throws std::invalid_argument when
+  /// either clock is not a whole number of MHz.
+  [[nodiscard]] ClockRatio clock_ratio() const;
 
   [[nodiscard]] AcceleratorConfig with_core_clock(double ghz) const {
     AcceleratorConfig c = *this;

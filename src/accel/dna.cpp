@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 
 namespace gnna::accel {
 
@@ -16,35 +15,34 @@ DnaModelTiming dna_model_timing(
   }
   const dataflow::Mapper mapper(tp.dna);
   for (const auto& s : shapes) {
-    m.ii_core_cycles += static_cast<double>(
-        mapper.map(s, std::nullopt, core_clock).compute_cycles);
+    m.ii_core_cycles += mapper.map(s, std::nullopt, core_clock).compute_cycles;
     m.macs_per_entry += s.total_macs();
   }
   return m;
 }
 
-double dna_entry_ii(const DnaModelTiming& model, std::uint32_t width_words,
-                    const TileParams& tp) {
+std::uint64_t dna_entry_ii(const DnaModelTiming& model,
+                           std::uint32_t width_words, const TileParams& tp) {
   const std::uint64_t readout = (std::uint64_t{width_words} + 15) / 16;
-  return std::max({model.ii_core_cycles, static_cast<double>(readout),
-                   static_cast<double>(tp.dna_min_ii)});
+  return std::max({model.ii_core_cycles, readout,
+                   std::uint64_t{tp.dna_min_ii}});
 }
 
 Dna::Dna(const TileParams& params, noc::MeshNetwork& net, EndpointId endpoint,
-         const AddressMap& addr_map, double core_scale)
+         const AddressMap& addr_map, ClockRatio ratio)
     : params_(params),
       net_(net),
       endpoint_(endpoint),
       addr_map_(addr_map),
-      scale_(core_scale) {}
+      ratio_(ratio) {}
 
 void Dna::configure(std::vector<DnaModelTiming> models,
                     std::uint64_t weight_bytes) {
   assert(idle() && "reconfiguring a busy DNA");
   models_ = std::move(models);
   weights_pending_ = weight_bytes;
-  array_free_at_ = 0.0;
-  idle_since_ = static_cast<double>(net_.now());
+  array_free_at_ = 0;
+  idle_since_ = ratio_.at(net_.now());
   busy_ = false;
 }
 
@@ -54,11 +52,11 @@ void Dna::on_weight_data(std::uint64_t bytes) {
 
 void Dna::dump_state(std::ostream& os) const {
   os << "    dna: " << (busy_ ? "BUSY" : "idle")
-     << " array_free_at=" << array_free_at_
+     << " array_free_at=" << ratio_.format(array_free_at_)
      << " weights_pending=" << weights_pending_
      << "B pending_results=" << results_.size();
   if (!results_.empty()) {
-    os << " next_result_at=" << results_.front().ready_at;
+    os << " next_result_at=" << ratio_.format(results_.front().ready_at);
   }
   os << '\n';
 }
@@ -66,29 +64,27 @@ void Dna::dump_state(std::ostream& os) const {
 Cycle Dna::next_event(Cycle now, const Dnq& dnq) const {
   Cycle t = kNeverCycle;
   if (!results_.empty()) {
-    t = static_cast<Cycle>(std::ceil(results_.front().ready_at));
+    t = ratio_.ceil_cycle(results_.front().ready_at);
   }
   if (busy_) {
-    return std::max(
-        now, std::min(t, static_cast<Cycle>(std::ceil(array_free_at_))));
+    return std::max(now, std::min(t, ratio_.ceil_cycle(array_free_at_)));
   }
   if (weights_pending_ == 0) {
     const std::uint8_t active = dnq.active_queue();
     if (dnq.head_ready(active)) return now;
     if (dnq.head_ready(active == 0 ? 1 : 0)) {
-      // Rounded down: the idle-time test in try_dequeue divides by the
-      // clock scale, so its first passing cycle may sit one below the
-      // product here. Waking a cycle early is free; late would move it.
-      const double switch_at =
-          idle_since_ + params_.dnq_idle_switch_cycles * scale_;
-      t = std::min(t, static_cast<Cycle>(std::floor(switch_at)));
+      // The first cycle at which tick() finds the DNA idle for the
+      // switch threshold.
+      t = std::min(t, ratio_.ceil_cycle(
+                          idle_since_ +
+                          ratio_.core(params_.dnq_idle_switch_cycles)));
     }
   }
   return t == kNeverCycle ? t : std::max(t, now);
 }
 
 void Dna::tick(Dnq& dnq) {
-  const auto now = static_cast<double>(net_.now());
+  const std::uint64_t now = ratio_.at(net_.now());
 
   // Emit finished results (pipeline output port + flit buffer).
   while (!results_.empty() && results_.front().ready_at <= now) {
@@ -106,27 +102,29 @@ void Dna::tick(Dnq& dnq) {
   if (busy_ || weights_pending_ != 0) return;
 
   // Ask the DNQ for work (single dequeue interface, lazy switching).
-  const double idle_core = (now - idle_since_) / scale_;
+  const double idle_core = static_cast<double>(now - idle_since_) /
+                           static_cast<double>(ratio_.p);
   auto entry = dnq.try_dequeue(idle_core);
   if (!entry.has_value()) return;
 
   assert(entry->queue < models_.size() && "DNQ entry for unconfigured model");
   const DnaModelTiming& model = models_[entry->queue];
 
-  const double ii_core = dna_entry_ii(model, entry->width_words, params_);
-  const double start = std::max(array_free_at_, now);
-  array_free_at_ = start + ii_core * scale_;
+  const std::uint64_t ii =
+      ratio_.core(dna_entry_ii(model, entry->width_words, params_));
+  const std::uint64_t start = std::max(array_free_at_, now);
+  array_free_at_ = start + ii;
   busy_ = true;
-  stats_.busy_cycles += ii_core * scale_;
+  stats_.busy_time += ii;
   stats_.entries_processed.add();
   stats_.macs.add(model.macs_per_entry);
   if (tracer_.enabled()) {
-    tracer_.complete("entry", start, ii_core * scale_, entry->queue,
-                     entry->width_words);
+    tracer_.complete("entry", ratio_.cycles(start), ratio_.cycles(ii),
+                     entry->queue, entry->width_words);
   }
 
   PendingResult r;
-  r.ready_at = array_free_at_ + params_.dna_pipeline_latency * scale_;
+  r.ready_at = array_free_at_ + ratio_.core(params_.dna_pipeline_latency);
   r.out_words = model.out_words;
   r.owner = entry->owner;
   r.dest = entry->dest;

@@ -24,7 +24,7 @@ namespace gnna::accel {
 
 /// Timing of one DNN model resident on the DNA (one per virtual queue).
 struct DnaModelTiming {
-  double ii_core_cycles = 0.0;    // array-busy time per entry
+  std::uint64_t ii_core_cycles = 0;  // array-busy time per entry
   std::uint32_t out_words = 0;    // result width
   std::uint64_t macs_per_entry = 0;  // for energy accounting
 };
@@ -41,20 +41,20 @@ struct DnaModelTiming {
 /// readout runs at one flit (16 words) per core cycle overlapped with
 /// compute, so the array is busy for the larger of the two, floored by
 /// `tp.dna_min_ii`.
-[[nodiscard]] double dna_entry_ii(const DnaModelTiming& model,
-                                  std::uint32_t width_words,
-                                  const TileParams& tp);
+[[nodiscard]] std::uint64_t dna_entry_ii(const DnaModelTiming& model,
+                                         std::uint32_t width_words,
+                                         const TileParams& tp);
 
 struct DnaStats {
   Counter entries_processed;
   Counter macs;              // useful MACs executed (energy accounting)
-  double busy_cycles = 0.0;  // NoC cycles the array was busy
+  std::uint64_t busy_time = 0;  // time the array was busy (ClockRatio)
 };
 
 class Dna {
  public:
   Dna(const TileParams& params, noc::MeshNetwork& net, EndpointId endpoint,
-      const AddressMap& addr_map, double core_scale);
+      const AddressMap& addr_map, ClockRatio ratio);
 
   /// Phase configuration: per-queue model timings and the weight bytes
   /// that must stream in before processing starts.
@@ -88,7 +88,7 @@ class Dna {
 
  private:
   struct PendingResult {
-    double ready_at = 0.0;
+    std::uint64_t ready_at = 0;
     std::uint32_t out_words = 0;
     std::uint32_t owner = noc::kNoOwner;  // attribution only
     Dest dest;
@@ -98,12 +98,12 @@ class Dna {
   noc::MeshNetwork& net_;
   EndpointId endpoint_;
   const AddressMap& addr_map_;
-  double scale_;
+  ClockRatio ratio_;
 
   std::vector<DnaModelTiming> models_;
   std::uint64_t weights_pending_ = 0;
-  double array_free_at_ = 0.0;
-  double idle_since_ = 0.0;  // for the DNQ lazy-switch policy
+  std::uint64_t array_free_at_ = 0;
+  std::uint64_t idle_since_ = 0;  // for the DNQ lazy-switch policy
   bool busy_ = false;
   std::deque<PendingResult> results_;  // ordered by ready_at
   DnaStats stats_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <cmath>
 
 namespace gnna::accel {
 
@@ -25,14 +24,14 @@ std::uint64_t alloc_epoch(const Agg& agg, const Dnq& dnq) {
 
 Gpe::Gpe(const TileParams& params, noc::MeshNetwork& net, EndpointId ep_gpe,
          EndpointId ep_agg, EndpointId ep_dnq, const AddressMap& addr_map,
-         double core_scale)
+         ClockRatio ratio)
     : params_(params),
       net_(net),
       ep_gpe_(ep_gpe),
       ep_agg_(ep_agg),
       ep_dnq_(ep_dnq),
       addr_map_(addr_map),
-      scale_(core_scale) {
+      ratio_(ratio) {
   threads_.resize(params.gpe_threads);
   stall_ring_.resize(threads_.size());
   reset_threads();
@@ -64,7 +63,7 @@ void Gpe::begin_phase(const CompiledProgram& prog, const graph::Dataset& ds,
   work_ = std::move(work);
   next_work_ = 0;
   reset_threads();
-  gpe_time_ = static_cast<double>(net_.now());
+  gpe_time_ = ratio_.at(net_.now());
 }
 
 bool Gpe::idle() const {
@@ -90,15 +89,15 @@ void Gpe::load_rows(const Thread& t, const BufferRef& buf, std::uint64_t first,
             rows * buf.width_words * std::uint64_t{kWordBytes}, tag, t.work);
 }
 
-double Gpe::load_and_wait(Thread& t, Addr addr, std::uint64_t bytes) {
+std::uint32_t Gpe::load_and_wait(Thread& t, Addr addr, std::uint64_t bytes) {
   t.pending_responses = send_read(net_, addr_map_, ep_gpe_, ep_gpe_, addr,
                                   bytes, index_of(t), t.work);
   set_state(t, Thread::State::kWaitMem);
   return params_.cost_issue_load;
 }
 
-double Gpe::fetch_row(Thread& t, NodeId v, std::uint32_t fetched,
-                      std::uint32_t edge_bytes) {
+std::uint32_t Gpe::fetch_row(Thread& t, NodeId v, std::uint32_t fetched,
+                             std::uint32_t edge_bytes) {
   const GraphLayout& gl = prog_->graphs[t.graph_idx];
   if (fetched == 0) {
     return load_and_wait(
@@ -160,10 +159,10 @@ void Gpe::finish_task(Thread& t) {
     // Flame sub-span: body of the task ('/' nesting under "task"). The gap
     // between traverse and body spans is memory wait, surfaced by the
     // profiler as the task's self time.
-    tracer_.complete(body_span_name(), t.body_started,
-                     gpe_time_ - t.body_started, t.work, ti);
-    tracer_.complete("task", t.task_started, gpe_time_ - t.task_started,
-                     t.work, ti);
+    tracer_.complete(body_span_name(), ratio_.cycles(t.body_started),
+                     ratio_.cycles(gpe_time_ - t.body_started), t.work, ti);
+    tracer_.complete("task", ratio_.cycles(t.task_started),
+                     ratio_.cycles(gpe_time_ - t.task_started), t.work, ti);
   }
 }
 
@@ -181,14 +180,14 @@ void Gpe::stall(Thread& t, Cycle now, std::uint64_t epoch) {
   ++ring_size_;
   stats_.alloc_stalls.add();
   if (tracer_.enabled()) {
-    tracer_.instant_at("alloc_stall", gpe_time_, index_of(t), t.work);
+    tracer_.instant_at("alloc_stall", ratio_.cycles(gpe_time_), index_of(t),
+                       t.work);
   }
 }
 
-int Gpe::pick_runnable(double at) {
+int Gpe::pick_runnable(std::uint64_t at) {
   while (ring_size_ > 0 &&
-         static_cast<double>(threads_[stall_ring_[ring_head_]].stalled_until) <=
-             at) {
+         ratio_.at(threads_[stall_ring_[ring_head_]].stalled_until) <= at) {
     const std::uint32_t i = stall_ring_[ring_head_];
     due_[i / 64] |= bit(i);
     ++count_due_;
@@ -237,7 +236,8 @@ void Gpe::dump_state(std::ostream& os) const {
     return "?";
   };
   os << "    gpe: work=" << next_work_ << '/' << work_.size()
-     << " dispatched, gpe_time=" << resume_time(net_.now()) << '\n';
+     << " dispatched, gpe_time=" << ratio_.format(resume_time(net_.now()))
+     << '\n';
   for (std::size_t i = 0; i < threads_.size(); ++i) {
     const Thread& t = threads_[i];
     if (t.state == Thread::State::kFree) continue;
@@ -251,13 +251,13 @@ void Gpe::dump_state(std::ostream& os) const {
   }
 }
 
-double Gpe::resume_time(Cycle now) const {
-  const auto at = static_cast<double>(now);
-  return gpe_time_ <= at - 1.0 ? at : gpe_time_;
+std::uint64_t Gpe::resume_time(Cycle now) const {
+  const std::uint64_t at = ratio_.at(now);
+  return gpe_time_ + ratio_.q <= at ? at : gpe_time_;
 }
 
 Cycle Gpe::next_event(Cycle now) const {
-  const auto core_free = static_cast<Cycle>(std::ceil(gpe_time_));
+  const Cycle core_free = ratio_.ceil_cycle(gpe_time_);
   if (core_free > now) return core_free;
   if (count(Thread::State::kRunnable) > 0 || count_due_ > 0 ||
       (count(Thread::State::kFree) > 0 && next_work_ < work_.size())) {
@@ -275,8 +275,67 @@ bool Gpe::spinning(const Agg& agg, const Dnq& dnq) const {
          doomed_epoch_ == alloc_epoch(agg, dnq);
 }
 
+void Gpe::capture(Cycle at, SpinState& s) const {
+  s.lag = ratio_.at(at) - resume_time(at);
+  s.last_thread = last_thread_;
+  s.due = due_;
+  s.stalled.clear();
+  const auto add = [&](std::uint32_t i) {
+    s.stalled.emplace_back(
+        i, static_cast<std::int64_t>(threads_[i].stalled_until - at));
+  };
+  for (std::size_t k = 0, r = ring_head_; k < ring_size_; ++k) {
+    add(stall_ring_[r]);
+    if (++r == stall_ring_.size()) r = 0;
+  }
+  for (std::size_t w = 0; w < due_.size(); ++w) {
+    for (std::uint64_t m = due_[w]; m != 0; m &= m - 1) {
+      add(static_cast<std::uint32_t>(w * 64 + std::countr_zero(m)));
+    }
+  }
+}
+
+Cycle Gpe::spin(Cycle next, Cycle horizon, Agg& agg, Dnq& dnq) {
+  assert(!tracer_.enabled());
+  const std::uint32_t stalled = count(Thread::State::kStalled);
+  Cycle from = next;
+  capture(from, spin_from_);
+  while (next < horizon) {
+    const GpeStats before = stats_;
+    while (next < horizon &&
+           stats_.actions.value() < before.actions.value() + stalled) {
+      assert(spinning(agg, dnq));
+      tick(next, agg, dnq);
+      next = next_event(next + 1);
+    }
+    if (next >= horizon) break;
+    capture(next, spin_to_);
+    if (spin_to_ == spin_from_) {
+      // The ticks from `next` on repeat those from `from`, `period` later:
+      // nothing in a doomed retry reads the absolute time. Retire the k
+      // rotations that end by the horizon.
+      const Cycle period = next - from;
+      const std::uint64_t k = (horizon - next) / period;
+      for (const auto& s : spin_to_.stalled) {
+        threads_[s.first].stalled_until += k * period;
+      }
+      gpe_time_ += ratio_.at(k * period);
+      stats_.actions.add(k * (stats_.actions.value() -
+                              before.actions.value()));
+      stats_.alloc_stalls.add(k * (stats_.alloc_stalls.value() -
+                                   before.alloc_stalls.value()));
+      stats_.busy_time += k * (stats_.busy_time - before.busy_time);
+      next += k * period;
+    }
+    // The state at `next` is spin_to_ either way: it is relative.
+    std::swap(spin_from_, spin_to_);
+    from = next;
+  }
+  return next;
+}
+
 void Gpe::tick(Cycle now, Agg& agg, Dnq& dnq) {
-  const auto end = static_cast<double>(now);
+  const std::uint64_t end = ratio_.at(now);
   gpe_time_ = resume_time(now);
 
   // Wake threads whose blocking loads completed (flit buffer -> scratchpad
@@ -295,14 +354,14 @@ void Gpe::tick(Cycle now, Agg& agg, Dnq& dnq) {
   while (gpe_time_ <= end) {
     const int ti = pick_runnable(gpe_time_);
     if (ti < 0) {
-      gpe_time_ = end + 1.0;  // idle this cycle
+      gpe_time_ = end + ratio_.q;  // idle this cycle
       return;
     }
-    double cost = 0.0;
+    std::uint64_t cost = 0;
     if (static_cast<std::size_t>(ti) != last_thread_) {
       cost += params_.cost_context_switch;
       if (tracer_.enabled()) {
-        tracer_.instant_at("switch", gpe_time_,
+        tracer_.instant_at("switch", ratio_.cycles(gpe_time_),
                            static_cast<std::uint64_t>(ti),
                            threads_[static_cast<std::size_t>(ti)].work);
       }
@@ -325,12 +384,12 @@ void Gpe::tick(Cycle now, Agg& agg, Dnq& dnq) {
     }
     if (t.state == Thread::State::kStalled) stall(t, now, epoch);
     stats_.actions.add();
-    gpe_time_ += cost * scale_;
-    stats_.busy_cycles += cost * scale_;
+    gpe_time_ += ratio_.core(cost);
+    stats_.busy_time += ratio_.core(cost);
   }
 }
 
-double Gpe::step(Thread& t, Agg& agg, Dnq& dnq) {
+std::uint32_t Gpe::step(Thread& t, Agg& agg, Dnq& dnq) {
   const PhaseSpec& ph = *phase_;
 
   if (ph.per_graph) return step_graph_readout(t, agg, dnq);
@@ -343,8 +402,9 @@ double Gpe::step(Thread& t, Agg& agg, Dnq& dnq) {
     t.n_contrib = task_graph(t).out_degree(t.local_v) +
                   (ph.include_self ? 1 : 0);
     if (tracer_.enabled()) {
-      tracer_.complete("task/traverse", t.task_started,
-                       gpe_time_ - t.task_started, t.work, index_of(t));
+      tracer_.complete("task/traverse", ratio_.cycles(t.task_started),
+                       ratio_.cycles(gpe_time_ - t.task_started), t.work,
+                       index_of(t));
     }
     t.body_started = gpe_time_;
     // A walk starts at the task vertex, whose row this prologue fetches.
@@ -364,11 +424,12 @@ double Gpe::step(Thread& t, Agg& agg, Dnq& dnq) {
       return step_edge_dna_aggregate(t, agg, dnq);
   }
   assert(false);
-  return 1.0;
+  return 1;
 }
 
-double Gpe::step_alloc_aggregate(Thread& t, Agg& agg, Dnq& dnq, Addr out,
-                                 std::uint64_t expected_words) {
+std::uint32_t Gpe::step_alloc_aggregate(Thread& t, Agg& agg, Dnq& dnq,
+                                        Addr out,
+                                        std::uint64_t expected_words) {
   const PhaseSpec& ph = *phase_;
   if (t.stage == 2) {  // the DNQ entry, if the phase projects
     if (!ph.has_dna()) {
@@ -395,7 +456,7 @@ double Gpe::step_alloc_aggregate(Thread& t, Agg& agg, Dnq& dnq, Addr out,
   return params_.cost_alloc;
 }
 
-double Gpe::step_gather_aggregate(Thread& t, Agg& agg, Dnq& dnq) {
+std::uint32_t Gpe::step_gather_aggregate(Thread& t, Agg& agg, Dnq& dnq) {
   const PhaseSpec& ph = *phase_;
   if (t.stage < 4) {
     // Multi-hop phases know their contribution count from the walk tree;
@@ -420,7 +481,7 @@ double Gpe::step_gather_aggregate(Thread& t, Agg& agg, Dnq& dnq) {
   return params_.cost_loop_iter + params_.cost_issue_load;
 }
 
-double Gpe::step_walk(Thread& t) {
+std::uint32_t Gpe::step_walk(Thread& t) {
   // Depth-first enumeration of all walks of length walk_len from the task
   // vertex. Expanding an interior vertex requires its adjacency row —
   // two *dependent* memory round trips (row pointers, then column
@@ -446,7 +507,7 @@ double Gpe::step_walk(Thread& t) {
   return params_.cost_loop_iter;
 }
 
-double Gpe::step_project(Thread& t, Dnq& dnq) {
+std::uint32_t Gpe::step_project(Thread& t, Dnq& dnq) {
   const PhaseSpec& ph = *phase_;
   if (t.stage == 2) {  // allocate the DNQ entry
     if (granted(t,
@@ -465,7 +526,7 @@ double Gpe::step_project(Thread& t, Dnq& dnq) {
   return params_.cost_loop_iter + params_.cost_issue_load;
 }
 
-double Gpe::step_edge_dna_aggregate(Thread& t, Agg& agg, Dnq& dnq) {
+std::uint32_t Gpe::step_edge_dna_aggregate(Thread& t, Agg& agg, Dnq& dnq) {
   const PhaseSpec& ph = *phase_;
   const Addr out_addr = row_addr(ph.output, t.work);
 
@@ -558,7 +619,7 @@ double Gpe::step_edge_dna_aggregate(Thread& t, Agg& agg, Dnq& dnq) {
                                     : params_.cost_loop_iter;
 }
 
-double Gpe::step_graph_readout(Thread& t, Agg& agg, Dnq& dnq) {
+std::uint32_t Gpe::step_graph_readout(Thread& t, Agg& agg, Dnq& dnq) {
   const PhaseSpec& ph = *phase_;
   // Work item = graph index. Stage 0: bind; no traversal needed — the
   // graph's vertex block is contiguous in the gather buffer.

@@ -21,6 +21,7 @@
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "accel/addrmap.hpp"
@@ -39,14 +40,14 @@ struct GpeStats {
   Counter actions;          // micro-ops executed
   Counter tasks_completed;  // vertex programs retired
   Counter alloc_stalls;     // failed AGG/DNQ allocations
-  double busy_cycles = 0.0;  // NoC cycles spent executing
+  std::uint64_t busy_time = 0;  // time spent executing (ClockRatio)
 };
 
 class Gpe {
  public:
   Gpe(const TileParams& params, noc::MeshNetwork& net, EndpointId ep_gpe,
       EndpointId ep_agg, EndpointId ep_dnq, const AddressMap& addr_map,
-      double core_scale);
+      ClockRatio ratio);
 
   /// Start a phase: `ds` is the dataset whose symmetrized graphs the
   /// traversal walks; `work` lists this tile's work items (global vertex
@@ -68,6 +69,15 @@ class Gpe {
   /// thread is runnable, none is free with work left, and no entry has
   /// been freed since any stalled thread's allocation failed. O(1).
   [[nodiscard]] bool spinning(const Agg& agg, const Dnq& dnq) const;
+
+  /// Tick a spinning GPE at each of its event cycles from `next`, its next
+  /// event, up to `horizon`, before which nothing else can wake it; returns
+  /// its next event from there. Whenever one rotation of the stall ring
+  /// (a retry by every stalled thread) leaves the scheduler as it found it,
+  /// shifted by some cycles, every later rotation repeats it, and the
+  /// rotations that end by `horizon` are retired at once (DESIGN.md §17).
+  /// Untraced only: a trace records every retry.
+  Cycle spin(Cycle next, Cycle horizon, Agg& agg, Dnq& dnq);
 
   [[nodiscard]] bool idle() const;
   [[nodiscard]] const GpeStats& stats() const { return stats_; }
@@ -99,8 +109,8 @@ class Gpe {
     std::uint32_t pending_responses = 0;
     Cycle stalled_until = 0;      // when a stalled thread may retry
     std::uint64_t stall_epoch = 0;  // frees() of both units at the failure
-    double task_started = 0.0;  // gpe_time_ when the work item was claimed
-    double body_started = 0.0;  // gpe_time_ when the post-traversal body began
+    std::uint64_t task_started = 0;  // gpe_time_ when the item was claimed
+    std::uint64_t body_started = 0;  // gpe_time_ when the body began
     // Cached task context:
     std::size_t graph_idx = 0;
     NodeId local_v = 0;
@@ -114,19 +124,19 @@ class Gpe {
   };
 
   /// Execute one micro-action of `t`; returns its cost in core cycles.
-  double step(Thread& t, Agg& agg, Dnq& dnq);
+  std::uint32_t step(Thread& t, Agg& agg, Dnq& dnq);
 
-  double step_gather_aggregate(Thread& t, Agg& agg, Dnq& dnq);
-  double step_walk(Thread& t);
-  double step_project(Thread& t, Dnq& dnq);
-  double step_edge_dna_aggregate(Thread& t, Agg& agg, Dnq& dnq);
-  double step_graph_readout(Thread& t, Agg& agg, Dnq& dnq);
+  std::uint32_t step_gather_aggregate(Thread& t, Agg& agg, Dnq& dnq);
+  std::uint32_t step_walk(Thread& t);
+  std::uint32_t step_project(Thread& t, Dnq& dnq);
+  std::uint32_t step_edge_dna_aggregate(Thread& t, Agg& agg, Dnq& dnq);
+  std::uint32_t step_graph_readout(Thread& t, Agg& agg, Dnq& dnq);
   /// Stages 2 and 3 of a gather or readout: the DNQ entry a projecting
   /// phase feeds its aggregate into, then the AGG entry that sums
   /// `expected_words` into it (or straight to memory at `out`). The thread
   /// reaches stage 4 holding both.
-  double step_alloc_aggregate(Thread& t, Agg& agg, Dnq& dnq, Addr out,
-                              std::uint64_t expected_words);
+  std::uint32_t step_alloc_aggregate(Thread& t, Agg& agg, Dnq& dnq, Addr out,
+                                     std::uint64_t expected_words);
 
   /// `t`'s load of `rows` rows of `buf` from row `first`, answered at
   /// `reply_to` with `tag`.
@@ -135,13 +145,13 @@ class Gpe {
                  std::uint64_t rows = 1);
   /// Load [addr, addr+bytes) into the scratchpad and block `t` until every
   /// segment has landed.
-  double load_and_wait(Thread& t, Addr addr, std::uint64_t bytes);
+  std::uint32_t load_and_wait(Thread& t, Addr addr, std::uint64_t bytes);
   /// One of the two dependent loads that bring vertex `v`'s adjacency row
   /// into the scratchpad: its row-pointer pair when nothing is `fetched`
   /// yet, then its column indices at `edge_bytes` per edge (none for a
   /// vertex without edges).
-  double fetch_row(Thread& t, NodeId v, std::uint32_t fetched,
-                   std::uint32_t edge_bytes);
+  std::uint32_t fetch_row(Thread& t, NodeId v, std::uint32_t fetched,
+                          std::uint32_t edge_bytes);
 
   /// Send `words` of GPE scratchpad data to a DNQ entry.
   void send_to_dnq(const Thread& t, DnqHandle h, std::uint32_t words);
@@ -171,12 +181,24 @@ class Gpe {
   /// The next thread to run at core time `at`, round-robin from the last
   /// one: runnable, stalled and due to retry (left stalled, for the caller
   /// to wake), or free and now claiming the next work item. -1 if none.
-  [[nodiscard]] int pick_runnable(double at);
+  [[nodiscard]] int pick_runnable(std::uint64_t at);
   /// The core time the tick of cycle `now` resumes from. A tick that finds
   /// no runnable thread leaves gpe_time_ at now + 1, so after a span of
   /// skipped idle ticks the core resumes at `now`, exactly as if every
   /// idle tick had run.
-  [[nodiscard]] double resume_time(Cycle now) const;
+  [[nodiscard]] std::uint64_t resume_time(Cycle now) const;
+  /// The scheduler's state at event cycle `at`, relative to `at`: what
+  /// spin() compares across a rotation.
+  struct SpinState {
+    std::uint64_t lag = 0;  // at(cycle) - resume_time(cycle)
+    std::size_t last_thread = 0;
+    std::vector<std::uint64_t> due;
+    // (thread, stalled_until - cycle) of the stalled threads: the ring in
+    // wake-up order, then the due ones by index.
+    std::vector<std::pair<std::uint32_t, std::int64_t>> stalled;
+    bool operator==(const SpinState&) const = default;
+  };
+  void capture(Cycle at, SpinState& s) const;
   /// Flame path of the current phase's post-traversal body span
   /// ("task/gather", "task/walk", ...), for the profiler's rollup.
   [[nodiscard]] const char* body_span_name() const;
@@ -200,7 +222,7 @@ class Gpe {
   EndpointId ep_agg_;
   EndpointId ep_dnq_;
   const AddressMap& addr_map_;
-  double scale_;
+  ClockRatio ratio_;
 
   const CompiledProgram* prog_ = nullptr;
   const graph::Dataset* ds_ = nullptr;
@@ -229,7 +251,8 @@ class Gpe {
   // freed since then.
   std::uint64_t doomed_epoch_ = 0;
   std::uint32_t count_doomed_ = 0;
-  double gpe_time_ = 0.0;
+  std::uint64_t gpe_time_ = 0;  // the core's time (ClockRatio)
+  SpinState spin_from_, spin_to_;  // spin()'s buffers
   GpeStats stats_;
   trace::Tracer tracer_;
 };

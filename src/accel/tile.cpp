@@ -14,11 +14,11 @@ Tile::Tile(const AcceleratorConfig& cfg, noc::MeshNetwork& net,
       ep_agg_(ep_agg),
       ep_dnq_(ep_dnq),
       addr_map_(addr_map),
-      scale_(cfg.noc_clock.ghz() / cfg.core_clock.ghz()),
-      agg_(cfg.tile_params, net, ep_agg, addr_map, scale_),
+      ratio_(cfg.clock_ratio()),
+      agg_(cfg.tile_params, net, ep_agg, addr_map, ratio_),
       dnq_(cfg.tile_params),
-      dna_(cfg.tile_params, net, ep_dnq, addr_map, scale_),
-      gpe_(cfg.tile_params, net, ep_gpe, ep_agg, ep_dnq, addr_map, scale_) {}
+      dna_(cfg.tile_params, net, ep_dnq, addr_map, ratio_),
+      gpe_(cfg.tile_params, net, ep_gpe, ep_agg, ep_dnq, addr_map, ratio_) {}
 
 void Tile::begin_phase(const CompiledProgram& prog, const graph::Dataset& ds,
                        const PhaseSpec& phase,

@@ -48,6 +48,10 @@ class Tile {
     return gpe_.next_event(now);
   }
   void tick_gpe(Cycle now) { gpe_.tick(now, agg_, dnq_); }
+  /// Gpe::spin on this tile's units.
+  Cycle spin_gpe(Cycle next, Cycle horizon) {
+    return gpe_.spin(next, horizon, agg_, dnq_);
+  }
 
   [[nodiscard]] bool idle() const {
     return gpe_.idle() && agg_.idle() && dnq_.empty() && dna_.idle();
@@ -71,7 +75,7 @@ class Tile {
   EndpointId ep_agg_;
   EndpointId ep_dnq_;
   const AddressMap& addr_map_;
-  double scale_;
+  ClockRatio ratio_;
   Agg agg_;
   Dnq dnq_;
   Dna dna_;

@@ -3,7 +3,9 @@
 // (Fig 8) depend on.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
+#include <optional>
 
 #include "common/types.hpp"
 
@@ -31,6 +33,15 @@ class Frequency {
 
   [[nodiscard]] constexpr double hz() const { return hz_; }
   [[nodiscard]] constexpr double ghz() const { return hz_ / 1e9; }
+
+  /// This frequency as a whole number of MHz (1.8 GHz: 1800), or nullopt
+  /// when it is not one to within 1 Hz.
+  [[nodiscard]] std::optional<std::uint64_t> whole_mhz() const {
+    const double mhz = hz_ / 1e6;
+    const double whole = std::round(mhz);
+    if (!(whole >= 1.0) || std::abs(mhz - whole) > 1e-6) return std::nullopt;
+    return static_cast<std::uint64_t>(whole);
+  }
 
   /// Seconds represented by `cycles` at this frequency.
   [[nodiscard]] constexpr double cycles_to_seconds(double cycles) const {

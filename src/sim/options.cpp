@@ -147,6 +147,7 @@ std::vector<RunOption> build_table() {
       "core clock in GHz (default 2.4; the NoC stays at 2.4)");
   clock.max = 2.4;
   clock.min_open = true;
+  clock.step = 0.001;  // whole MHz, so the clock ratio is a fraction
   RunOption scheduler = of_type(
       "mem_scheduler", T::kChoice,
       "memory controller (frfcfs: banked open-row reordering)",
@@ -305,16 +306,18 @@ std::string RunOption::flag() const {
 std::string RunOption::domain() const {
   const std::string lo = format_number(min);
   const std::string hi = format_number(max);
+  const std::string steps =
+      step > 0.0 ? " in steps of " + format_number(step) : "";
   switch (type) {
     case OptionType::kCount:
       if (std::isinf(max)) return "a non-negative integer";
       return "an integer in [" + lo + ", " + hi + "]";
     case OptionType::kNumber:
       if (std::isinf(max)) {
-        return (min_open ? "a number > " : "a number >= ") + lo;
+        return (min_open ? "a number > " : "a number >= ") + lo + steps;
       }
       return (min_open ? "a number in (" : "a number in [") + lo + ", " + hi +
-             "]";
+             "]" + steps;
     case OptionType::kSwitch:
       return "0 or 1";
     case OptionType::kChoice: {
@@ -341,7 +344,9 @@ std::optional<std::string> RunOption::reject(const std::string& text) const {
     }
     case OptionType::kNumber: {
       const auto x = parse_f64(text);
-      ok = x && (min_open ? *x > min : *x >= min) && *x <= max;
+      ok = x && (min_open ? *x > min : *x >= min) && *x <= max &&
+           (step <= 0.0 ||
+            std::abs(*x / step - std::round(*x / step)) <= 1e-6);
       break;
     }
     case OptionType::kSwitch:

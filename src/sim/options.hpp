@@ -51,6 +51,8 @@ struct RunOption {
   double min = 0.0;
   double max = std::numeric_limits<double>::infinity();
   bool min_open = false;
+  /// kNumber: when set, a value must also be a whole multiple of it.
+  double step = 0.0;
   std::vector<std::string> choices;
   /// kChoice: also accepts the other spellings this takes, if set.
   bool (*alias)(const std::string&) = nullptr;

@@ -17,13 +17,13 @@ struct Rig {
   AddressMap amap{{0}, 4096};  // placeholder; rebuilt below
   std::optional<Agg> agg;
 
-  explicit Rig(TileParams params = TileParams{}, double scale = 1.0) {
+  explicit Rig(TileParams params = TileParams{}, ClockRatio ratio = {}) {
     agg_ep = net.add_endpoint(0, 0);
     sink = net.add_endpoint(0, 0);
     const EndpointId mem = net.add_endpoint(0, 0);
     net.finalize();
     amap = AddressMap({mem}, 4096);
-    agg.emplace(params, net, agg_ep, amap, scale);
+    agg.emplace(params, net, agg_ep, amap, ratio);
   }
 
   Dest to_sink() {
@@ -151,15 +151,15 @@ TEST(Agg, ThroughputOneFlitPerCycle) {
   for (int i = 0; i < 100; ++i) rig.contribute(*h, 16);
   rig.run(2000);
   // 100 contributions of one flit each: at least ~100 busy cycles.
-  EXPECT_NEAR(rig.agg->stats().busy_cycles, 100.0, 1.0);
+  EXPECT_NEAR(rig.agg->stats().busy_time, 100.0, 1.0);
 }
 
 TEST(Agg, SlowCoreClockScalesBusyTime) {
-  Rig rig(TileParams{}, /*scale=*/2.0);  // core at half the NoC clock
+  Rig rig(TileParams{}, ClockRatio{2, 1});  // core at half the NoC clock
   const auto h = rig.agg->allocate(16, 16 * 10, ReduceOp::kSum, rig.to_sink());
   for (int i = 0; i < 10; ++i) rig.contribute(*h, 16);
   rig.run(200);
-  EXPECT_NEAR(rig.agg->stats().busy_cycles, 20.0, 1.0);
+  EXPECT_NEAR(rig.agg->stats().busy_time, 20.0, 1.0);
 }
 
 TEST(Agg, HandleReuseAfterCompletion) {

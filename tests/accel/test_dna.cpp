@@ -15,13 +15,13 @@ struct Rig {
   std::optional<Dna> dna;
   Dnq dnq{TileParams{}};
 
-  explicit Rig(TileParams params = TileParams{}, double scale = 1.0) {
+  explicit Rig(TileParams params = TileParams{}, ClockRatio ratio = {}) {
     dna_ep = net.add_endpoint(0, 0);
     sink = net.add_endpoint(0, 0);
     const EndpointId mem = net.add_endpoint(0, 0);
     net.finalize();
     amap = AddressMap({mem}, 4096);
-    dna.emplace(params, net, dna_ep, amap, scale);
+    dna.emplace(params, net, dna_ep, amap, ratio);
   }
 
   Dest to_sink() {
@@ -56,7 +56,7 @@ struct Rig {
 
 TEST(Dna, ProcessesEntryAndEmitsResult) {
   Rig rig;
-  rig.dna->configure({{10.0, 16}}, 0);
+  rig.dna->configure({{10, 16}}, 0);
   rig.ready_entry(0, 8);
   const auto out = rig.run(200);
   ASSERT_EQ(out.size(), 1U);
@@ -69,7 +69,7 @@ TEST(Dna, ProcessesEntryAndEmitsResult) {
 
 TEST(Dna, WaitsForWeightsBeforeProcessing) {
   Rig rig;
-  rig.dna->configure({{4.0, 4}}, /*weight_bytes=*/1024);
+  rig.dna->configure({{4, 4}}, /*weight_bytes=*/1024);
   rig.ready_entry(0, 4);
   EXPECT_TRUE(rig.run(100).empty());
   EXPECT_FALSE(rig.dna->idle());
@@ -84,34 +84,34 @@ TEST(Dna, InitiationIntervalPacesThroughput) {
   p.dna_min_ii = 4;
   p.dna_pipeline_latency = 0;
   Rig rig(p);
-  rig.dna->configure({{50.0, 1}}, 0);
+  rig.dna->configure({{50, 1}}, 0);
   for (int i = 0; i < 5; ++i) rig.ready_entry(0, 1);
   Cycle start = rig.net.now();
   const auto out = rig.run(1000);
   ASSERT_EQ(out.size(), 5U);
   // 5 entries at II=50 => at least 250 cycles of array time.
   EXPECT_GE(rig.net.now() - start, 250U);
-  EXPECT_NEAR(rig.dna->stats().busy_cycles, 250.0, 1.0);
+  EXPECT_NEAR(rig.dna->stats().busy_time, 250.0, 1.0);
 }
 
 TEST(Dna, MinIiFloorApplies) {
   TileParams p;
   p.dna_min_ii = 8;
   Rig rig(p);
-  rig.dna->configure({{1.0, 1}}, 0);  // model faster than the floor
+  rig.dna->configure({{1, 1}}, 0);  // model faster than the floor
   for (int i = 0; i < 4; ++i) rig.ready_entry(0, 1);
   rig.run(500);
-  EXPECT_NEAR(rig.dna->stats().busy_cycles, 32.0, 1.0);
+  EXPECT_NEAR(rig.dna->stats().busy_time, 32.0, 1.0);
 }
 
 TEST(Dna, WideEntryReadoutDominatesTinyModel) {
   TileParams p;
   p.dna_min_ii = 1;
   Rig rig(p);
-  rig.dna->configure({{1.0, 1}}, 0);
+  rig.dna->configure({{1, 1}}, 0);
   rig.ready_entry(0, 512);  // 32 flits of readout at 16 words/cycle
   rig.run(200);
-  EXPECT_NEAR(rig.dna->stats().busy_cycles, 32.0, 1.0);
+  EXPECT_NEAR(rig.dna->stats().busy_time, 32.0, 1.0);
 }
 
 TEST(Dna, PipelineLatencyDelaysResultNotThroughput) {
@@ -119,7 +119,7 @@ TEST(Dna, PipelineLatencyDelaysResultNotThroughput) {
   p.dna_min_ii = 4;
   p.dna_pipeline_latency = 100;
   Rig rig(p);
-  rig.dna->configure({{4.0, 1}}, 0);
+  rig.dna->configure({{4, 1}}, 0);
   rig.ready_entry(0, 1);
   const auto out = rig.run(300);
   ASSERT_EQ(out.size(), 1U);
@@ -132,7 +132,7 @@ TEST(Dna, TwoModelsViaVirtualQueues) {
   Rig rig(p);
   rig.dnq = Dnq{p};
   rig.dnq.configure(31 * 1024, 31 * 1024);
-  rig.dna->configure({{4.0, 2}, {4.0, 7}}, 0);
+  rig.dna->configure({{4, 2}, {4, 7}}, 0);
   rig.ready_entry(0, 4);
   rig.ready_entry(1, 4);
   const auto out = rig.run(500);
@@ -144,7 +144,7 @@ TEST(Dna, TwoModelsViaVirtualQueues) {
 
 TEST(Dna, ResultToMemoryDest) {
   Rig rig;
-  rig.dna->configure({{4.0, 16}}, 0);
+  rig.dna->configure({{4, 16}}, 0);
   Dest d;
   d.kind = Dest::Kind::kMemWrite;
   d.addr = 0x200;
@@ -166,11 +166,11 @@ TEST(Dna, ResultToMemoryDest) {
 }
 
 TEST(Dna, CoreClockScaleStretchesBusyTime) {
-  Rig rig(TileParams{}, /*scale=*/2.0);
-  rig.dna->configure({{10.0, 1}}, 0);
+  Rig rig(TileParams{}, ClockRatio{2, 1});
+  rig.dna->configure({{10, 1}}, 0);
   rig.ready_entry(0, 1);
   rig.run(200);
-  EXPECT_NEAR(rig.dna->stats().busy_cycles, 20.0, 1.0);
+  EXPECT_NEAR(rig.dna->stats().busy_time, 20.0, 1.0);
 }
 
 }  // namespace
