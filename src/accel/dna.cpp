@@ -29,12 +29,13 @@ std::uint64_t dna_entry_ii(const DnaModelTiming& model,
 }
 
 Dna::Dna(const TileParams& params, noc::MeshNetwork& net, EndpointId endpoint,
-         const AddressMap& addr_map, ClockRatio ratio)
+         const AddressMap& addr_map, ClockRatio ratio, Dnq& dnq)
     : params_(params),
       net_(net),
       endpoint_(endpoint),
       addr_map_(addr_map),
-      ratio_(ratio) {}
+      ratio_(ratio),
+      dnq_(dnq) {}
 
 void Dna::configure(std::vector<DnaModelTiming> models,
                     std::uint64_t weight_bytes) {
@@ -61,7 +62,7 @@ void Dna::dump_state(std::ostream& os) const {
   os << '\n';
 }
 
-Cycle Dna::next_event(Cycle now, const Dnq& dnq) const {
+Cycle Dna::next_event(Cycle now) const {
   Cycle t = kNeverCycle;
   if (!results_.empty()) {
     t = ratio_.ceil_cycle(results_.front().ready_at);
@@ -70,9 +71,9 @@ Cycle Dna::next_event(Cycle now, const Dnq& dnq) const {
     return std::max(now, std::min(t, ratio_.ceil_cycle(array_free_at_)));
   }
   if (weights_pending_ == 0) {
-    const std::uint8_t active = dnq.active_queue();
-    if (dnq.head_ready(active)) return now;
-    if (dnq.head_ready(active == 0 ? 1 : 0)) {
+    const std::uint8_t active = dnq_.active_queue();
+    if (dnq_.head_ready(active)) return now;
+    if (dnq_.head_ready(active == 0 ? 1 : 0)) {
       // The first cycle at which tick() finds the DNA idle for the
       // switch threshold.
       t = std::min(t, ratio_.ceil_cycle(
@@ -83,7 +84,7 @@ Cycle Dna::next_event(Cycle now, const Dnq& dnq) const {
   return t == kNeverCycle ? t : std::max(t, now);
 }
 
-void Dna::tick(Dnq& dnq) {
+void Dna::tick() {
   const std::uint64_t now = ratio_.at(net_.now());
 
   // Emit finished results (pipeline output port + flit buffer).
@@ -102,9 +103,8 @@ void Dna::tick(Dnq& dnq) {
   if (busy_ || weights_pending_ != 0) return;
 
   // Ask the DNQ for work (single dequeue interface, lazy switching).
-  const double idle_core = static_cast<double>(now - idle_since_) /
-                           static_cast<double>(ratio_.p);
-  auto entry = dnq.try_dequeue(idle_core);
+  auto entry = dnq_.try_dequeue(
+      now - idle_since_ >= ratio_.core(params_.dnq_idle_switch_cycles));
   if (!entry.has_value()) return;
 
   assert(entry->queue < models_.size() && "DNQ entry for unconfigured model");

@@ -53,8 +53,10 @@ struct DnaStats {
 
 class Dna {
  public:
+  /// `dnq` is the tile's queue the DNA dequeues from; it must outlive the
+  /// DNA.
   Dna(const TileParams& params, noc::MeshNetwork& net, EndpointId endpoint,
-      const AddressMap& addr_map, ClockRatio ratio);
+      const AddressMap& addr_map, ClockRatio ratio, Dnq& dnq);
 
   /// Phase configuration: per-queue model timings and the weight bytes
   /// that must stream in before processing starts.
@@ -64,14 +66,16 @@ class Dna {
   /// Weight-fill data arrived (kMemReadResp tagged kWeightTag).
   void on_weight_data(std::uint64_t bytes);
 
-  /// Pulls ready entries from `dnq`, advances the pipeline, emits results.
-  void tick(Dnq& dnq);
+  /// Pulls ready entries from the DNQ, advances the pipeline, emits
+  /// results. The DNA decides the DNQ's lazy queue switch: it allows one
+  /// once it has sat idle for `dnq_idle_switch_cycles` core cycles.
+  void tick();
 
-  /// Earliest NoC cycle >= `now` at which tick(dnq) could change state:
+  /// Earliest NoC cycle >= `now` at which tick() could change state:
   /// a result leaving the pipeline, the array freeing up, or a dequeue
   /// (now, or at the lazy-switch instant when only the other queue's head
   /// is ready). kNeverCycle when only a NoC delivery can wake it.
-  [[nodiscard]] Cycle next_event(Cycle now, const Dnq& dnq) const;
+  [[nodiscard]] Cycle next_event(Cycle now) const;
 
   [[nodiscard]] bool idle() const {
     return results_.empty() && !busy_ && weights_pending_ == 0;
@@ -99,6 +103,7 @@ class Dna {
   EndpointId endpoint_;
   const AddressMap& addr_map_;
   ClockRatio ratio_;
+  Dnq& dnq_;
 
   std::vector<DnaModelTiming> models_;
   std::uint64_t weights_pending_ = 0;

@@ -137,13 +137,12 @@ void Dnq::dump_state(std::ostream& os) const {
   }
 }
 
-std::optional<DnqEntry> Dnq::try_dequeue(double idle_core_cycles) {
+std::optional<DnqEntry> Dnq::try_dequeue(bool may_switch) {
   if (head_ready(active_queue_)) return pop_head(active_queue_);
   // Lazy switch: only flip to the other queue after the DNA has sat idle
   // for the configured threshold, to limit switch churn.
   const std::uint8_t other = active_queue_ == 0 ? 1 : 0;
-  if (idle_core_cycles >= params_.dnq_idle_switch_cycles &&
-      head_ready(other)) {
+  if (may_switch && head_ready(other)) {
     active_queue_ = other;
     stats_.queue_switches.add();
     tracer_.instant("queue_switch", other);

@@ -70,10 +70,11 @@ class Dnq {
   /// Data arrival (kMemReadResp / kDnqWrite with a = handle).
   void on_message(const noc::Message& msg);
 
-  /// DNA-side single dequeue interface with lazy switching. `idle_cycles`
-  /// is how long (in core cycles) the DNA has been idle. Returns the head
-  /// entry of the eligible queue if it is fully ready.
-  [[nodiscard]] std::optional<DnqEntry> try_dequeue(double idle_core_cycles);
+  /// DNA-side single dequeue interface with lazy switching: the head
+  /// entry of the active queue if it is fully ready, else, when
+  /// `may_switch` (the DNA has sat idle for the switch threshold), the
+  /// other queue's ready head, which makes that queue the active one.
+  [[nodiscard]] std::optional<DnqEntry> try_dequeue(bool may_switch);
 
   /// True when virtual queue `q`'s head entry has all of its data.
   [[nodiscard]] bool head_ready(std::uint8_t q) const;

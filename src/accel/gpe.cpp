@@ -14,24 +14,20 @@ constexpr std::uint64_t bit(std::size_t i) {
   return std::uint64_t{1} << (i % 64);
 }
 
-/// Both units' frees: an allocation that failed at one epoch fails again
-/// while the epoch stands.
-std::uint64_t alloc_epoch(const Agg& agg, const Dnq& dnq) {
-  return agg.frees() + dnq.frees();
-}
-
 }  // namespace
 
 Gpe::Gpe(const TileParams& params, noc::MeshNetwork& net, EndpointId ep_gpe,
          EndpointId ep_agg, EndpointId ep_dnq, const AddressMap& addr_map,
-         ClockRatio ratio)
+         ClockRatio ratio, Agg& agg, Dnq& dnq)
     : params_(params),
       net_(net),
       ep_gpe_(ep_gpe),
       ep_agg_(ep_agg),
       ep_dnq_(ep_dnq),
       addr_map_(addr_map),
-      ratio_(ratio) {
+      ratio_(ratio),
+      agg_(agg),
+      dnq_(dnq) {
   threads_.resize(params.gpe_threads);
   stall_ring_.resize(threads_.size());
   reset_threads();
@@ -267,12 +263,12 @@ Cycle Gpe::next_event(Cycle now) const {
   return std::max(threads_[stall_ring_[ring_head_]].stalled_until, now);
 }
 
-bool Gpe::spinning(const Agg& agg, const Dnq& dnq) const {
+bool Gpe::spinning() const {
   const std::uint32_t stalled = count(Thread::State::kStalled);
   return count(Thread::State::kRunnable) == 0 &&
          (count(Thread::State::kFree) == 0 || next_work_ >= work_.size()) &&
          stalled > 0 && count_doomed_ == stalled &&
-         doomed_epoch_ == alloc_epoch(agg, dnq);
+         doomed_epoch_ == alloc_epoch();
 }
 
 void Gpe::capture(Cycle at, SpinState& s) const {
@@ -295,8 +291,16 @@ void Gpe::capture(Cycle at, SpinState& s) const {
   }
 }
 
-Cycle Gpe::spin(Cycle next, Cycle horizon, Agg& agg, Dnq& dnq) {
-  assert(!tracer_.enabled());
+Cycle Gpe::spin(Cycle next, Cycle horizon) {
+  if (tracer_.enabled()) {
+    // A trace records every retry: tick each one, and retire none in
+    // closed form, so no state need be captured.
+    for (; next < horizon; next = next_event(next + 1)) {
+      assert(spinning());
+      tick(next);
+    }
+    return next;
+  }
   const std::uint32_t stalled = count(Thread::State::kStalled);
   Cycle from = next;
   capture(from, spin_from_);
@@ -304,8 +308,8 @@ Cycle Gpe::spin(Cycle next, Cycle horizon, Agg& agg, Dnq& dnq) {
     const GpeStats before = stats_;
     while (next < horizon &&
            stats_.actions.value() < before.actions.value() + stalled) {
-      assert(spinning(agg, dnq));
-      tick(next, agg, dnq);
+      assert(spinning());
+      tick(next);
       next = next_event(next + 1);
     }
     if (next >= horizon) break;
@@ -334,7 +338,7 @@ Cycle Gpe::spin(Cycle next, Cycle horizon, Agg& agg, Dnq& dnq) {
   return next;
 }
 
-void Gpe::tick(Cycle now, Agg& agg, Dnq& dnq) {
+void Gpe::tick(Cycle now) {
   const std::uint64_t end = ratio_.at(now);
   gpe_time_ = resume_time(now);
 
@@ -368,7 +372,7 @@ void Gpe::tick(Cycle now, Agg& agg, Dnq& dnq) {
     }
     last_thread_ = static_cast<std::size_t>(ti);
     Thread& t = threads_[last_thread_];
-    const std::uint64_t epoch = alloc_epoch(agg, dnq);
+    const std::uint64_t epoch = alloc_epoch();
     if (t.state == Thread::State::kStalled) {  // due to retry
       due_[last_thread_ / 64] &= ~bit(last_thread_);
       --count_due_;
@@ -380,7 +384,7 @@ void Gpe::tick(Cycle now, Agg& agg, Dnq& dnq) {
       // it fails again: retire the retry without running it.
       cost += params_.cost_alloc;
     } else {
-      cost += step(t, agg, dnq);
+      cost += step(t);
     }
     if (t.state == Thread::State::kStalled) stall(t, now, epoch);
     stats_.actions.add();
@@ -389,10 +393,10 @@ void Gpe::tick(Cycle now, Agg& agg, Dnq& dnq) {
   }
 }
 
-std::uint32_t Gpe::step(Thread& t, Agg& agg, Dnq& dnq) {
+std::uint32_t Gpe::step(Thread& t) {
   const PhaseSpec& ph = *phase_;
 
-  if (ph.per_graph) return step_graph_readout(t, agg, dnq);
+  if (ph.per_graph) return step_graph_readout(t);
 
   // Common prologue: traversal of the vertex's adjacency row.
   if (t.stage == 0) {  // bind the task to its graph
@@ -417,18 +421,17 @@ std::uint32_t Gpe::step(Thread& t, Agg& agg, Dnq& dnq) {
 
   switch (ph.kind) {
     case PhaseKind::kGatherAggregate:
-      return step_gather_aggregate(t, agg, dnq);
+      return step_gather_aggregate(t);
     case PhaseKind::kProject:
-      return step_project(t, dnq);
+      return step_project(t);
     case PhaseKind::kEdgeDnaAggregate:
-      return step_edge_dna_aggregate(t, agg, dnq);
+      return step_edge_dna_aggregate(t);
   }
   assert(false);
   return 1;
 }
 
-std::uint32_t Gpe::step_alloc_aggregate(Thread& t, Agg& agg, Dnq& dnq,
-                                        Addr out,
+std::uint32_t Gpe::step_alloc_aggregate(Thread& t, Addr out,
                                         std::uint64_t expected_words) {
   const PhaseSpec& ph = *phase_;
   if (t.stage == 2) {  // the DNQ entry, if the phase projects
@@ -437,9 +440,9 @@ std::uint32_t Gpe::step_alloc_aggregate(Thread& t, Agg& agg, Dnq& dnq,
       return params_.cost_loop_iter;
     }
     if (granted(t,
-                dnq.allocate(0, fp_.dnq0_entry_words,
-                             Dest{.kind = Dest::Kind::kMemWrite, .addr = out},
-                             t.work),
+                dnq_.allocate(0, fp_.dnq0_entry_words,
+                              Dest{.kind = Dest::Kind::kMemWrite, .addr = out},
+                              t.work),
                 t.cur_dnq0_h)) {
       t.stage = 3;
     }
@@ -447,23 +450,23 @@ std::uint32_t Gpe::step_alloc_aggregate(Thread& t, Agg& agg, Dnq& dnq,
   }
   // Stage 3: the AGG entry.
   if (granted(t,
-              agg.allocate(fp_.agg_entry_words, expected_words, ph.agg_op,
-                           result_dest(ph.has_dna(), t.cur_dnq0_h, out),
-                           t.work),
+              agg_.allocate(fp_.agg_entry_words, expected_words, ph.agg_op,
+                            result_dest(ph.has_dna(), t.cur_dnq0_h, out),
+                            t.work),
               t.agg_h)) {
     t.stage = 4;
   }
   return params_.cost_alloc;
 }
 
-std::uint32_t Gpe::step_gather_aggregate(Thread& t, Agg& agg, Dnq& dnq) {
+std::uint32_t Gpe::step_gather_aggregate(Thread& t) {
   const PhaseSpec& ph = *phase_;
   if (t.stage < 4) {
     // Multi-hop phases know their contribution count from the walk tree;
     // plain gathers contribute once per neighbor (+ self).
     const std::uint64_t contribs =
         ph.walk_len > 1 ? ph.expected_contribs[t.work] : t.n_contrib;
-    return step_alloc_aggregate(t, agg, dnq, row_addr(ph.output, t.work),
+    return step_alloc_aggregate(t, row_addr(ph.output, t.work),
                                 contribs * fp_.agg_entry_words);
   }
   if (ph.walk_len > 1) return step_walk(t);
@@ -507,14 +510,14 @@ std::uint32_t Gpe::step_walk(Thread& t) {
   return params_.cost_loop_iter;
 }
 
-std::uint32_t Gpe::step_project(Thread& t, Dnq& dnq) {
+std::uint32_t Gpe::step_project(Thread& t) {
   const PhaseSpec& ph = *phase_;
   if (t.stage == 2) {  // allocate the DNQ entry
     if (granted(t,
-                dnq.allocate(0, fp_.dnq0_entry_words,
-                             Dest{.kind = Dest::Kind::kMemWrite,
-                                  .addr = row_addr(ph.output, t.work)},
-                             t.work),
+                dnq_.allocate(0, fp_.dnq0_entry_words,
+                              Dest{.kind = Dest::Kind::kMemWrite,
+                                   .addr = row_addr(ph.output, t.work)},
+                              t.work),
                 t.cur_dnq0_h)) {
       t.stage = 3;
     }
@@ -526,7 +529,7 @@ std::uint32_t Gpe::step_project(Thread& t, Dnq& dnq) {
   return params_.cost_loop_iter + params_.cost_issue_load;
 }
 
-std::uint32_t Gpe::step_edge_dna_aggregate(Thread& t, Agg& agg, Dnq& dnq) {
+std::uint32_t Gpe::step_edge_dna_aggregate(Thread& t) {
   const PhaseSpec& ph = *phase_;
   const Addr out_addr = row_addr(ph.output, t.work);
 
@@ -544,10 +547,10 @@ std::uint32_t Gpe::step_edge_dna_aggregate(Thread& t, Agg& agg, Dnq& dnq) {
       return params_.cost_loop_iter;
     }
     if (granted(t,
-                dnq.allocate(1, fp_.dnq1_entry_words,
-                             Dest{.kind = Dest::Kind::kMemWrite,
-                                  .addr = out_addr},
-                             t.work),
+                dnq_.allocate(1, fp_.dnq1_entry_words,
+                              Dest{.kind = Dest::Kind::kMemWrite,
+                                   .addr = out_addr},
+                              t.work),
                 t.dnq1_h)) {
       t.stage = 4;
     }
@@ -555,11 +558,11 @@ std::uint32_t Gpe::step_edge_dna_aggregate(Thread& t, Agg& agg, Dnq& dnq) {
   }
   if (t.stage == 4) {  // allocate the AGG entry
     if (granted(t,
-                agg.allocate(fp_.agg_entry_words,
-                             std::uint64_t{t.n_contrib} * fp_.agg_entry_words,
-                             ph.agg_op,
-                             result_dest(ph.has_dna2(), t.dnq1_h, out_addr),
-                             t.work),
+                agg_.allocate(fp_.agg_entry_words,
+                              std::uint64_t{t.n_contrib} * fp_.agg_entry_words,
+                              ph.agg_op,
+                              result_dest(ph.has_dna2(), t.dnq1_h, out_addr),
+                              t.work),
                 t.agg_h)) {
       t.stage = 5;
     }
@@ -582,11 +585,11 @@ std::uint32_t Gpe::step_edge_dna_aggregate(Thread& t, Agg& agg, Dnq& dnq) {
 
   if (t.loop_sub == 0) {  // allocate queue-0 entry
     if (granted(t,
-                dnq.allocate(0, fp_.dnq0_entry_words,
-                             Dest{.kind = Dest::Kind::kAggEntry,
-                                  .ep = ep_agg_,
-                                  .handle = t.agg_h},
-                             t.work),
+                dnq_.allocate(0, fp_.dnq0_entry_words,
+                              Dest{.kind = Dest::Kind::kAggEntry,
+                                   .ep = ep_agg_,
+                                   .handle = t.agg_h},
+                              t.work),
                 t.cur_dnq0_h)) {
       t.loop_sub = 1;
     }
@@ -619,7 +622,7 @@ std::uint32_t Gpe::step_edge_dna_aggregate(Thread& t, Agg& agg, Dnq& dnq) {
                                     : params_.cost_loop_iter;
 }
 
-std::uint32_t Gpe::step_graph_readout(Thread& t, Agg& agg, Dnq& dnq) {
+std::uint32_t Gpe::step_graph_readout(Thread& t) {
   const PhaseSpec& ph = *phase_;
   // Work item = graph index. Stage 0: bind; no traversal needed — the
   // graph's vertex block is contiguous in the gather buffer.
@@ -631,7 +634,7 @@ std::uint32_t Gpe::step_graph_readout(Thread& t, Agg& agg, Dnq& dnq) {
   }
   if (t.stage < 4) {  // DNQ entry for the pooled vector, AGG entry summing it
     return step_alloc_aggregate(
-        t, agg, dnq, row_addr(ph.output, t.work),
+        t, row_addr(ph.output, t.work),
         std::uint64_t{t.n_contrib} * ph.gather.width_words);
   }
   // Stage 4: one wide load of the graph's contiguous state block.

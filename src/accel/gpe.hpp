@@ -45,9 +45,11 @@ struct GpeStats {
 
 class Gpe {
  public:
+  /// `agg` and `dnq` are the tile's units the GPE allocates entries in
+  /// over the allocation bus; they must outlive the GPE.
   Gpe(const TileParams& params, noc::MeshNetwork& net, EndpointId ep_gpe,
       EndpointId ep_agg, EndpointId ep_dnq, const AddressMap& addr_map,
-      ClockRatio ratio);
+      ClockRatio ratio, Agg& agg, Dnq& dnq);
 
   /// Start a phase: `ds` is the dataset whose symmetrized graphs the
   /// traversal walks; `work` lists this tile's work items (global vertex
@@ -57,27 +59,29 @@ class Gpe {
 
   /// Run the core through NoC cycle `now`: wake the threads whose loads
   /// landed, then execute micro-actions until the core passes `now`.
-  void tick(Cycle now, Agg& agg, Dnq& dnq);
+  void tick(Cycle now);
 
   /// Earliest NoC cycle >= `now` at which tick() could change state
   /// (kNeverCycle when only a NoC delivery can wake it). Threads waiting on
   /// memory wake through the NoC, which the caller tracks.
   [[nodiscard]] Cycle next_event(Cycle now) const;
 
-  /// True when every action left to this GPE, until `agg` or `dnq` frees
-  /// an entry or a load lands, is an allocation retry bound to fail: no
-  /// thread is runnable, none is free with work left, and no entry has
+  /// True when every action left to this GPE, until the tile's AGG or DNQ
+  /// frees an entry or a load lands, is an allocation retry bound to fail:
+  /// no thread is runnable, none is free with work left, and no entry has
   /// been freed since any stalled thread's allocation failed. O(1).
-  [[nodiscard]] bool spinning(const Agg& agg, const Dnq& dnq) const;
+  [[nodiscard]] bool spinning() const;
 
   /// Tick a spinning GPE at each of its event cycles from `next`, its next
   /// event, up to `horizon`, before which nothing else can wake it; returns
-  /// its next event from there. Whenever one rotation of the stall ring
-  /// (a retry by every stalled thread) leaves the scheduler as it found it,
-  /// shifted by some cycles, every later rotation repeats it, and the
-  /// rotations that end by `horizon` are retired at once (DESIGN.md §17).
-  /// Untraced only: a trace records every retry.
-  Cycle spin(Cycle next, Cycle horizon, Agg& agg, Dnq& dnq);
+  /// its next event from there. This is the only code that advances a GPE
+  /// outside the simulator's passes. Untraced, whenever one rotation of the
+  /// stall ring (a retry by every stalled thread) leaves the scheduler as
+  /// it found it, shifted by some cycles, every later rotation repeats it,
+  /// and the rotations that end by `horizon` are retired at once
+  /// (DESIGN.md §17). With a tracer attached every event is ticked, since
+  /// a trace records every retry.
+  Cycle spin(Cycle next, Cycle horizon);
 
   [[nodiscard]] bool idle() const;
   [[nodiscard]] const GpeStats& stats() const { return stats_; }
@@ -124,18 +128,18 @@ class Gpe {
   };
 
   /// Execute one micro-action of `t`; returns its cost in core cycles.
-  std::uint32_t step(Thread& t, Agg& agg, Dnq& dnq);
+  std::uint32_t step(Thread& t);
 
-  std::uint32_t step_gather_aggregate(Thread& t, Agg& agg, Dnq& dnq);
+  std::uint32_t step_gather_aggregate(Thread& t);
   std::uint32_t step_walk(Thread& t);
-  std::uint32_t step_project(Thread& t, Dnq& dnq);
-  std::uint32_t step_edge_dna_aggregate(Thread& t, Agg& agg, Dnq& dnq);
-  std::uint32_t step_graph_readout(Thread& t, Agg& agg, Dnq& dnq);
+  std::uint32_t step_project(Thread& t);
+  std::uint32_t step_edge_dna_aggregate(Thread& t);
+  std::uint32_t step_graph_readout(Thread& t);
   /// Stages 2 and 3 of a gather or readout: the DNQ entry a projecting
   /// phase feeds its aggregate into, then the AGG entry that sums
   /// `expected_words` into it (or straight to memory at `out`). The thread
   /// reaches stage 4 holding both.
-  std::uint32_t step_alloc_aggregate(Thread& t, Agg& agg, Dnq& dnq, Addr out,
+  std::uint32_t step_alloc_aggregate(Thread& t, Addr out,
                                      std::uint64_t expected_words);
 
   /// `t`'s load of `rows` rows of `buf` from row `first`, answered at
@@ -202,6 +206,11 @@ class Gpe {
   /// Flame path of the current phase's post-traversal body span
   /// ("task/gather", "task/walk", ...), for the profiler's rollup.
   [[nodiscard]] const char* body_span_name() const;
+  /// Both units' frees: an allocation that failed at one epoch fails again
+  /// while the epoch stands.
+  [[nodiscard]] std::uint64_t alloc_epoch() const {
+    return agg_.frees() + dnq_.frees();
+  }
 
   [[nodiscard]] const graph::Graph& task_graph(const Thread& t) const {
     return ds_->undirected[t.graph_idx];
@@ -223,6 +232,8 @@ class Gpe {
   EndpointId ep_dnq_;
   const AddressMap& addr_map_;
   ClockRatio ratio_;
+  Agg& agg_;
+  Dnq& dnq_;
 
   const CompiledProgram* prog_ = nullptr;
   const graph::Dataset* ds_ = nullptr;

@@ -1,7 +1,6 @@
 #include "accel/simulator.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -247,16 +246,12 @@ std::uint64_t AcceleratorSim::progress_signature() const {
   return sig;
 }
 
-Cycle AcceleratorSim::next_event(Cycle now) {
+Cycle AcceleratorSim::next_event(Cycle now) const {
   // A unit due `now` rules out a jump; the rest need not be asked.
-  spinning_.clear();
   Cycle t = kNeverCycle;
   for (const auto& tile : tiles_) {
     t = std::min(t, tile->next_event(now));
     if (t <= now) return now;
-    if (tile->gpe_spinning()) {
-      spinning_.emplace_back(tile.get(), tile->gpe_next_event(now));
-    }
   }
   for (const auto& m : mems_) {
     t = std::min(t, m->next_event(now));
@@ -265,26 +260,26 @@ Cycle AcceleratorSim::next_event(Cycle now) {
   return t;
 }
 
-void AcceleratorSim::advance_spinning(Cycle to) {
-  most_spinning_ = std::max<std::size_t>(
-      most_spinning_,
-      std::count_if(spinning_.begin(), spinning_.end(),
-                    [to](const auto& s) { return s.second < to; }));
-  if (sink_ == nullptr) {
-    // A spinning GPE's ticks touch no other unit, so with no trace to
-    // order their events the GPEs advance one at a time, in closed form.
-    for (const auto& [tile, due] : spinning_) tile->spin_gpe(due, to);
-    return;
+void AcceleratorSim::advance_spinning(Cycle at, Cycle to) {
+  spinning_.clear();
+  for (const auto& tile : tiles_) {
+    Gpe& gpe = tile->gpe();
+    if (!gpe.spinning()) continue;
+    const Cycle due = gpe.next_event(at);
+    if (due < to) spinning_.emplace_back(&gpe, due);
   }
+  most_spinning_ = std::max(most_spinning_, spinning_.size());
+  // A spinning GPE's ticks touch no other unit, so each GPE can spin
+  // straight to `to`. A trace, though, orders the events of several GPEs
+  // by cycle and, within a cycle, by tile, as passes of the loop would, so
+  // then each spins one cycle at a time.
+  const bool interleave = sink_ != nullptr && spinning_.size() > 1;
   for (;;) {
     Cycle c = kNeverCycle;
-    for (const auto& [tile, due] : spinning_) c = std::min(c, due);
+    for (const auto& [gpe, due] : spinning_) c = std::min(c, due);
     if (c >= to) return;
-    for (auto& [tile, due] : spinning_) {
-      if (due != c) continue;
-      assert(tile->gpe_spinning());
-      tile->tick_gpe(c);
-      due = tile->gpe_next_event(c + 1);
+    for (auto& [gpe, due] : spinning_) {
+      if (due == c) due = gpe->spin(c, interleave ? c + 1 : to);
     }
   }
 }
@@ -380,7 +375,7 @@ RunStats AcceleratorSim::run(const CompiledProgram& prog,
       if (next > at) {
         // Only spinning GPEs tick before `next`, and they retire no work,
         // so the progress signature cannot move.
-        advance_spinning(next);
+        advance_spinning(at, next);
         net_->skip_to(next);
         if (trace_.sample_every != 0) maybe_sample(phase.name);
         check_watchdog();

@@ -207,14 +207,14 @@ class AcceleratorSim {
   [[nodiscard]] std::uint64_t progress_signature() const;
   /// Earliest cycle >= `now` at which any tile or memory controller tick
   /// could change state (kNeverCycle if none can without the NoC), leaving
-  /// out spinning GPEs, which it lists in spinning_ when it returns a
-  /// later cycle than `now`.
-  [[nodiscard]] Cycle next_event(Cycle now);
-  /// Advance each GPE in spinning_ through its event cycles before `to`:
-  /// with a trace sink, tick each event, tiles in ascending order within a
-  /// cycle, as passes of the loop would; without, through Gpe::spin, which
-  /// retires whole rotations of retries at once (DESIGN.md §17).
-  void advance_spinning(Cycle to);
+  /// out spinning GPEs.
+  [[nodiscard]] Cycle next_event(Cycle now) const;
+  /// Advance every spinning GPE through its event cycles from `at` to
+  /// before `to`, all through Gpe::spin, in (cycle, tile) order: GPEs due
+  /// at the earliest cycle c spin to `to`, or to c + 1 when a trace sink
+  /// orders the events of several, so trace events keep the order passes
+  /// of the loop would give them (DESIGN.md §17).
+  void advance_spinning(Cycle at, Cycle to);
 
   AcceleratorConfig cfg_;
   graph::PartitionPolicy partition_;
@@ -253,8 +253,8 @@ class AcceleratorSim {
   std::unique_ptr<noc::MeshNetwork> net_;
   std::unique_ptr<AddressMap> addr_map_;
   std::vector<std::unique_ptr<Tile>> tiles_;
-  // Spinning tiles and each one's next GPE event; filled by next_event().
-  std::vector<std::pair<Tile*, Cycle>> spinning_;
+  // advance_spinning()'s buffer: each spinning GPE and its next event.
+  std::vector<std::pair<Gpe*, Cycle>> spinning_;
   std::size_t most_spinning_ = 0;
   std::vector<std::unique_ptr<mem::MemoryController>> mems_;
 };

@@ -17,8 +17,9 @@ Tile::Tile(const AcceleratorConfig& cfg, noc::MeshNetwork& net,
       ratio_(cfg.clock_ratio()),
       agg_(cfg.tile_params, net, ep_agg, addr_map, ratio_),
       dnq_(cfg.tile_params),
-      dna_(cfg.tile_params, net, ep_dnq, addr_map, ratio_),
-      gpe_(cfg.tile_params, net, ep_gpe, ep_agg, ep_dnq, addr_map, ratio_) {}
+      dna_(cfg.tile_params, net, ep_dnq, addr_map, ratio_, dnq_),
+      gpe_(cfg.tile_params, net, ep_gpe, ep_agg, ep_dnq, addr_map, ratio_,
+           agg_, dnq_) {}
 
 void Tile::begin_phase(const CompiledProgram& prog, const graph::Dataset& ds,
                        const PhaseSpec& phase,
@@ -83,17 +84,17 @@ void Tile::tick() {
     }
   }
   agg_.tick();
-  dna_.tick(dnq_);
-  gpe_.tick(net_.now(), agg_, dnq_);
+  dna_.tick();
+  gpe_.tick(net_.now());
 }
 
 Cycle Tile::next_event(Cycle now) const {
   for (const EndpointId ep : {ep_gpe_, ep_agg_, ep_dnq_}) {
     if (net_.delivery_queue_depth(ep) != 0) return now;
   }
-  const Cycle gpe = gpe_spinning() ? kNeverCycle : gpe_.next_event(now);
+  const Cycle gpe = gpe_.spinning() ? kNeverCycle : gpe_.next_event(now);
   if (gpe <= now) return now;
-  return std::min({gpe, agg_.next_event(now), dna_.next_event(now, dnq_)});
+  return std::min({gpe, agg_.next_event(now), dna_.next_event(now)});
 }
 
 }  // namespace gnna::accel

@@ -36,28 +36,16 @@ class Tile {
   /// Earliest NoC cycle >= `now` at which tick() could change state: `now`
   /// while a message waits at one of the tile's endpoints, else the
   /// earliest of its units' next events. A spinning GPE's events are left
-  /// out: its ticks change no other unit (see gpe_spinning()).
+  /// out: its ticks change no other unit (Gpe::spinning), and the
+  /// simulator advances it on its own through Gpe::spin.
   [[nodiscard]] Cycle next_event(Cycle now) const;
-
-  /// True when the GPE can only retry allocations that fail, until another
-  /// unit of the tile acts or a message arrives (Gpe::spinning).
-  [[nodiscard]] bool gpe_spinning() const { return gpe_.spinning(agg_, dnq_); }
-  /// The GPE alone: its next event at or after `now`, and its tick at
-  /// cycle `now`, which may run ahead of the NoC clock.
-  [[nodiscard]] Cycle gpe_next_event(Cycle now) const {
-    return gpe_.next_event(now);
-  }
-  void tick_gpe(Cycle now) { gpe_.tick(now, agg_, dnq_); }
-  /// Gpe::spin on this tile's units.
-  Cycle spin_gpe(Cycle next, Cycle horizon) {
-    return gpe_.spin(next, horizon, agg_, dnq_);
-  }
 
   [[nodiscard]] bool idle() const {
     return gpe_.idle() && agg_.idle() && dnq_.empty() && dna_.idle();
   }
 
   [[nodiscard]] const Gpe& gpe() const { return gpe_; }
+  [[nodiscard]] Gpe& gpe() { return gpe_; }
   [[nodiscard]] const Agg& agg() const { return agg_; }
   [[nodiscard]] const Dnq& dnq() const { return dnq_; }
   [[nodiscard]] const Dna& dna() const { return dna_; }
@@ -76,6 +64,8 @@ class Tile {
   EndpointId ep_dnq_;
   const AddressMap& addr_map_;
   ClockRatio ratio_;
+  // The DNA holds a reference to the DNQ, and the GPE to the AGG and DNQ,
+  // so those two are built first.
   Agg agg_;
   Dnq dnq_;
   Dna dna_;

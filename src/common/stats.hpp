@@ -1,16 +1,13 @@
 // Lightweight statistics collection used by every simulated component.
 //
-// Components expose named Counter / Accumulator / Histogram members; the
-// simulator harvests them into reports at the end of a run. None of these
-// allocate on the hot path.
+// Components expose named Counter / Accumulator members; the simulator
+// harvests them into reports at the end of a run. Neither allocates.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <string>
-#include <vector>
 
 namespace gnna {
 
@@ -85,82 +82,6 @@ class Accumulator {
   std::uint64_t count_ = 0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/// Fixed-width-bucket histogram with an overflow bucket; used for NoC
-/// latency distributions and queue occupancies.
-class Histogram {
- public:
-  Histogram(double bucket_width, std::size_t bucket_count)
-      : width_(bucket_width), buckets_(bucket_count + 1, 0) {}
-
-  void add(double x) {
-    acc_.add(x);
-    auto idx = static_cast<std::size_t>(x / width_);
-    if (idx >= buckets_.size() - 1) idx = buckets_.size() - 1;
-    ++buckets_[idx];
-  }
-
-  [[nodiscard]] const Accumulator& accumulator() const { return acc_; }
-  [[nodiscard]] std::uint64_t bucket(std::size_t i) const {
-    return buckets_.at(i);
-  }
-  [[nodiscard]] std::size_t bucket_count() const { return buckets_.size(); }
-  [[nodiscard]] double bucket_width() const { return width_; }
-
-  /// Value below which `q` (in [0,1]) of the samples fall, linearly
-  /// interpolated within the bucket.
-  [[nodiscard]] double quantile(double q) const {
-    const std::uint64_t total = acc_.count();
-    if (total == 0) return 0.0;
-    const double target = q * static_cast<double>(total);
-    double seen = 0.0;
-    for (std::size_t i = 0; i < buckets_.size(); ++i) {
-      const double next = seen + static_cast<double>(buckets_[i]);
-      if (next >= target) {
-        const double frac =
-            buckets_[i] == 0
-                ? 0.0
-                : (target - seen) / static_cast<double>(buckets_[i]);
-        return (static_cast<double>(i) + frac) * width_;
-      }
-      seen = next;
-    }
-    return static_cast<double>(buckets_.size()) * width_;
-  }
-
- private:
-  double width_;
-  std::vector<std::uint64_t> buckets_;
-  Accumulator acc_;
-};
-
-/// Utilization tracker: fraction of cycles a unit was busy, with support for
-/// windowed bandwidth accounting ("never exceeds X bytes over any window").
-class BusyTracker {
- public:
-  constexpr void tick(bool busy) {
-    ++total_;
-    if (busy) ++busy_;
-  }
-
-  [[nodiscard]] constexpr std::uint64_t busy_cycles() const { return busy_; }
-  [[nodiscard]] constexpr std::uint64_t total_cycles() const { return total_; }
-  [[nodiscard]] constexpr double utilization() const {
-    return total_ == 0 ? 0.0
-                       : static_cast<double>(busy_) /
-                             static_cast<double>(total_);
-  }
-
- private:
-  std::uint64_t busy_ = 0;
-  std::uint64_t total_ = 0;
-};
-
-/// Named scalar for report tables.
-struct StatEntry {
-  std::string name;
-  double value = 0.0;
 };
 
 }  // namespace gnna

@@ -26,9 +26,6 @@ using EdgeId = std::uint32_t;
 /// Index of a tile in the accelerator mesh.
 using TileId = std::uint16_t;
 
-/// Index of a memory controller node on the mesh perimeter.
-using MemNodeId = std::uint16_t;
-
 /// Flat NoC endpoint id (routers are addressed by (x, y); endpoints by id).
 using EndpointId = std::uint16_t;
 

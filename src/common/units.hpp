@@ -94,12 +94,6 @@ class Bandwidth {
   double bps_ = 1e9;
 };
 
-/// Round `bytes` up to whole 64B lines (memory controller granularity:
-/// unaligned / partial requests waste DRAM bandwidth but not NoC bandwidth).
-[[nodiscard]] constexpr std::uint64_t round_up_to_line(std::uint64_t bytes) {
-  return (bytes + kFlitBytes - 1) / kFlitBytes * kFlitBytes;
-}
-
 /// Number of 64B flits needed to carry `bytes` of payload.
 [[nodiscard]] constexpr std::uint32_t flits_for_bytes(std::uint64_t bytes) {
   return static_cast<std::uint32_t>((bytes + kFlitBytes - 1) / kFlitBytes);

@@ -29,9 +29,6 @@ struct LayerWork {
   std::uint64_t structure_bytes = 0;  // CSR traversal
   std::uint64_t weight_bytes = 0;
 
-  [[nodiscard]] std::uint64_t total_flops() const {
-    return 2 * (dense_macs + edge_macs) + agg_adds;
-  }
   [[nodiscard]] std::uint64_t total_bytes() const {
     return feature_read_bytes + feature_write_bytes + structure_bytes +
            weight_bytes;

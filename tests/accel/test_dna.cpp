@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <string>
+#include <utility>
 
 namespace gnna::accel {
 namespace {
@@ -12,8 +14,8 @@ struct Rig {
   EndpointId dna_ep;
   EndpointId sink;
   AddressMap amap{{0}, 4096};
-  std::optional<Dna> dna;
   Dnq dnq{TileParams{}};
+  std::optional<Dna> dna;
 
   explicit Rig(TileParams params = TileParams{}, ClockRatio ratio = {}) {
     dna_ep = net.add_endpoint(0, 0);
@@ -21,7 +23,7 @@ struct Rig {
     const EndpointId mem = net.add_endpoint(0, 0);
     net.finalize();
     amap = AddressMap({mem}, 4096);
-    dna.emplace(params, net, dna_ep, amap, ratio);
+    dna.emplace(params, net, dna_ep, amap, ratio, dnq);
   }
 
   Dest to_sink() {
@@ -46,7 +48,7 @@ struct Rig {
   std::vector<noc::Message> run(Cycle cycles) {
     std::vector<noc::Message> out;
     for (Cycle c = 0; c < cycles; ++c) {
-      dna->tick(dnq);
+      dna->tick();
       net.tick();
       while (auto m = net.poll(sink)) out.push_back(*m);
     }
@@ -142,6 +144,33 @@ TEST(Dna, TwoModelsViaVirtualQueues) {
   EXPECT_EQ(out[1].payload_bytes, 28U);
 }
 
+// The DNA lets the DNQ switch to the other queue's ready head only once
+// it has sat idle for dnq_idle_switch_cycles (16) core cycles: at 2.4 GHz
+// not after 10 or 15 idle cycles but at 16; at 1.8 GHz (4/3 NoC cycles per
+// core cycle) at NoC cycle 22, the first at or past 64/3.
+TEST(Dna, LazySwitchWaitsForIdleThreshold) {
+  for (const auto& [ratio, switch_at] :
+       {std::pair{ClockRatio{1, 1}, Cycle{16}},
+        std::pair{ClockRatio{4, 3}, Cycle{22}}}) {
+    SCOPED_TRACE(std::to_string(ratio.p) + "/" + std::to_string(ratio.q));
+    Rig rig(TileParams{}, ratio);
+    rig.dnq.configure(31 * 1024, 31 * 1024);
+    rig.dna->configure({{4, 2}, {4, 7}}, 0);  // idle from cycle 0
+    rig.ready_entry(1, 1);  // only queue 1, not the active 0, is ready
+    if (switch_at == 16) {
+      rig.run(11);  // ticks through 10 idle cycles
+      EXPECT_EQ(rig.dnq.stats().queue_switches.value(), 0U);
+    }
+    rig.run(switch_at - rig.net.now());  // ticks through switch_at - 1
+    EXPECT_EQ(rig.dnq.active_queue(), 0);
+    EXPECT_EQ(rig.dnq.stats().queue_switches.value(), 0U);
+    rig.run(1);  // the tick at switch_at
+    EXPECT_EQ(rig.dnq.active_queue(), 1);
+    EXPECT_EQ(rig.dnq.stats().queue_switches.value(), 1U);
+    EXPECT_EQ(rig.dna->stats().entries_processed.value(), 1U);
+  }
+}
+
 TEST(Dna, ResultToMemoryDest) {
   Rig rig;
   rig.dna->configure({{4, 16}}, 0);
@@ -156,7 +185,7 @@ TEST(Dna, ResultToMemoryDest) {
   rig.dnq.on_message(m);
   std::vector<noc::Message> mem_msgs;
   for (Cycle c = 0; c < 300; ++c) {
-    rig.dna->tick(rig.dnq);
+    rig.dna->tick();
     rig.net.tick();
     while (auto got = rig.net.poll(2)) mem_msgs.push_back(*got);
   }

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -16,6 +19,16 @@
 
 namespace gnna::accel {
 namespace {
+
+/// A path under TempDir() that only the running test of this process
+/// writes, `<suite>.<test>.<pid>.<name>`, so that suites of two build trees
+/// run at once keep apart. The test removes it.
+std::string temp_path(const std::string& name) {
+  const ::testing::TestInfo* t =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  return ::testing::TempDir() + t->test_suite_name() + "." + t->name() + "." +
+         std::to_string(::getpid()) + "." + name;
+}
 
 graph::Dataset small_dataset(NodeId n = 40, EdgeId e = 100,
                              std::uint32_t vf = 8, std::uint32_t ef = 0,
@@ -238,7 +251,7 @@ TEST(Simulator, WatchdogReportsDiagnostics) {
   AcceleratorSim sim(AcceleratorConfig::cpu_iso_bw());
   sim.set_watchdog_cycles(3);
   TraceOptions topts;
-  topts.deadlock_report_path = ::testing::TempDir() + "watchdog_report.txt";
+  topts.deadlock_report_path = temp_path("report.txt");
   sim.set_trace(topts);
   try {
     (void)sim.run(prog, ds);
@@ -259,6 +272,7 @@ TEST(Simulator, WatchdogReportsDiagnostics) {
     contents << report.rdbuf();
     EXPECT_NE(contents.str().find("deadlock diagnostics"), std::string::npos);
   }
+  std::remove(topts.deadlock_report_path.c_str());
 }
 
 TEST(Simulator, SamplerEmitsCsvRows) {
@@ -320,9 +334,9 @@ TEST(Simulator, OutputPathsWriteWhatTheStreamsGet) {
   }
   AcceleratorSim sim(AcceleratorConfig::cpu_iso_bw());
   TraceOptions topts;
-  topts.trace_path = ::testing::TempDir() + "paths_trace.json";
+  topts.trace_path = temp_path("trace.json");
   topts.sample_every = 1000;
-  topts.sample_path = ::testing::TempDir() + "paths_samples.csv";
+  topts.sample_path = temp_path("samples.csv");
   sim.set_trace(topts);
   (void)sim.run(prog, ds);
   const auto contents = [](const std::string& path) {
@@ -332,6 +346,8 @@ TEST(Simulator, OutputPathsWriteWhatTheStreamsGet) {
   };
   EXPECT_EQ(contents(topts.trace_path), json.str());
   EXPECT_EQ(contents(topts.sample_path), csv.str());
+  std::remove(topts.trace_path.c_str());
+  std::remove(topts.sample_path.c_str());
 }
 
 TEST(Simulator, UnwritableOutputFailsTheRun) {

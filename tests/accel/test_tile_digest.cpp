@@ -491,19 +491,25 @@ LoopRun run_loop(const CompiledProgram& prog, const graph::Dataset& ds,
   return {json.str(), h.value(), sim.most_spinning()};
 }
 
+/// The most GPEs that the traced and the untraced jumping loop each
+/// advanced at one jump.
+struct MostSpinning {
+  std::size_t traced = 0;
+  std::size_t untraced = 0;
+};
+
 /// Runs `cfg` on all three loops and requires the reference loop's stats
-/// JSON from both jumping ones and its trace from the traced one. Returns
-/// the most GPEs the untraced run advanced at one jump.
-std::size_t expect_loops_agree(const CompiledProgram& prog,
-                               const graph::Dataset& ds,
-                               const AcceleratorConfig& cfg) {
+/// JSON from both jumping ones and its trace from the traced one.
+MostSpinning expect_loops_agree(const CompiledProgram& prog,
+                                const graph::Dataset& ds,
+                                const AcceleratorConfig& cfg) {
   const LoopRun reference = run_loop(prog, ds, cfg, Loop::kReference);
   const LoopRun traced = run_loop(prog, ds, cfg, Loop::kTraced);
   const LoopRun untraced = run_loop(prog, ds, cfg, Loop::kUntraced);
   EXPECT_EQ(traced.json, reference.json);
   EXPECT_EQ(traced.trace, reference.trace) << "the traces differ";
   EXPECT_EQ(untraced.json, reference.json) << "untraced";
-  return untraced.most_spinning;
+  return {traced.most_spinning, untraced.most_spinning};
 }
 
 /// A program, the dataset it runs on and the configuration to run it on.
@@ -580,7 +586,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 // MPNN on a graph whose phases leave all 8 gpu-iso-bw GPEs spinning at
 // one jump, with 16 and 64 threads, at an exact and an inexact clock: the
-// spinning GPEs advance together and must still match the reference loop.
+// spinning GPEs advance together, interleaved cycle by cycle when traced,
+// and must still match the reference loop.
 TEST(LoopReferenceMesh, SeveralGpesSpinAtOnce) {
   for (const std::uint32_t threads : {16U, 64U}) {
     for (const double ghz : {2.4, 1.8}) {
@@ -590,7 +597,9 @@ TEST(LoopReferenceMesh, SeveralGpesSpinAtOnce) {
           Program::kMpnn, 1001,
           AcceleratorConfig::gpu_iso_bw().with_core_clock(ghz), threads,
           false);
-      EXPECT_EQ(expect_loops_agree(sc.prog, sc.ds, sc.cfg), 8U);
+      const MostSpinning most = expect_loops_agree(sc.prog, sc.ds, sc.cfg);
+      EXPECT_EQ(most.untraced, 8U);
+      EXPECT_EQ(most.traced, 8U);
     }
   }
 }

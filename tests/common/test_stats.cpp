@@ -120,44 +120,5 @@ TEST(Accumulator, StddevMatchesBruteForce) {
   EXPECT_NEAR(a.stddev(), expected, expected * 1e-9);
 }
 
-TEST(Histogram, BucketsAndOverflow) {
-  Histogram h(10.0, 5);
-  h.add(0.0);
-  h.add(9.9);
-  h.add(10.0);
-  h.add(49.9);
-  h.add(1000.0);  // overflow bucket
-  EXPECT_EQ(h.bucket(0), 2U);
-  EXPECT_EQ(h.bucket(1), 1U);
-  EXPECT_EQ(h.bucket(4), 1U);
-  EXPECT_EQ(h.bucket(5), 1U);
-  EXPECT_EQ(h.accumulator().count(), 5U);
-}
-
-TEST(Histogram, QuantileEmptyIsZero) {
-  Histogram h(1.0, 10);
-  EXPECT_DOUBLE_EQ(h.quantile(0.5), 0.0);
-}
-
-TEST(Histogram, MedianOfUniformFill) {
-  Histogram h(1.0, 100);
-  for (int i = 0; i < 100; ++i) h.add(i + 0.5);
-  EXPECT_NEAR(h.quantile(0.5), 50.0, 1.5);
-  EXPECT_NEAR(h.quantile(0.9), 90.0, 1.5);
-}
-
-TEST(BusyTracker, Utilization) {
-  BusyTracker b;
-  for (int i = 0; i < 10; ++i) b.tick(i < 3);
-  EXPECT_EQ(b.busy_cycles(), 3U);
-  EXPECT_EQ(b.total_cycles(), 10U);
-  EXPECT_DOUBLE_EQ(b.utilization(), 0.3);
-}
-
-TEST(BusyTracker, EmptyUtilizationZero) {
-  BusyTracker b;
-  EXPECT_DOUBLE_EQ(b.utilization(), 0.0);
-}
-
 }  // namespace
 }  // namespace gnna

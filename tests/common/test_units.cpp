@@ -47,14 +47,6 @@ TEST(Bandwidth, SecondsFor) {
   EXPECT_DOUBLE_EQ(b.seconds_for(1e9), 1.0);
 }
 
-TEST(Units, RoundUpToLine) {
-  EXPECT_EQ(round_up_to_line(0), 0U);
-  EXPECT_EQ(round_up_to_line(1), 64U);
-  EXPECT_EQ(round_up_to_line(64), 64U);
-  EXPECT_EQ(round_up_to_line(65), 128U);
-  EXPECT_EQ(round_up_to_line(2000), 2048U);
-}
-
 TEST(Units, FlitsForBytes) {
   EXPECT_EQ(flits_for_bytes(0), 0U);
   EXPECT_EQ(flits_for_bytes(1), 1U);

@@ -100,14 +100,6 @@ TEST(Workload, TotalsSumLayers) {
   EXPECT_EQ(t.total_bytes(), bytes);
 }
 
-TEST(Workload, FlopsCountMacsTwice) {
-  LayerWork w;
-  w.dense_macs = 10;
-  w.edge_macs = 5;
-  w.agg_adds = 3;
-  EXPECT_EQ(w.total_flops(), 33U);
-}
-
 TEST(Workload, LaunchesScaleWithGraphCount) {
   Rng rng(10);
   graph::Dataset one;

@@ -2,11 +2,13 @@
 // and fresh inputs produce bit-identical stats) and the caches actually
 // hit on repeated resolution.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "accel/compiler.hpp"
 #include "accel/ir.hpp"
@@ -24,6 +26,16 @@ namespace {
 // fast enough to run several times in a unit test. (PGNN/DBLP_1 has fewer
 // vertices but its anchor-set model is ~100x more expensive.)
 constexpr gnn::Benchmark kSmall = gnn::Benchmark::kGcnCora;
+
+/// A path under TempDir() that only the running test of this process
+/// writes, `<suite>.<test>.<pid>.<name>`, so that suites of two build trees
+/// run at once keep apart. The test removes it.
+std::string temp_path(const std::string& name) {
+  const ::testing::TestInfo* t =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  return ::testing::TempDir() + t->test_suite_name() + "." + t->name() + "." +
+         std::to_string(::getpid()) + "." + name;
+}
 
 void expect_same_stats(const accel::RunStats& a, const accel::RunStats& b) {
   EXPECT_EQ(a.cycles, b.cycles);
@@ -192,7 +204,7 @@ TEST(Session, FileLoadedProgramDedupesAgainstLaterCompile) {
   // Save GCN/Cora's program from one session, load it as a .gnna file in
   // another: the later benchmark compile must hash-match the file-loaded
   // program and share its instance (source "dedupe"), not insert a copy.
-  const std::string path = ::testing::TempDir() + "dedupe.gnna";
+  const std::string path = temp_path("dedupe.gnna");
   {
     Session donor;
     RunRequest req;
@@ -223,6 +235,7 @@ TEST(Session, FileLoadedProgramDedupesAgainstLaterCompile) {
   EXPECT_EQ(cc.program_hits, 1U);
   EXPECT_EQ(cc.program_dedupes, 1U);
   EXPECT_EQ(cc.program_misses, 0U);
+  std::remove(path.c_str());
 }
 
 TEST(Session, BatchManifestRepeatingBenchmarkReportsCacheInStatsJson) {
@@ -290,7 +303,7 @@ TEST(Session, ProfileGuidedWithoutAttributionFromIsRejected) {
 
 TEST(Session, ProfileGuidedRejectsVerticesPastTheRun) {
   // GAT/Cora has 2708 vertices; a profile of a larger graph names more.
-  const std::string path = ::testing::TempDir() + "past_the_run.json";
+  const std::string path = temp_path("profile.json");
   {
     std::ofstream out(path);
     out << R"({"attribution": {"tiles": [], "vertices": [)"
@@ -320,7 +333,7 @@ TEST(Session, FileProfileGuidedEqualsInProcessProfileGuided) {
   measure.config = accel::AcceleratorConfig::gpu_iso_bw();
   measure.trace.attribution = true;
   const accel::RunStats run1 = session.run(measure);
-  const std::string path = ::testing::TempDir() + "profile_run1.json";
+  const std::string path = temp_path("run1.json");
   {
     std::ofstream out(path);
     write_run_stats_json(out, run1);
