@@ -83,13 +83,15 @@ struct Message {
   }
 };
 
-/// One 64-byte flow-control unit.
+/// One 64-byte flow-control unit. `packet` is the owning Message's slot in
+/// the network's packet pool, not its seq.
 struct Flit {
-  std::uint64_t seq = 0;        // owning packet
+  std::uint32_t packet = 0;
   EndpointId dst = kInvalidEndpoint;
-  std::uint32_t index = 0;      // position within the packet
   bool head = false;
   bool tail = false;
 };
+// Flits fill the injection deques and the input rings; keep them small.
+static_assert(sizeof(Flit) <= 8);
 
 }  // namespace gnna::noc

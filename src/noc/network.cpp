@@ -10,22 +10,6 @@
 namespace gnna::noc {
 namespace {
 
-/// Opposite mesh direction (for credit returns across a link).
-[[nodiscard]] std::uint32_t opposite(std::uint32_t port) {
-  switch (port) {
-    case kPortNorth:
-      return kPortSouth;
-    case kPortSouth:
-      return kPortNorth;
-    case kPortEast:
-      return kPortWest;
-    case kPortWest:
-      return kPortEast;
-    default:
-      return port;
-  }
-}
-
 /// Static names for send-side instant events (tracer names are not copied).
 [[nodiscard]] constexpr const char* send_event_name(MsgKind k) {
   switch (k) {
@@ -74,8 +58,8 @@ EndpointId MeshNetwork::add_endpoint(std::uint32_t x, std::uint32_t y) {
   EndpointState ep;
   ep.x = x;
   ep.y = y;
-  ep.local_port = kFirstLocalPort + local_ports_per_router_[router_index(x, y)];
-  ++local_ports_per_router_[router_index(x, y)];
+  ep.input = router_index(x, y) * kMaxPorts + kFirstLocalPort +
+             local_ports_per_router_[router_index(x, y)]++;
   endpoints_.push_back(ep);
   return static_cast<EndpointId>(endpoints_.size() - 1);
 }
@@ -89,16 +73,6 @@ void MeshNetwork::finalize() {
       routers_.emplace_back(x, y, local_ports_per_router_[router_index(x, y)]);
     }
   }
-  // Mesh link credits: each output that has a neighbor starts with the
-  // neighbor's full input buffer.
-  constexpr std::uint32_t kCredits = NocParams::input_buffer_flits;
-  for (auto& r : routers_) {
-    if (r.y() + 1 < height_) r.outputs_[kPortNorth].credits = kCredits;
-    if (r.y() > 0) r.outputs_[kPortSouth].credits = kCredits;
-    if (r.x() + 1 < width_) r.outputs_[kPortEast].credits = kCredits;
-    if (r.x() > 0) r.outputs_[kPortWest].credits = kCredits;
-  }
-  for (auto& ep : endpoints_) ep.injection_credits = kCredits;
   injecting_.assign((endpoints_.size() + 63) / 64, 0);
   // Routing table: dimension-order routes are fixed by the topology, so
   // each (router, destination) pair is routed once, here.
@@ -109,17 +83,22 @@ void MeshNetwork::finalize() {
           static_cast<std::uint8_t>(route(routers_[ri], d));
     }
   }
-  // Credit-return map: local input port -> owning endpoint, so the hot
-  // path needs no O(endpoints) scan.
-  local_port_owner_.resize(routers_.size());
+  // The port graph: every input buffer's sender starts with the buffer's
+  // full capacity, and each mesh output links to its neighbour's facing
+  // input (North is y + 1).
+  credits_.assign(routers_.size() * kMaxPorts, NocParams::input_buffer_flits);
+  next_input_.assign(routers_.size() * kMaxPorts, kNoLink);
+  const auto input = [](std::uint32_t router, std::uint32_t port) {
+    return router * kMaxPorts + port;
+  };
   for (std::uint32_t ri = 0; ri < routers_.size(); ++ri) {
-    local_port_owner_[ri].assign(local_ports_per_router_[ri],
-                                 kInvalidEndpoint);
-  }
-  for (EndpointId e = 0; e < endpoints_.size(); ++e) {
-    const EndpointState& ep = endpoints_[e];
-    local_port_owner_[router_index(ep.x, ep.y)]
-                     [ep.local_port - kFirstLocalPort] = e;
+    const std::uint32_t x = ri % width_;
+    const std::uint32_t y = ri / width_;
+    std::uint32_t* next = &next_input_[input(ri, 0)];
+    if (y + 1 < height_) next[kPortNorth] = input(ri + width_, kPortSouth);
+    if (y > 0) next[kPortSouth] = input(ri - width_, kPortNorth);
+    if (x + 1 < width_) next[kPortEast] = input(ri + 1, kPortWest);
+    if (x > 0) next[kPortWest] = input(ri - 1, kPortEast);
   }
 }
 
@@ -130,19 +109,19 @@ void MeshNetwork::send(Message msg) {
   }
   msg.seq = next_seq_++;
   msg.injected_at = now_;
+  if (free_packets_.empty()) {
+    free_packets_.push_back(static_cast<std::uint32_t>(packets_.size()));
+    packets_.emplace_back();
+  }
+  const std::uint32_t slot = free_packets_.back();
+  free_packets_.pop_back();
+  packets_[slot] = msg;
   const std::uint32_t flits = msg.flit_count();
   EndpointState& src = endpoints_[msg.src];
   for (std::uint32_t i = 0; i < flits; ++i) {
-    Flit f;
-    f.seq = msg.seq;
-    f.dst = msg.dst;
-    f.index = i;
-    f.head = (i == 0);
-    f.tail = (i == flits - 1);
-    src.injection.push_back(f);
+    src.injection.push_back(Flit{slot, msg.dst, i == 0, i == flits - 1});
   }
   injecting_[msg.src / 64] |= std::uint64_t{1} << (msg.src % 64);
-  inflight_.emplace(msg.seq, msg);
   if (tracer_.enabled()) {
     tracer_.instant(send_event_name(msg.kind),
                     (std::uint64_t{msg.src} << 32) | msg.dst,
@@ -160,56 +139,7 @@ std::uint32_t MeshNetwork::route(const Router& r, EndpointId dst) const {
   if (d.x < r.x()) return kPortWest;
   if (d.y > r.y()) return kPortNorth;
   if (d.y < r.y()) return kPortSouth;
-  return d.local_port;
-}
-
-void MeshNetwork::apply_credits() {
-  for (const CreditReturn& cr : credits_due_) {
-    if (cr.to_endpoint) {
-      ++endpoints_[cr.endpoint].injection_credits;
-    } else {
-      ++routers_[cr.router].outputs_[cr.port].credits;
-    }
-  }
-  credits_due_.clear();
-}
-
-void MeshNetwork::return_credit_for_input(std::uint32_t router,
-                                          std::uint32_t port) {
-  CreditReturn cr;
-  const Router& r = routers_[router];
-  if (port >= kFirstLocalPort) {
-    // Local input: credit goes back to the endpoint occupying that port
-    // (precomputed in finalize()).
-    const EndpointId e = local_port_owner_[router][port - kFirstLocalPort];
-    assert(e != kInvalidEndpoint && "local input port without endpoint");
-    cr.to_endpoint = true;
-    cr.endpoint = e;
-    credits_.push_back(cr);
-    return;
-  }
-  // Mesh input: upstream router's matching output regains a credit.
-  std::uint32_t ux = r.x();
-  std::uint32_t uy = r.y();
-  switch (port) {
-    case kPortNorth:
-      uy += 1;  // flit came from the router above, via its South output
-      break;
-    case kPortSouth:
-      uy -= 1;
-      break;
-    case kPortEast:
-      ux += 1;
-      break;
-    case kPortWest:
-      ux -= 1;
-      break;
-    default:
-      break;
-  }
-  cr.router = router_index(ux, uy);
-  cr.port = opposite(port);
-  credits_.push_back(cr);
+  return d.input % kMaxPorts;
 }
 
 void MeshNetwork::phase_route() {
@@ -218,6 +148,7 @@ void MeshNetwork::phase_route() {
     Router& r = routers_[ri];
     if (r.occupied_ == 0) continue;  // nothing to arbitrate
     const std::uint8_t* port_of = &port_of_[ri * num_eps];
+    const std::uint32_t* next_input = &next_input_[ri * kMaxPorts];
 
     // Input-first requests from the start-of-cycle fronts: every non-empty
     // input asks for exactly one output, so no input can win twice.
@@ -253,10 +184,13 @@ void MeshNetwork::phase_route() {
             std::countr_zero(from_rr != 0 ? from_rr : candidates));
       }
 
-      const bool is_mesh_out = o < kFirstLocalPort;
-      if (is_mesh_out) {
-        if (out.credits == 0) continue;  // stall: keep lock and rr_next
-        --out.credits;
+      // Local outputs eject, rate-limited but not credited.
+      std::uint32_t to = kEject;
+      if (o < kFirstLocalPort) {
+        to = next_input[o];
+        if (credits_[to] == 0) continue;  // stall: keep lock and rr_next
+        --credits_[to];
+        stats_.flit_hops.add();
       }
 
       // Commit the move. The round-robin pointer advances only here — a
@@ -269,37 +203,8 @@ void MeshNetwork::phase_route() {
       if (out.locked_input < 0) out.rr_next = (wi + 1) % ports;
       if (f.head) out.locked_input = static_cast<int>(wi);
       if (f.tail) out.locked_input = -1;
-      return_credit_for_input(ri, wi);
-
-      LinkEntry le;
-      le.flit = f;
-      if (is_mesh_out) {
-        std::uint32_t nx = r.x();
-        std::uint32_t ny = r.y();
-        switch (o) {
-          case kPortNorth:
-            ny += 1;
-            break;
-          case kPortSouth:
-            ny -= 1;
-            break;
-          case kPortEast:
-            nx += 1;
-            break;
-          case kPortWest:
-            nx -= 1;
-            break;
-          default:
-            break;
-        }
-        le.dst_router = router_index(nx, ny);
-        le.dst_port = opposite(o);
-        stats_.flit_hops.add();
-      } else {
-        le.to_endpoint = true;
-        le.endpoint = f.dst;
-      }
-      links_.push_back(le);
+      credit_returns_.push_back(ri * kMaxPorts + wi);
+      links_.push_back({f, to});
     }
   }
 }
@@ -308,40 +213,38 @@ void MeshNetwork::phase_arrive() {
   // Push order (routers ascending, outputs ascending, then injections) is
   // arrival order, so endpoint deliveries and trace events keep it.
   for (const LinkEntry& le : links_due_) {
-    if (le.to_endpoint) {
-      EndpointState& ep = endpoints_[le.endpoint];
-      ++ep.assembling_flits;
-      stats_.flits_delivered.add();
-      if (le.flit.tail) {
-        auto it = inflight_.find(le.flit.seq);
-        assert(it != inflight_.end());
-        Message m = it->second;
-        inflight_.erase(it);
-        m.delivered_at = now_;
-        assert(ep.assembling_flits == m.flit_count());
-        ep.assembling_flits = 0;
-        stats_.packets_delivered.add();
-        stats_.packet_latency.add(
-            static_cast<double>(m.delivered_at - m.injected_at));
-        if (tracer_.enabled()) {
-          // One duration event spanning the packet's time in the network.
-          tracer_.complete(msg_kind_name(m.kind),
-                           static_cast<double>(m.injected_at),
-                           static_cast<double>(m.delivered_at - m.injected_at),
-                           (std::uint64_t{m.src} << 32) | m.dst,
-                           m.payload_bytes);
-          // Attribution hook: flits, hop distance, and the owning work
-          // item of the delivered packet.
-          tracer_.packet(m.src, m.dst, m.owner, m.flit_count(),
-                         hops_between(m.src, m.dst), m.payload_bytes);
-        }
-        ep.delivery.push_back(m);
-      }
-    } else {
-      Router& dr = routers_[le.dst_router];
-      assert(dr.can_accept(le.dst_port) && "credit protocol violated");
-      dr.accept(le.dst_port, le.flit);
+    if (le.to != kEject) {
+      Router& dr = routers_[le.to / kMaxPorts];
+      const std::uint32_t port = le.to % kMaxPorts;
+      assert(dr.can_accept(port) && "credit protocol violated");
+      dr.accept(port, le.flit);
+      continue;
     }
+    EndpointState& ep = endpoints_[le.flit.dst];
+    ++ep.assembling_flits;
+    stats_.flits_delivered.add();
+    if (!le.flit.tail) continue;
+    Message m = packets_[le.flit.packet];
+    packets_[le.flit.packet].seq = 0;  // the slot is free
+    free_packets_.push_back(le.flit.packet);
+    m.delivered_at = now_;
+    assert(ep.assembling_flits == m.flit_count());
+    ep.assembling_flits = 0;
+    stats_.packets_delivered.add();
+    stats_.packet_latency.add(
+        static_cast<double>(m.delivered_at - m.injected_at));
+    if (tracer_.enabled()) {
+      // One duration event spanning the packet's time in the network.
+      tracer_.complete(msg_kind_name(m.kind),
+                       static_cast<double>(m.injected_at),
+                       static_cast<double>(m.delivered_at - m.injected_at),
+                       (std::uint64_t{m.src} << 32) | m.dst, m.payload_bytes);
+      // Attribution hook: flits, hop distance, and the owning work item of
+      // the delivered packet.
+      tracer_.packet(m.src, m.dst, m.owner, m.flit_count(),
+                     hops_between(m.src, m.dst), m.payload_bytes);
+    }
+    ep.delivery.push_back(m);
   }
   links_due_.clear();
 }
@@ -353,16 +256,11 @@ void MeshNetwork::phase_inject() {
     for (std::uint64_t m = injecting_[w]; m != 0; m &= m - 1) {
       const auto e = static_cast<EndpointId>(w * 64 + std::countr_zero(m));
       EndpointState& ep = endpoints_[e];
-      if (ep.injection_credits == 0) continue;
-      const Flit f = ep.injection.front();
+      if (credits_[ep.input] == 0) continue;
+      --credits_[ep.input];
+      links_.push_back({ep.injection.front(), ep.input});
       ep.injection.pop_front();
       if (ep.injection.empty()) injecting_[w] &= ~(std::uint64_t{1} << e % 64);
-      --ep.injection_credits;
-      LinkEntry le;
-      le.flit = f;
-      le.dst_router = router_index(ep.x, ep.y);
-      le.dst_port = ep.local_port;
-      links_.push_back(le);
     }
   }
 }
@@ -373,10 +271,11 @@ void MeshNetwork::tick() {
     ++now_;
     return;
   }
-  // Everything made last tick falls due now (link_delay == 1).
+  // Everything made last tick falls due now (link_delay == 1): credits
+  // first, then the links phase_arrive consumes after routing.
+  for (const std::uint32_t in : credit_returns_) ++credits_[in];
+  credit_returns_.clear();
   links_.swap(links_due_);
-  credits_.swap(credits_due_);
-  apply_credits();
   phase_route();
   phase_arrive();
   phase_inject();
@@ -389,10 +288,11 @@ void MeshNetwork::skip_to(Cycle t) {
 }
 
 bool MeshNetwork::idle() const {
-  // inflight_ holds every packet from send() until tail ejection, so an
-  // empty map already implies empty router buffers and injection queues;
-  // delivery queues hold packets the components have not consumed yet.
-  if (!links_.empty() || !inflight_.empty()) return false;
+  // The slot pool holds every packet from send() until tail ejection, so
+  // an empty pool already implies empty router buffers and injection
+  // queues; delivery queues hold packets the components have not consumed
+  // yet.
+  if (!links_.empty() || inflight_packets() != 0) return false;
   for (const auto& ep : endpoints_) {
     if (!ep.delivery.empty()) return false;
   }
@@ -400,20 +300,28 @@ bool MeshNetwork::idle() const {
 }
 
 void MeshNetwork::dump_state(std::ostream& os) const {
-  os << "  noc: cycle=" << now_ << " inflight_packets=" << inflight_.size()
+  os << "  noc: cycle=" << now_ << " inflight_packets=" << inflight_packets()
      << " links_in_flight=" << links_.size()
-     << " pending_credits=" << credits_.size() << '\n';
-  std::size_t shown = 0;
-  for (const auto& [seq, m] : inflight_) {
-    if (shown == 16) {
-      os << "    ... " << inflight_.size() - shown << " more in-flight\n";
-      break;
-    }
-    ++shown;
-    os << "    packet seq=" << seq << ' ' << msg_kind_name(m.kind)
+     << " pending_credits=" << credit_returns_.size() << '\n';
+  // The oldest packets first: they are the likeliest to be stuck.
+  std::vector<const Message*> live;
+  for (const Message& m : packets_) {
+    if (m.seq != 0) live.push_back(&m);
+  }
+  const std::size_t shown = std::min<std::size_t>(live.size(), 16);
+  std::partial_sort(live.begin(), live.begin() + shown, live.end(),
+                    [](const Message* a, const Message* b) {
+                      return a->seq < b->seq;
+                    });
+  for (std::size_t i = 0; i < shown; ++i) {
+    const Message& m = *live[i];
+    os << "    packet seq=" << m.seq << ' ' << msg_kind_name(m.kind)
        << " src=" << m.src << " dst=" << m.dst << " flits=" << m.flit_count()
        << " injected_at=" << m.injected_at
        << " age=" << now_ - m.injected_at << '\n';
+  }
+  if (live.size() > shown) {
+    os << "    ... " << live.size() - shown << " more in-flight\n";
   }
   for (EndpointId e = 0; e < endpoints_.size(); ++e) {
     const EndpointState& ep = endpoints_[e];
@@ -423,7 +331,7 @@ void MeshNetwork::dump_state(std::ostream& os) const {
     }
     os << "    endpoint " << e << " @(" << ep.x << ',' << ep.y
        << "): injection_flits=" << ep.injection.size()
-       << " injection_credits=" << ep.injection_credits
+       << " injection_credits=" << credits_[ep.input]
        << " undelivered_msgs=" << ep.delivery.size()
        << " assembling_flits=" << ep.assembling_flits << '\n';
   }
@@ -433,6 +341,7 @@ void MeshNetwork::dump_state(std::ostream& os) const {
   // reads as "the north input VC is full". Output state names the blocked
   // resource: a wormhole lock (`locked=<input port>`) holds the output for
   // an in-flight packet, and credits=0 means the downstream buffer is full.
+  // Mesh outputs at the edge have no link and are not listed.
   const auto port_name = [](std::uint32_t p) -> std::string {
     switch (p) {
       case kPortNorth: return "N";
@@ -442,7 +351,8 @@ void MeshNetwork::dump_state(std::ostream& os) const {
       default: return "L" + std::to_string(p - kFirstLocalPort);
     }
   };
-  for (const Router& r : routers_) {
+  for (std::uint32_t ri = 0; ri < routers_.size(); ++ri) {
+    const Router& r = routers_[ri];
     if (r.buffered_flits() == 0) continue;
     os << "    router (" << r.x() << ',' << r.y() << "): buffered_flits="
        << r.buffered_flits() << " in=[";
@@ -453,7 +363,11 @@ void MeshNetwork::dump_state(std::ostream& os) const {
     os << "]\n";
     for (std::uint32_t p = 0; p < r.num_ports(); ++p) {
       const Router::OutputState& out = r.outputs_[p];
-      const bool credit_starved = p < kFirstLocalPort && out.credits == 0;
+      const bool is_mesh_out = p < kFirstLocalPort;
+      const std::uint32_t to = is_mesh_out ? next_input_[ri * kMaxPorts + p]
+                                           : kNoLink;
+      if (is_mesh_out && to == kNoLink) continue;
+      const bool credit_starved = is_mesh_out && credits_[to] == 0;
       if (out.locked_input < 0 && !credit_starved) continue;
       os << "      out " << port_name(p) << ": ";
       if (out.locked_input >= 0) {
@@ -462,8 +376,8 @@ void MeshNetwork::dump_state(std::ostream& os) const {
       } else {
         os << "unlocked";
       }
-      if (p < kFirstLocalPort) {
-        os << " credits=" << out.credits
+      if (is_mesh_out) {
+        os << " credits=" << credits_[to]
            << (credit_starved ? " (downstream full)" : "");
       }
       os << '\n';

@@ -1,20 +1,23 @@
 // Cycle-accurate 2D-mesh network (the Booksim substitute).
 //
 // MeshNetwork owns the routers, the inter-router links (one-cycle delay
-// lines), the endpoints, and the credit bookkeeping. Components interact
-// only through send() / poll() on their EndpointId plus the global tick().
+// lines), the endpoints, and the port graph. Components interact only
+// through send() / poll() on their EndpointId plus the global tick().
 //
-// Flow control: wormhole with credit-based backpressure between routers;
-// endpoint injection is credited against the local input buffer; ejection
-// is rate-limited to one flit per cycle per local port and reassembled
-// messages land in an unbounded delivery queue (components model their own
-// admission limits — e.g. the memory controller's 32-entry queue — on top).
+// Port graph (DESIGN.md §18): every router input buffer has one id, router
+// * kMaxPorts + port, and finalize() builds credits_[input] (the sender's
+// credits for that buffer) and next_input_ (the input across each link).
+//
+// Flow control: wormhole with credit-based backpressure on every input
+// buffer, injection included; ejection is rate-limited to one flit per
+// cycle per local port and reassembled messages land in an unbounded
+// delivery queue (components model their own admission limits — e.g. the
+// memory controller's 32-entry queue — on top).
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/stats.hpp"
@@ -72,7 +75,8 @@ class MeshNetwork {
   /// no credit is in flight: ticking would change nothing but the clock.
   /// Messages already delivered may still await poll().
   [[nodiscard]] bool quiescent() const {
-    return links_.empty() && credits_.empty() && inflight_.empty();
+    return links_.empty() && credit_returns_.empty() &&
+           inflight_packets() == 0;
   }
 
   /// Jump the clock forward to `t` (>= now()). Only valid while
@@ -93,11 +97,11 @@ class MeshNetwork {
 
   /// Packets injected but not yet fully ejected.
   [[nodiscard]] std::size_t inflight_packets() const {
-    return inflight_.size();
+    return packets_.size() - free_packets_.size();
   }
 
-  /// Deadlock diagnostics: in-flight packets, endpoint queue depths, and
-  /// router buffer occupancy (only non-empty state is printed).
+  /// Deadlock diagnostics: the 16 oldest in-flight packets, endpoint queue
+  /// depths, and router buffer occupancy (only non-empty state is printed).
   void dump_state(std::ostream& os) const;
 
   /// Manhattan router distance between two endpoints.
@@ -112,34 +116,25 @@ class MeshNetwork {
   struct EndpointState {
     std::uint32_t x = 0;
     std::uint32_t y = 0;
-    std::uint32_t local_port = 0;  // absolute port index on the router
+    std::uint32_t input = 0;       // input id of its local port
     std::deque<Flit> injection;    // segmented flits awaiting injection
-    std::uint32_t injection_credits = 0;
     std::deque<Message> delivery;  // reassembled messages
     std::uint32_t assembling_flits = 0;  // flits of in-progress packet seen
   };
 
-  // Link and credit entries fall due exactly one tick after they are made,
-  // so each queue is two vectors (made this tick / due this tick) swapped
-  // at the top of tick(), and no entry carries a timestamp.
+  // Link entries and credit returns fall due exactly one tick after they
+  // are made, so no entry carries a timestamp.
   static_assert(NocParams::link_delay == 1,
-                "two-slot link and credit queues assume a one-cycle link");
+                "the link and credit queues assume a one-cycle link");
+
+  /// `to` in a LinkEntry for a flit leaving the mesh at endpoint flit.dst.
+  static constexpr std::uint32_t kEject = 0xffffffffU;
+  /// next_input_ entry of a mesh output with no neighbour.
+  static constexpr std::uint32_t kNoLink = 0xffffffffU;
 
   struct LinkEntry {
     Flit flit;
-    // Destination: either a router input port or an endpoint ejection.
-    std::uint32_t dst_router = 0;
-    std::uint32_t dst_port = 0;
-    bool to_endpoint = false;
-    EndpointId endpoint = kInvalidEndpoint;
-  };
-
-  struct CreditReturn {
-    // Either a router output port or an endpoint injection credit.
-    std::uint32_t router = 0;
-    std::uint32_t port = 0;
-    bool to_endpoint = false;
-    EndpointId endpoint = kInvalidEndpoint;
+    std::uint32_t to = kEject;  // input id, or kEject
   };
 
   [[nodiscard]] std::uint32_t router_index(std::uint32_t x,
@@ -152,11 +147,9 @@ class MeshNetwork {
   /// finalize() calls it, to fill port_of_.
   [[nodiscard]] std::uint32_t route(const Router& r, EndpointId dst) const;
 
-  void apply_credits();
   void phase_route();
   void phase_arrive();
   void phase_inject();
-  void return_credit_for_input(std::uint32_t router, std::uint32_t port);
 
   std::uint32_t width_;
   std::uint32_t height_;
@@ -166,9 +159,11 @@ class MeshNetwork {
 
   std::vector<Router> routers_;
   std::vector<std::uint32_t> local_ports_per_router_;
-  // (router, local port - kFirstLocalPort) -> owning endpoint, built by
-  // finalize() so credit returns need no endpoint scan.
-  std::vector<std::vector<EndpointId>> local_port_owner_;
+  // Input id -> the sender's credits for that buffer (the port graph).
+  std::vector<std::uint32_t> credits_;
+  // router * kMaxPorts + mesh output -> input id across that link, or
+  // kNoLink at the mesh edge.
+  std::vector<std::uint32_t> next_input_;
   // (router, destination endpoint) -> output port, row-major by router;
   // built by finalize() from route().
   std::vector<std::uint8_t> port_of_;
@@ -179,10 +174,13 @@ class MeshNetwork {
   // push-ordered vector each; phase_arrive consumes links_due_ in order.
   std::vector<LinkEntry> links_;
   std::vector<LinkEntry> links_due_;
-  // Credit returns: made this tick / applied this tick.
-  std::vector<CreditReturn> credits_;
-  std::vector<CreditReturn> credits_due_;
-  std::unordered_map<std::uint64_t, Message> inflight_;
+  // Credit returns made this tick, as the input id of each popped flit;
+  // the next tick applies them before routing.
+  std::vector<std::uint32_t> credit_returns_;
+  // Packet slot pool: a flit carries its packet's slot; a delivered
+  // packet's slot (seq reset to 0) goes on free_packets_ for reuse.
+  std::vector<Message> packets_;
+  std::vector<std::uint32_t> free_packets_;
   NocStats stats_;
   trace::Tracer tracer_;
 };

@@ -12,6 +12,8 @@
 // dimension-order XY, which is deadlock-free on a mesh. Arbitration is
 // input-first (DESIGN.md §18): each input's front flit requests one output
 // and every output picks among its requesters with bitmask operations.
+// The credits that guard each input buffer, and the links between routers,
+// live in MeshNetwork's port graph, keyed by input id.
 #pragma once
 
 #include <array>
@@ -35,7 +37,8 @@ inline constexpr std::uint32_t kPortSouth = 1;
 inline constexpr std::uint32_t kPortEast = 2;
 inline constexpr std::uint32_t kPortWest = 3;
 inline constexpr std::uint32_t kFirstLocalPort = 4;
-/// Arbitration keeps one bit per port in a 32-bit mask.
+/// Arbitration keeps one bit per port in a 32-bit mask. An input buffer's
+/// id in the network is router index * kMaxPorts + port.
 inline constexpr std::uint32_t kMaxPorts = 32;
 
 class MeshNetwork;
@@ -96,9 +99,6 @@ class Router {
     int locked_input = -1;
     // Round-robin arbitration pointer.
     std::uint32_t rr_next = 0;
-    // Credits available at the downstream input buffer (mesh ports only;
-    // local/ejection ports are rate-limited, not credited).
-    std::uint32_t credits = 0;
   };
 
   std::uint32_t x_;

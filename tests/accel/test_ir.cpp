@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -19,6 +20,7 @@
 #include "accel/verify.hpp"
 #include "gnn/model.hpp"
 #include "sim/session.hpp"
+#include "temp_path.hpp"
 
 #ifndef GNNA_SOURCE_DIR
 #define GNNA_SOURCE_DIR "."
@@ -297,14 +299,15 @@ TEST(Ir, GoldenFilesMatchCompilerOutputByteExactly) {
 }
 
 TEST(Ir, GoldenFilesRoundTripThroughLoadAndSave) {
+  const std::string tmp = test::temp_path("resaved.gnna");
   for (const GoldenEntry& g : kGoldens) {
     const std::string path = golden_path(g.file);
     const CompiledProgram prog = ir::load_file(path);
     EXPECT_EQ(ir::serialize(prog), read_file(path)) << g.file;
-    const std::string tmp = ::testing::TempDir() + "resaved.gnna";
     ir::save_file(prog, tmp);
     EXPECT_EQ(read_file(tmp), read_file(path)) << g.file;
   }
+  std::remove(tmp.c_str());
 }
 
 TEST(Ir, ReloadedGoldenSimulatesBitIdentically) {

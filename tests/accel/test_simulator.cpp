@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -16,19 +14,12 @@
 #include "common/rng.hpp"
 #include "gnn/model.hpp"
 #include "graph/generator.hpp"
+#include "temp_path.hpp"
 
 namespace gnna::accel {
 namespace {
 
-/// A path under TempDir() that only the running test of this process
-/// writes, `<suite>.<test>.<pid>.<name>`, so that suites of two build trees
-/// run at once keep apart. The test removes it.
-std::string temp_path(const std::string& name) {
-  const ::testing::TestInfo* t =
-      ::testing::UnitTest::GetInstance()->current_test_info();
-  return ::testing::TempDir() + t->test_suite_name() + "." + t->name() + "." +
-         std::to_string(::getpid()) + "." + name;
-}
+using test::temp_path;
 
 graph::Dataset small_dataset(NodeId n = 40, EdgeId e = 100,
                              std::uint32_t vf = 8, std::uint32_t ef = 0,

@@ -266,6 +266,18 @@ TEST(Mesh, DumpStateNamesPortsAndWormholeLocks) {
   EXPECT_NE(dump.find(" L0="), std::string::npos);
   EXPECT_NE(dump.find("/4"), std::string::npos);
   EXPECT_NE(dump.find("locked="), std::string::npos);
+  // The oldest packet is listed first, and only outputs with a link are:
+  // router (0,0) of a 3x1 mesh has no north, south or west neighbour, and
+  // no flit heads west. The credits are the sender's, read at cycle 6.
+  const std::size_t first_packet = dump.find("    packet ");
+  ASSERT_NE(first_packet, std::string::npos);
+  EXPECT_EQ(dump.compare(first_packet, 17, "    packet seq=1 "), 0) << dump;
+  EXPECT_EQ(dump.find("out N"), std::string::npos) << dump;
+  EXPECT_EQ(dump.find("out S"), std::string::npos) << dump;
+  EXPECT_EQ(dump.find("out W"), std::string::npos) << dump;
+  EXPECT_NE(dump.find("out E: locked=L0 credits=1"), std::string::npos)
+      << dump;
+  EXPECT_NE(dump.find("injection_credits=1"), std::string::npos) << dump;
 
   while (!net.idle()) {
     net.tick();

@@ -2,7 +2,6 @@
 // and fresh inputs produce bit-identical stats) and the caches actually
 // hit on repeated resolution.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -18,6 +17,7 @@
 #include "sim/manifest.hpp"
 #include "sim/session.hpp"
 #include "sim/stats_json.hpp"
+#include "temp_path.hpp"
 
 namespace gnna::sim {
 namespace {
@@ -27,15 +27,7 @@ namespace {
 // vertices but its anchor-set model is ~100x more expensive.)
 constexpr gnn::Benchmark kSmall = gnn::Benchmark::kGcnCora;
 
-/// A path under TempDir() that only the running test of this process
-/// writes, `<suite>.<test>.<pid>.<name>`, so that suites of two build trees
-/// run at once keep apart. The test removes it.
-std::string temp_path(const std::string& name) {
-  const ::testing::TestInfo* t =
-      ::testing::UnitTest::GetInstance()->current_test_info();
-  return ::testing::TempDir() + t->test_suite_name() + "." + t->name() + "." +
-         std::to_string(::getpid()) + "." + name;
-}
+using test::temp_path;
 
 void expect_same_stats(const accel::RunStats& a, const accel::RunStats& b) {
   EXPECT_EQ(a.cycles, b.cycles);

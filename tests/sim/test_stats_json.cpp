@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "sim/session.hpp"
+#include "temp_path.hpp"
 
 namespace gnna::sim {
 namespace {
@@ -22,8 +23,7 @@ namespace {
 class TempJson {
  public:
   explicit TempJson(const std::string& text)
-      : path_(std::string(::testing::TempDir()) + "stats_json_" +
-              std::to_string(counter_++) + ".json") {
+      : path_(test::temp_path(std::to_string(counter_++) + ".json")) {
     std::ofstream out(path_);
     out << text;
   }
