@@ -145,10 +145,10 @@ void Agg::tick() {
 #ifndef NDEBUG
     if (!entry_active(h)) {
       std::fprintf(stderr,
-                   "AGG: dead contribution handle=%u kind=%d payload=%u "
+                   "AGG: dead contribution handle=%u kind=%s payload=%u "
                    "src=%u live=%u\n",
-                   h, static_cast<int>(msg.kind), msg.payload_bytes, msg.src,
-                   live_entries_);
+                   h, noc::msg_kind_name(msg.kind), msg.payload_bytes,
+                   msg.src, live_entries_);
     }
 #endif
     assert(entry_active(h) && "contribution to dead aggregation");

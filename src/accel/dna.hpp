@@ -80,7 +80,6 @@ class Dna {
   [[nodiscard]] bool idle() const {
     return results_.empty() && !busy_ && weights_pending_ == 0;
   }
-  [[nodiscard]] bool weights_loaded() const { return weights_pending_ == 0; }
   [[nodiscard]] const DnaStats& stats() const { return stats_; }
 
   /// Attach an event tracer (per-entry array occupancy). Disabled by

@@ -1,5 +1,6 @@
 #include "accel/ir.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cstdio>
@@ -246,6 +247,20 @@ dataflow::MatmulShape parse_shape(const LineLexer& lex,
   s.k = lex.parse_u64(lex.kv(toks[2], "k"), "k");
   s.n = lex.parse_u64(lex.kv(toks[3], "n"), "n");
   s.weight_density = lex.parse_f64(lex.kv(toks[4], "density"), "density");
+  // The mapper counts a zero dimension as 1; so does the bound.
+  std::uint64_t macs = 1;
+  for (const std::uint64_t dim : {s.m, s.k, s.n}) {
+    const std::uint64_t d = std::max<std::uint64_t>(dim, 1);
+    if (d > kMaxShapeMacs / macs) {
+      lex.fail("shape m*k*n exceeds " + std::to_string(kMaxShapeMacs) +
+               " (2^48)");
+    }
+    macs *= d;
+  }
+  if (!(s.weight_density >= 0.0 && s.weight_density <= 1.0)) {
+    lex.fail("density must be a number in [0, 1], got '" +
+             lex.kv(toks[4], "density").text + "'");
+  }
   return s;
 }
 

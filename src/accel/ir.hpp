@@ -39,6 +39,11 @@ inline constexpr int kIrVersion = 1;
 /// Conventional file extension for serialized programs.
 inline constexpr const char* kIrExtension = ".gnna";
 
+/// Largest m*k*n a dna_shape or dna2_shape line may give, each dimension
+/// counted as at least 1; parse() rejects a larger one. The built-in
+/// benchmarks' largest is 2^19.
+inline constexpr std::uint64_t kMaxShapeMacs = std::uint64_t{1} << 48;
+
 /// Thrown by parse()/load_file() with a message of the form
 /// "<source>:<line>: <reason>" so editors and CI logs can jump to the
 /// offending line.

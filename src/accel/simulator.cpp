@@ -134,8 +134,7 @@ void AcceleratorSim::begin_sampling() {
   *trace_.sample_out << sample_csv_header(mems_.size()) << '\n';
 }
 
-void AcceleratorSim::maybe_sample(const std::string& phase_name) {
-  if (trace_.sample_every == 0 || net_->now() < next_sample_) return;
+void AcceleratorSim::sample(const std::string& phase_name) {
   const Cycle now = net_->now();
   const Cycle window = now - last_sample_cycle_;
   last_sample_cycle_ = now;
@@ -206,6 +205,17 @@ void AcceleratorSim::maybe_sample(const std::string& phase_name) {
   }
 }
 
+void AcceleratorSim::trip_watchdog(const std::string& phase) const {
+  std::string report = deadlock_report(phase);
+  const std::string& path = trace_.deadlock_report_path;
+  if (!path.empty() && !(std::ofstream(path) << report << std::flush)) {
+    report += "(cannot write this report to " + path + ")\n";
+  }
+  throw std::runtime_error("AcceleratorSim: no progress in phase " + phase +
+                           " for " + std::to_string(watchdog_cycles_) +
+                           " cycles (deadlock?)\n" + report);
+}
+
 std::string AcceleratorSim::deadlock_report(const std::string& phase) const {
   std::ostringstream os;
   os << "=== deadlock diagnostics (phase '" << phase << "', cycle "
@@ -247,8 +257,10 @@ std::uint64_t AcceleratorSim::progress_signature() const {
 }
 
 Cycle AcceleratorSim::next_event(Cycle now) const {
-  // A unit due `now` rules out a jump; the rest need not be asked.
-  Cycle t = kNeverCycle;
+  // A unit due `now` rules out a jump; the rest need not be asked. The
+  // NoC goes first: on a busy mesh it is due every cycle.
+  Cycle t = net_->next_event(now);
+  if (t <= now) return now;
   for (const auto& tile : tiles_) {
     t = std::min(t, tile->next_event(now));
     if (t <= now) return now;
@@ -328,26 +340,13 @@ RunStats AcceleratorSim::run(const CompiledProgram& prog,
       tiles_[t]->begin_phase(prog, ds, phase, std::move(work[t]));
     }
 
-    // Run to the global barrier. Each pass ticks one cycle; when the NoC
-    // is quiescent afterwards, the clock jumps to the earliest cycle at
-    // which any unit's tick could change state (DESIGN.md §17). The jump
-    // stops at the next sample and at the watchdog's trip cycle, and both
-    // are checked again after it, so samples and the trip land on the same
-    // cycles as ticking every cycle would.
+    // Run to the global barrier. Each pass ticks one cycle, then jumps the
+    // clock to the next cycle at which anything can happen: a unit's next
+    // event, the next sample or the watchdog's trip (DESIGN.md §17). A due
+    // sample or trip blocks the jump, so both land on the cycles that
+    // ticking every cycle would give them.
     std::uint64_t last_sig = progress_signature();
     Cycle last_progress = net_->now();
-    const auto check_watchdog = [&] {
-      if (net_->now() - last_progress <= watchdog_cycles_) return;
-      std::string report = deadlock_report(phase.name);
-      const std::string& path = trace_.deadlock_report_path;
-      if (!path.empty() && !(std::ofstream(path) << report << std::flush)) {
-        report += "(cannot write this report to " + path + ")\n";
-      }
-      throw std::runtime_error(
-          "AcceleratorSim: no progress in phase " + phase.name + " for " +
-          std::to_string(watchdog_cycles_) + " cycles (deadlock?)\n" +
-          report);
-    };
     bool idle = everything_idle();
     while (!idle) {
       const Cycle now = net_->now();
@@ -356,29 +355,29 @@ RunStats AcceleratorSim::run(const CompiledProgram& prog,
         if (reference_loop_ || m->next_event(now) <= now) m->tick();
       }
       net_->tick();
-      if (trace_.sample_every != 0) maybe_sample(phase.name);
+      const Cycle at = net_->now();
       const std::uint64_t sig = progress_signature();
       if (sig != last_sig) {
         last_sig = sig;
-        last_progress = net_->now();
-      } else {
-        check_watchdog();
+        last_progress = at;
       }
       idle = everything_idle();
-      if (idle || reference_loop_ || !net_->quiescent()) continue;
 
-      const Cycle at = net_->now();
-      Cycle next = next_event(at);
-      if (trace_.sample_every != 0) next = std::min(next, next_sample_);
-      const Cycle trip = last_progress + watchdog_cycles_ + 1;
-      next = std::min(next, trip > last_progress ? trip : kNeverCycle);
+      Cycle next = at;
+      if (!idle && !reference_loop_) {
+        const Cycle trip = last_progress + watchdog_cycles_ + 1;
+        next = std::min({next_event(at), next_sample_,
+                         trip > last_progress ? trip : kNeverCycle});
+      }
       if (next > at) {
         // Only spinning GPEs tick before `next`, and they retire no work,
         // so the progress signature cannot move.
         advance_spinning(at, next);
         net_->skip_to(next);
-        if (trace_.sample_every != 0) maybe_sample(phase.name);
-        check_watchdog();
+      }
+      if (net_->now() >= next_sample_) sample(phase.name);
+      if (net_->now() - last_progress > watchdog_cycles_) {
+        trip_watchdog(phase.name);
       }
     }
 

@@ -201,13 +201,18 @@ class AcceleratorSim {
   void build();
   void attach_tracers(const CompiledProgram& prog);
   void begin_sampling();
-  void maybe_sample(const std::string& phase_name);
+  /// Emit one sampler row (and counter events) for the current cycle and
+  /// schedule the next.
+  void sample(const std::string& phase_name);
+  /// The watchdog trip: throws std::runtime_error with deadlock_report(),
+  /// which also goes to TraceOptions::deadlock_report_path if set.
+  [[noreturn]] void trip_watchdog(const std::string& phase) const;
   [[nodiscard]] bool everything_idle() const;
   /// Retired work so far; the watchdog trips when it stops changing.
   [[nodiscard]] std::uint64_t progress_signature() const;
-  /// Earliest cycle >= `now` at which any tile or memory controller tick
-  /// could change state (kNeverCycle if none can without the NoC), leaving
-  /// out spinning GPEs.
+  /// Earliest cycle >= `now` at which the NoC's, any tile's or any memory
+  /// controller's tick could change state (kNeverCycle if none can),
+  /// leaving out spinning GPEs.
   [[nodiscard]] Cycle next_event(Cycle now) const;
   /// Advance every spinning GPE through its event cycles from `at` to
   /// before `to`, all through Gpe::spin, in (cycle, tile) order: GPEs due
@@ -241,8 +246,9 @@ class AcceleratorSim {
   std::vector<std::uint32_t> ep_to_tile_;
   std::vector<double> profile_loads_;
 
-  // Periodic-sampler state (valid during run()).
-  Cycle next_sample_ = 0;
+  // Periodic-sampler state (valid during run()); next_sample_ stays
+  // kNeverCycle with sampling off.
+  Cycle next_sample_ = kNeverCycle;
   Cycle last_sample_cycle_ = 0;
   std::uint64_t prev_gpe_busy_ = 0;  // busy times (ClockRatio)
   std::uint64_t prev_dna_busy_ = 0;

@@ -14,11 +14,15 @@ namespace {
 }
 
 /// Candidate tile sizes for one dimension: multiples of `step` by powers of
-/// two, clamped to `limit`, always including `limit` itself.
+/// two, clamped to `limit`, always including `limit` itself. Doubling
+/// stops once it would pass `limit`, before `t` can wrap.
 std::vector<std::uint64_t> tile_candidates(std::uint64_t step,
                                            std::uint64_t limit) {
   std::vector<std::uint64_t> out;
-  for (std::uint64_t t = step; t < limit; t *= 2) out.push_back(t);
+  for (std::uint64_t t = step; t < limit; t *= 2) {
+    out.push_back(t);
+    if (t > limit / 2) break;
+  }
   out.push_back(limit);
   return out;
 }

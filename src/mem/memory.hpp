@@ -38,6 +38,7 @@
 #include <cmath>
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <optional>
 #include <string_view>
 #include <vector>
@@ -129,27 +130,33 @@ class MemoryController {
 
   void tick();
 
-  /// Earliest NoC cycle >= `now` at which tick() could change state:
-  /// `now` while a request waits in the NoC and a slot is free; else the
-  /// in-order queue's head completion, or `now` whenever the FR-FCFS
-  /// window is non-empty (its scheduler is not predicted). kNeverCycle
-  /// when only a NoC delivery can wake it.
+  /// Earliest NoC cycle >= `now` at which tick() can change state, by the
+  /// comparisons tick() makes (DESIGN.md §17): `now` while a request
+  /// waits in the NoC and a slot is free; else, in-order, the cycle the
+  /// head retires; FR-FCFS, the earliest of the cycles an issued request
+  /// retires and, while one waits unissued, the first cycle c with
+  /// dram_free_at_ <= c + 1. kNeverCycle when only a NoC delivery can
+  /// wake it.
   [[nodiscard]] Cycle next_event(Cycle now) const {
     if (queue_.size() < capacity() &&
         net_.delivery_queue_depth(endpoint_) != 0) {
       return now;
     }
     if (queue_.empty()) return kNeverCycle;
-    if (frfcfs_) return now;
-    return std::max(now,
-                    static_cast<Cycle>(std::ceil(queue_.front().respond_at)));
+    if (!frfcfs_) return first_cycle_from(now, queue_.front().respond_at);
+    // dram_free_at_ <= c + 1 iff dram_free_at_ - 1 <= c: the subtraction
+    // is exact on bus times in [1, 2^53), and one below 1 gives `now`.
+    double t = std::numeric_limits<double>::infinity();
+    for (const InFlight& f : queue_) {
+      t = std::min(t, f.issued ? f.respond_at : dram_free_at_ - 1.0);
+    }
+    return first_cycle_from(now, t);
   }
 
   [[nodiscard]] bool idle() const {
     return queue_.empty() && net_.delivery_queue_depth(endpoint_) == 0;
   }
 
-  [[nodiscard]] EndpointId endpoint() const { return endpoint_; }
   [[nodiscard]] const MemParams& params() const { return params_; }
   [[nodiscard]] const MemStats& stats() const { return stats_; }
 
@@ -189,6 +196,11 @@ class MemoryController {
     double busy_until = 0.0;    // for non-overlapped busy accounting
   };
 
+  /// First cycle c >= `now` with t <= c.
+  [[nodiscard]] static Cycle first_cycle_from(Cycle now, double t) {
+    const double c = std::ceil(t);
+    return c <= static_cast<double>(now) ? now : static_cast<Cycle>(c);
+  }
   [[nodiscard]] std::uint32_t capacity() const {
     return frfcfs_ ? params_.window_entries : params_.queue_entries;
   }

@@ -26,10 +26,7 @@ enum class MsgKind : std::uint8_t {
   kMemReadResp,   // a: address, b: bytes, c: requester tag
   kMemWriteReq,   // a: address, b: bytes
   kDnqWrite,      // a: queue entry handle, b: word offset, c: vertex
-  kDnaResult,     // a: vertex, b: bytes, c: layer
   kAggWrite,      // a: aggregation handle, b: contribution index, c: vertex
-  kAggResult,     // a: aggregation handle, c: vertex
-  kControl,       // runtime configuration / barrier tokens
 };
 
 /// Stable short name, used by trace events and deadlock dumps.
@@ -40,16 +37,13 @@ enum class MsgKind : std::uint8_t {
     case MsgKind::kMemReadResp: return "mem_read_resp";
     case MsgKind::kMemWriteReq: return "mem_write_req";
     case MsgKind::kDnqWrite: return "dnq_write";
-    case MsgKind::kDnaResult: return "dna_result";
     case MsgKind::kAggWrite: return "agg_write";
-    case MsgKind::kAggResult: return "agg_result";
-    case MsgKind::kControl: return "control";
   }
   return "?";
 }
 
-/// Work-attribution owner id meaning "no owner" (weight preloads, control
-/// traffic). Mirrors trace::kUnowned; the NoC itself never inspects it.
+/// Work-attribution owner id meaning "no owner" (e.g. weight preloads).
+/// Mirrors trace::kUnowned; the NoC itself never inspects it.
 inline constexpr std::uint32_t kNoOwner = 0xffffffffU;
 
 /// A component-to-component message.

@@ -18,10 +18,7 @@ namespace {
     case MsgKind::kMemReadResp: return "send:mem_read_resp";
     case MsgKind::kMemWriteReq: return "send:mem_write_req";
     case MsgKind::kDnqWrite: return "send:dnq_write";
-    case MsgKind::kDnaResult: return "send:dna_result";
     case MsgKind::kAggWrite: return "send:agg_write";
-    case MsgKind::kAggResult: return "send:agg_result";
-    case MsgKind::kControl: return "send:control";
   }
   return "send:?";
 }

@@ -79,6 +79,13 @@ class MeshNetwork {
            inflight_packets() == 0;
   }
 
+  /// Earliest cycle >= `now` at which tick() could change state: `now`
+  /// unless quiescent(), and then kNeverCycle, as only a send() can wake
+  /// it.
+  [[nodiscard]] Cycle next_event(Cycle now) const {
+    return quiescent() ? kNeverCycle : now;
+  }
+
   /// Jump the clock forward to `t` (>= now()). Only valid while
   /// quiescent(), where it equals t - now() ticks.
   void skip_to(Cycle t);

@@ -25,7 +25,7 @@
 
 namespace gnna::trace {
 
-/// Owner id meaning "no owner" (weight preloads, control traffic).
+/// Owner id meaning "no owner" (e.g. weight preloads).
 /// Matches noc::kNoOwner without depending on the noc headers.
 inline constexpr std::uint32_t kUnowned = 0xffffffffU;
 

@@ -283,6 +283,38 @@ TEST(Ir, ParseErrorsCarrySourceAndLine) {
                      "unterminated quoted string");
 }
 
+TEST(Ir, ParseRejectsHugeShapesAndDensitiesOutsideTheUnitRange) {
+  // Each case edits line 28 of gcn_cora.gnna, phase 0's dna_shape. Left
+  // to the mapper, these wrapped m*k*n, looped its tile search until
+  // memory ran out, or cast NaN to an integer.
+  const std::string golden = read_file(golden_path("gcn_cora.gnna"));
+  const std::string line = "dna_shape m=1 k=1433 n=16 density=1";
+  ASSERT_NE(golden.find(line), std::string::npos);
+  const auto with_shape = [&](const std::string& shape) {
+    std::string text = golden;
+    text.replace(text.find(line), line.size(), "dna_shape " + shape);
+    return text;
+  };
+  for (const char* shape : {
+           "m=18446744073709551615 k=1433 n=16 density=1",
+           "m=9223372036854775808 k=1433 n=16 density=1",
+           "m=281474976710657 k=1 n=1 density=1",      // 2^48 + 1
+           "m=0 k=16777216 n=16777217 density=1",      // a 0 counts as 1
+       }) {
+    expect_parse_error(with_shape(shape), 28, "shape m*k*n exceeds");
+  }
+  for (const char* density : {"nan", "-3", "inf", "1.5", "-0.001"}) {
+    expect_parse_error(
+        with_shape(std::string("m=1 k=1433 n=16 density=") + density), 28,
+        "density must be a number in [0, 1]");
+  }
+  // The bounds themselves parse.
+  for (const char* shape : {"m=1 k=16777216 n=16777216 density=1",
+                            "m=1 k=1433 n=16 density=0"}) {
+    EXPECT_NO_THROW((void)ir::parse(with_shape(shape), "ok")) << shape;
+  }
+}
+
 // ---- golden files ----
 
 TEST(Ir, GoldenFilesMatchCompilerOutputByteExactly) {

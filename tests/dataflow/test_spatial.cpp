@@ -161,6 +161,19 @@ TEST(Mapper, DegenerateShapesAreSafe) {
   }
 }
 
+TEST(Mapper, TileSearchStopsBeforeDoublingWraps) {
+  // Doubling a tile size of 13 (rows) or 14 (columns) toward a limit
+  // near 2^64 wraps it below the limit again; the search must stop before
+  // that instead of pushing candidates until memory runs out.
+  const Mapper m(kArray);
+  const std::uint64_t big = ~std::uint64_t{0};
+  for (const MatmulShape& s : {MatmulShape{big, 1, 1, 1.0},
+                               MatmulShape{1, 1, big, 1.0}}) {
+    const MappingStats st = m.map_with(s, Dataflow::kOutputStationary);
+    EXPECT_EQ(st.total_macs, big);
+  }
+}
+
 TEST(Dataflow, ToString) {
   EXPECT_EQ(to_string(Dataflow::kOutputStationary), "output-stationary");
   EXPECT_EQ(to_string(Dataflow::kWeightStationary), "weight-stationary");

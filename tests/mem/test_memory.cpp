@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <string>
+#include <vector>
 
 namespace gnna::mem {
 namespace {
@@ -522,6 +524,93 @@ TEST(Memory, FrfcfsWindowBackpressuresLikeInOrderQueue) {
   const auto out = rig.collect(16, 10'000'000);
   EXPECT_EQ(out.size(), 16U);
   EXPECT_TRUE(rig.mem->idle());
+}
+
+TEST(Memory, TickingOnlyAtNextEventChangesNothing) {
+  // Two identical controllers get the same mixed traffic over four banks:
+  // one ticks every cycle, the other only when next_event() says a tick
+  // can change state. A next event later than the first state change
+  // would move a response or a stat; every skipped tick changes nothing.
+  for (const MemScheduler sched :
+       {MemScheduler::kInOrder, MemScheduler::kFrFcfs}) {
+    for (const bool bank_xor : {false, true}) {
+      SCOPED_TRACE(std::string(mem_scheduler_name(sched)) +
+                   (bank_xor ? " bank_xor" : ""));
+      MemParams p = Rig::default_params();
+      p.bandwidth = Bandwidth::gb_per_s(68.0);  // fractional bus times
+      p.scheduler = sched;
+      p.queue_entries = 6;  // small enough that requests wait in the NoC
+      p.window_entries = 6;
+      p.banks = 4;
+      p.row_bytes = 512;
+      p.starvation_cap = 3;
+      p.bank_xor = bank_xor;
+      Rig every(p);
+      Rig lazy(p);
+      std::vector<noc::Message> got_every;
+      std::vector<noc::Message> got_lazy;
+      std::uint64_t lazy_ticks = 0;
+      std::uint64_t x = 12345;  // LCG: addresses, sizes, kinds
+      std::uint32_t sent = 0;
+      for (Cycle c = 0; c < 20'000; ++c) {
+        // A burst of 0-3 requests every 16 cycles until 120 are sent.
+        if (c % 16 == 0 && sent < 120) {
+          for (std::uint64_t k = c / 16 % 4; k > 0; --k, ++sent) {
+            x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+            const Addr addr = (x >> 33) % 64 * 192;
+            const std::uint64_t bytes = 32 + (x >> 20) % 8 * 200;
+            for (Rig* rig : {&every, &lazy}) {
+              if ((x >> 12) % 4 == 0) {
+                rig->send_write(addr, bytes);
+              } else {
+                rig->send_read(addr, bytes, sent);
+              }
+            }
+          }
+        }
+        every.mem->tick();
+        if (lazy.mem->next_event(lazy.net.now()) <= lazy.net.now()) {
+          lazy.mem->tick();
+          ++lazy_ticks;
+        }
+        for (Rig* rig : {&every, &lazy}) rig->net.tick();
+        while (auto m = every.net.poll(every.requester)) {
+          got_every.push_back(*m);
+        }
+        while (auto m = lazy.net.poll(lazy.requester)) {
+          got_lazy.push_back(*m);
+        }
+      }
+      ASSERT_TRUE(every.mem->idle());
+      ASSERT_TRUE(lazy.mem->idle());
+      EXPECT_LT(lazy_ticks, 20'000U / 4) << "next_event skipped too little";
+
+      ASSERT_GT(got_every.size(), 50U);
+      ASSERT_EQ(got_every.size(), got_lazy.size());
+      for (std::size_t i = 0; i < got_every.size(); ++i) {
+        EXPECT_EQ(got_every[i].c, got_lazy[i].c) << i;
+        EXPECT_EQ(got_every[i].delivered_at, got_lazy[i].delivered_at) << i;
+      }
+      const MemStats& a = every.mem->stats();
+      const MemStats& b = lazy.mem->stats();
+      EXPECT_EQ(a.bytes_requested.value(), b.bytes_requested.value());
+      EXPECT_EQ(a.bytes_served.value(), b.bytes_served.value());
+      EXPECT_EQ(a.queue_depth.sum(), b.queue_depth.sum());
+      EXPECT_EQ(a.queue_depth.weight(), b.queue_depth.weight());
+      EXPECT_EQ(a.queue_depth.max(), b.queue_depth.max());
+      ASSERT_EQ(a.banks.size(), b.banks.size());
+      for (std::size_t k = 0; k < a.banks.size(); ++k) {
+        EXPECT_EQ(a.banks[k].row_hits.value(), b.banks[k].row_hits.value());
+        EXPECT_EQ(a.banks[k].row_misses.value(),
+                  b.banks[k].row_misses.value());
+        EXPECT_EQ(a.banks[k].busy_cycles, b.banks[k].busy_cycles);
+      }
+      if (sched == MemScheduler::kFrFcfs) {
+        EXPECT_GT(every.mem->row_hits(), 0U);
+        EXPECT_GT(every.mem->row_misses(), 0U);
+      }
+    }
+  }
 }
 
 }  // namespace
