@@ -471,8 +471,9 @@ struct LoopRun {
 };
 
 LoopRun run_loop(const CompiledProgram& prog, const graph::Dataset& ds,
-                 const AcceleratorConfig& cfg, Loop loop) {
-  AcceleratorSim sim(cfg);
+                 const AcceleratorConfig& cfg, Loop loop,
+                 graph::PartitionPolicy partition) {
+  AcceleratorSim sim(cfg, partition);
   sim.set_reference_loop(loop == Loop::kReference);
   Fnv1a h;
   HashSink sink(h);
@@ -500,12 +501,15 @@ struct MostSpinning {
 
 /// Runs `cfg` on all three loops and requires the reference loop's stats
 /// JSON from both jumping ones and its trace from the traced one.
-MostSpinning expect_loops_agree(const CompiledProgram& prog,
-                                const graph::Dataset& ds,
-                                const AcceleratorConfig& cfg) {
-  const LoopRun reference = run_loop(prog, ds, cfg, Loop::kReference);
-  const LoopRun traced = run_loop(prog, ds, cfg, Loop::kTraced);
-  const LoopRun untraced = run_loop(prog, ds, cfg, Loop::kUntraced);
+MostSpinning expect_loops_agree(
+    const CompiledProgram& prog, const graph::Dataset& ds,
+    const AcceleratorConfig& cfg,
+    graph::PartitionPolicy partition = graph::PartitionPolicy::kRoundRobin) {
+  const LoopRun reference =
+      run_loop(prog, ds, cfg, Loop::kReference, partition);
+  const LoopRun traced = run_loop(prog, ds, cfg, Loop::kTraced, partition);
+  const LoopRun untraced =
+      run_loop(prog, ds, cfg, Loop::kUntraced, partition);
   EXPECT_EQ(traced.json, reference.json);
   EXPECT_EQ(traced.trace, reference.trace) << "the traces differ";
   EXPECT_EQ(untraced.json, reference.json) << "untraced";
@@ -573,6 +577,27 @@ TEST_P(LoopReference, InexactCoreClocksMatch) {
                                       .with_core_clock(ghz);
     const SweepCase sc = sweep_case(p, seed, cfg, threads, combo % 3 == 0);
     expect_loops_agree(sc.prog, sc.ds, sc.cfg);
+  }
+}
+
+// gpu-iso-flops, whose 16 tiles and 8 memory controllers make 56 NoC
+// endpoints, and gpu-iso-bw under each partition policy that needs no
+// profile, on 12 more seeded graphs.
+TEST_P(LoopReference, FlopsConfigAndPartitionsMatch) {
+  const Program p = GetParam();
+  for (std::uint32_t combo = 0; combo < 12; ++combo) {
+    const bool flops = (combo & 1U) != 0;
+    const std::uint32_t threads = (combo & 2U) != 0 ? 16 : 1;
+    const auto partition = static_cast<graph::PartitionPolicy>(combo >> 2);
+    const std::uint64_t seed =
+        100 * static_cast<std::uint64_t>(p) + 24 + combo;
+    SCOPED_TRACE("combo " + std::to_string(combo) + ", seed " +
+                 std::to_string(seed));
+    const SweepCase sc = sweep_case(p, seed,
+                                    flops ? AcceleratorConfig::gpu_iso_flops()
+                                          : AcceleratorConfig::gpu_iso_bw(),
+                                    threads, combo % 3 == 0);
+    expect_loops_agree(sc.prog, sc.ds, sc.cfg, partition);
   }
 }
 
