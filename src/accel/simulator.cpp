@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <fstream>
 #include <iostream>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 
@@ -50,13 +51,18 @@ void AcceleratorSim::build() {
     ep_to_tile_.insert(ep_to_tile_.end(), 3, tile);
     tile_eps.push_back(eps);
   }
+  // A tile's calendar entry is its index; the memory controllers follow.
+  ep_unit_ = ep_to_tile_;
   std::vector<EndpointId> mem_eps;
   mem_eps.reserve(cfg_.mem_coords.size());
   for (const auto& [x, y] : cfg_.mem_coords) {
+    ep_unit_.push_back(static_cast<std::uint32_t>(
+        cfg_.tile_coords.size() + mem_eps.size()));
     mem_eps.push_back(net_->add_endpoint(x, y));
     ep_to_tile_.push_back(trace::Attribution::kNoTile);
   }
   net_->finalize();
+  calendar_.assign(tile_eps.size() + mem_eps.size(), CalendarEntry{});
 
   addr_map_ = std::make_unique<AddressMap>(mem_eps, cfg_.interleave_bytes);
   for (const auto& eps : tile_eps) {
@@ -232,66 +238,63 @@ std::string AcceleratorSim::deadlock_report(const std::string& phase) const {
   return os.str();
 }
 
-bool AcceleratorSim::everything_idle() const {
-  for (const auto& t : tiles_) {
-    if (!t->idle()) return false;
-  }
-  for (const auto& m : mems_) {
-    if (!m->idle()) return false;
-  }
-  return net_->idle();
-}
-
-std::uint64_t AcceleratorSim::progress_signature() const {
+void AcceleratorSim::settle(std::size_t u, bool idle,
+                            std::uint64_t retired) {
   // Retired work only. Sends and GPE actions do not count: a thread that
   // retries a failed allocation every 16 cycles sends nothing and retires
   // nothing, and must trip the watchdog instead of spinning forever.
-  std::uint64_t sig = net_->stats().packets_delivered.value();
-  for (const auto& m : mems_) sig += m->stats().bytes_served.value();
-  for (const auto& t : tiles_) {
-    sig += t->gpe().stats().tasks_completed.value();
-    sig += t->dna().stats().entries_processed.value();
-    sig += t->agg().stats().contributions.value();
+  CalendarEntry& e = calendar_[u];
+  if (idle != e.idle) {
+    busy_units_ = idle ? busy_units_ - 1 : busy_units_ + 1;
+    e.idle = idle;
   }
-  return sig;
+  retired_ += retired - e.retired;
+  e.retired = retired;
+}
+
+void AcceleratorSim::tick_tile(std::size_t i, Cycle now) {
+  Tile& tile = *tiles_[i];
+  tile.tick();
+  calendar_[i].due = tile.next_event(now + 1);
+  calendar_[i].retry = tile.next_retry(now + 1);
+  settle(i, tile.idle(), tile.retired());
+}
+
+void AcceleratorSim::tick_mem(std::size_t i, Cycle now) {
+  mem::MemoryController& m = *mems_[i];
+  m.tick();
+  const std::size_t u = tiles_.size() + i;
+  calendar_[u].due = m.next_event(now + 1);
+  settle(u, m.idle(), m.stats().bytes_served.value());
 }
 
 Cycle AcceleratorSim::next_event(Cycle now) const {
-  // A unit due `now` rules out a jump; the rest need not be asked. The
-  // NoC goes first: on a busy mesh it is due every cycle.
+  // On a busy mesh the NoC is due every cycle, and nothing else matters.
   Cycle t = net_->next_event(now);
   if (t <= now) return now;
-  for (const auto& tile : tiles_) {
-    t = std::min(t, tile->next_event(now));
-    if (t <= now) return now;
-  }
-  for (const auto& m : mems_) {
-    t = std::min(t, m->next_event(now));
-    if (t <= now) return now;
-  }
+  for (const CalendarEntry& e : calendar_) t = std::min(t, e.due);
   return t;
 }
 
-void AcceleratorSim::advance_spinning(Cycle at, Cycle to) {
-  spinning_.clear();
-  for (const auto& tile : tiles_) {
-    Gpe& gpe = tile->gpe();
-    if (!gpe.spinning()) continue;
-    const Cycle due = gpe.next_event(at);
-    if (due < to) spinning_.emplace_back(&gpe, due);
-  }
-  most_spinning_ = std::max(most_spinning_, spinning_.size());
+void AcceleratorSim::advance_spinning(Cycle to) {
+  const std::span<CalendarEntry> tiles(calendar_.data(), tiles_.size());
+  const auto spinning = static_cast<std::size_t>(std::count_if(
+      tiles.begin(), tiles.end(),
+      [to](const CalendarEntry& e) { return e.retry < to; }));
+  most_spinning_ = std::max(most_spinning_, spinning);
   // A spinning GPE's ticks touch no other unit, so each GPE can spin
   // straight to `to`. A trace, though, orders the events of several GPEs
   // by cycle and, within a cycle, by tile, as passes of the loop would, so
   // then each spins one cycle at a time.
-  const bool interleave = sink_ != nullptr && spinning_.size() > 1;
+  const bool interleave = sink_ != nullptr && spinning > 1;
   for (;;) {
     Cycle c = kNeverCycle;
-    for (const auto& [gpe, due] : spinning_) c = std::min(c, due);
+    for (const CalendarEntry& e : tiles) c = std::min(c, e.retry);
     if (c >= to) return;
-    for (auto& [gpe, due] : spinning_) {
-      if (due == c) due = gpe->spin(c, interleave ? c + 1 : to);
+    for (std::size_t i = 0; i < tiles.size(); ++i) {
+      if (tiles[i].retry == c) {
+        tiles[i].retry = tiles_[i]->gpe().spin(c, interleave ? c + 1 : to);
+      }
     }
   }
 }
@@ -338,24 +341,36 @@ RunStats AcceleratorSim::run(const CompiledProgram& prog,
     }
     for (std::uint32_t t = 0; t < num_tiles; ++t) {
       tiles_[t]->begin_phase(prog, ds, phase, std::move(work[t]));
+      settle(t, tiles_[t]->idle(), tiles_[t]->retired());
     }
+    for (CalendarEntry& e : calendar_) e.due = phase_start;
 
-    // Run to the global barrier. Each pass ticks one cycle, then jumps the
-    // clock to the next cycle at which anything can happen: a unit's next
-    // event, the next sample or the watchdog's trip (DESIGN.md §17). A due
-    // sample or trip blocks the jump, so both land on the cycles that
-    // ticking every cycle would give them.
+    // Run to the global barrier. Each pass ticks the units whose calendar
+    // entry is due, then jumps the clock to the next cycle at which
+    // anything can happen: a unit's next event, the next sample or the
+    // watchdog's trip (DESIGN.md §17). A due sample or trip blocks the
+    // jump, so both land on the cycles that ticking every cycle would give
+    // them.
     std::uint64_t last_sig = progress_signature();
     Cycle last_progress = net_->now();
     bool idle = everything_idle();
     while (!idle) {
       const Cycle now = net_->now();
-      for (auto& t : tiles_) t->tick();
-      for (auto& m : mems_) {
-        if (reference_loop_ || m->next_event(now) <= now) m->tick();
+      for (std::size_t i = 0; i < tiles_.size(); ++i) {
+        const CalendarEntry& e = calendar_[i];
+        if (reference_loop_ || std::min(e.due, e.retry) <= now) {
+          tick_tile(i, now);
+        }
+      }
+      for (std::size_t i = 0; i < mems_.size(); ++i) {
+        if (reference_loop_ || calendar_[tiles_.size() + i].due <= now) {
+          tick_mem(i, now);
+        }
       }
       net_->tick();
       const Cycle at = net_->now();
+      net_->take_deliveries(
+          [this, at](EndpointId ep) { calendar_[ep_unit_[ep]].due = at; });
       const std::uint64_t sig = progress_signature();
       if (sig != last_sig) {
         last_sig = sig;
@@ -372,7 +387,7 @@ RunStats AcceleratorSim::run(const CompiledProgram& prog,
       if (next > at) {
         // Only spinning GPEs tick before `next`, and they retire no work,
         // so the progress signature cannot move.
-        advance_spinning(at, next);
+        advance_spinning(next);
         net_->skip_to(next);
       }
       if (net_->now() >= next_sample_) sample(phase.name);

@@ -207,19 +207,33 @@ class AcceleratorSim {
   /// The watchdog trip: throws std::runtime_error with deadlock_report(),
   /// which also goes to TraceOptions::deadlock_report_path if set.
   [[noreturn]] void trip_watchdog(const std::string& phase) const;
-  [[nodiscard]] bool everything_idle() const;
+  /// True when every tile and memory controller was idle after its last
+  /// tick and the NoC is idle.
+  [[nodiscard]] bool everything_idle() const {
+    return busy_units_ == 0 && net_->idle();
+  }
   /// Retired work so far; the watchdog trips when it stops changing.
-  [[nodiscard]] std::uint64_t progress_signature() const;
+  [[nodiscard]] std::uint64_t progress_signature() const {
+    return retired_ + net_->stats().packets_delivered.value();
+  }
   /// Earliest cycle >= `now` at which the NoC's, any tile's or any memory
   /// controller's tick could change state (kNeverCycle if none can),
-  /// leaving out spinning GPEs.
+  /// leaving out spinning GPEs: the NoC's next event and the calendar's
+  /// earliest due cycle. Nothing is polled.
   [[nodiscard]] Cycle next_event(Cycle now) const;
-  /// Advance every spinning GPE through its event cycles from `at` to
-  /// before `to`, all through Gpe::spin, in (cycle, tile) order: GPEs due
-  /// at the earliest cycle c spin to `to`, or to c + 1 when a trace sink
-  /// orders the events of several, so trace events keep the order passes
-  /// of the loop would give them (DESIGN.md §17).
-  void advance_spinning(Cycle at, Cycle to);
+  /// Tick tile `i` or memory controller `i` in the pass of cycle `now`,
+  /// then set its calendar entry from its next event after `now`.
+  void tick_tile(std::size_t i, Cycle now);
+  void tick_mem(std::size_t i, Cycle now);
+  /// Record unit `u`'s idleness and retired work after a tick or a
+  /// begin_phase.
+  void settle(std::size_t u, bool idle, std::uint64_t retired);
+  /// Advance every spinning GPE through its retries before `to`, as the
+  /// calendar lists them, all through Gpe::spin, in (cycle, tile) order:
+  /// GPEs due at the earliest cycle c spin to `to`, or to c + 1 when a
+  /// trace sink orders the events of several, so trace events keep the
+  /// order passes of the loop would give them (DESIGN.md §17).
+  void advance_spinning(Cycle to);
 
   AcceleratorConfig cfg_;
   graph::PartitionPolicy partition_;
@@ -259,10 +273,23 @@ class AcceleratorSim {
   std::unique_ptr<noc::MeshNetwork> net_;
   std::unique_ptr<AddressMap> addr_map_;
   std::vector<std::unique_ptr<Tile>> tiles_;
-  // advance_spinning()'s buffer: each spinning GPE and its next event.
-  std::vector<std::pair<Gpe*, Cycle>> spinning_;
   std::size_t most_spinning_ = 0;
   std::vector<std::unique_ptr<mem::MemoryController>> mems_;
+
+  // The event calendar (DESIGN.md §17): one entry per unit, the tiles
+  // first, then the memory controllers. A pass ticks a unit once its
+  // `due` or `retry` cycle has come.
+  struct CalendarEntry {
+    Cycle due = 0;  // next_event() after the last tick, or a wake-up
+    Cycle retry = kNeverCycle;  // a tile's spinning GPE's next retry
+    std::uint64_t retired = 0;  // the unit's retired work at settle()
+    bool idle = true;           // the unit's idle() at settle()
+  };
+  std::vector<CalendarEntry> calendar_;
+  // NoC endpoint -> the calendar entry of the unit it belongs to.
+  std::vector<std::uint32_t> ep_unit_;
+  std::size_t busy_units_ = 0;  // entries with !idle
+  std::uint64_t retired_ = 0;   // the sum of the entries' `retired`
 };
 
 }  // namespace gnna::accel

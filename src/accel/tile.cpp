@@ -10,8 +10,6 @@ Tile::Tile(const AcceleratorConfig& cfg, noc::MeshNetwork& net,
            const AddressMap& addr_map)
     : cfg_(cfg),
       net_(net),
-      ep_gpe_(ep_gpe),
-      ep_agg_(ep_agg),
       ep_dnq_(ep_dnq),
       addr_map_(addr_map),
       ratio_(cfg.clock_ratio()),
@@ -89,9 +87,6 @@ void Tile::tick() {
 }
 
 Cycle Tile::next_event(Cycle now) const {
-  for (const EndpointId ep : {ep_gpe_, ep_agg_, ep_dnq_}) {
-    if (net_.delivery_queue_depth(ep) != 0) return now;
-  }
   const Cycle gpe = gpe_.spinning() ? kNeverCycle : gpe_.next_event(now);
   if (gpe <= now) return now;
   return std::min({gpe, agg_.next_event(now), dna_.next_event(now)});

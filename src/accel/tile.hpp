@@ -33,12 +33,27 @@ class Tile {
 
   void tick();
 
-  /// Earliest NoC cycle >= `now` at which tick() could change state: `now`
-  /// while a message waits at one of the tile's endpoints, else the
-  /// earliest of its units' next events. A spinning GPE's events are left
-  /// out: its ticks change no other unit (Gpe::spinning), and the
-  /// simulator advances it on its own through Gpe::spin.
+  /// Earliest NoC cycle >= `now` at which tick() could change state
+  /// before a message reaches one of the tile's endpoints: the earliest of
+  /// its units' next events. A tick drains every endpoint, and the
+  /// simulator wakes the tile on a delivery (DESIGN.md §17). A spinning
+  /// GPE's events are left out: its ticks change no other unit
+  /// (Gpe::spinning), and they are next_retry()'s.
   [[nodiscard]] Cycle next_event(Cycle now) const;
+
+  /// A spinning GPE's next retry (>= `now`), kNeverCycle if the GPE is
+  /// not spinning.
+  [[nodiscard]] Cycle next_retry(Cycle now) const {
+    return gpe_.spinning() ? gpe_.next_event(now) : kNeverCycle;
+  }
+
+  /// Work retired so far: tasks completed, DNA entries processed and AGG
+  /// contributions reduced.
+  [[nodiscard]] std::uint64_t retired() const {
+    return gpe_.stats().tasks_completed.value() +
+           dna_.stats().entries_processed.value() +
+           agg_.stats().contributions.value();
+  }
 
   [[nodiscard]] bool idle() const {
     return gpe_.idle() && agg_.idle() && dnq_.empty() && dna_.idle();
@@ -59,8 +74,6 @@ class Tile {
  private:
   const AcceleratorConfig& cfg_;
   noc::MeshNetwork& net_;
-  EndpointId ep_gpe_;
-  EndpointId ep_agg_;
   EndpointId ep_dnq_;
   const AddressMap& addr_map_;
   ClockRatio ratio_;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace gnna::dataflow {
@@ -14,20 +16,27 @@ namespace {
 }
 
 /// Candidate tile sizes for one dimension: multiples of `step` by powers of
-/// two, clamped to `limit`, always including `limit` itself. Doubling
-/// stops once it would pass `limit`, before `t` can wrap.
+/// two, clamped to `limit`, always including `limit` itself. `limit` is at
+/// most kMaxShapeMacs (map_with checks), so doubling cannot wrap.
 std::vector<std::uint64_t> tile_candidates(std::uint64_t step,
                                            std::uint64_t limit) {
   std::vector<std::uint64_t> out;
-  for (std::uint64_t t = step; t < limit; t *= 2) {
-    out.push_back(t);
-    if (t > limit / 2) break;
-  }
+  for (std::uint64_t t = step; t < limit; t *= 2) out.push_back(t);
   out.push_back(limit);
   return out;
 }
 
 }  // namespace
+
+bool within_mac_cap(const MatmulShape& s) {
+  std::uint64_t macs = 1;
+  for (const std::uint64_t dim : {s.m, s.k, s.n}) {
+    const std::uint64_t d = std::max<std::uint64_t>(dim, 1);
+    if (d > kMaxShapeMacs / macs) return false;
+    macs *= d;
+  }
+  return true;
+}
 
 std::string to_string(Dataflow df) {
   switch (df) {
@@ -75,6 +84,10 @@ MappingStats& MappingStats::operator+=(const MappingStats& other) {
 }
 
 MappingStats Mapper::map_with(const MatmulShape& s, Dataflow df) const {
+  if (!within_mac_cap(s)) {
+    throw std::invalid_argument("Mapper::map_with: shape m*k*n exceeds " +
+                                std::to_string(kMaxShapeMacs) + " (2^48)");
+  }
   const std::uint64_t m = std::max<std::uint64_t>(1, s.m);
   const std::uint64_t k = std::max<std::uint64_t>(1, s.k);
   const std::uint64_t n = std::max<std::uint64_t>(1, s.n);

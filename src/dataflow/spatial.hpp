@@ -56,6 +56,15 @@ struct MatmulShape {
   }
 };
 
+/// Largest m*k*n a shape may have, each dimension counted as at least 1,
+/// as the mapper counts it: Mapper::map_with throws on a larger one and
+/// ir::parse refuses one. The built-in benchmarks' largest is 2^19.
+inline constexpr std::uint64_t kMaxShapeMacs = std::uint64_t{1} << 48;
+
+/// True when `s`'s m*k*n, each dimension counted as at least 1, is at most
+/// kMaxShapeMacs.
+[[nodiscard]] bool within_mac_cap(const MatmulShape& s);
+
 /// The dataflows the mapping search considers.
 enum class Dataflow : std::uint8_t {
   kOutputStationary,  // outputs pinned to PEs, K streamed
@@ -108,6 +117,8 @@ class Mapper {
                                  Frequency clk) const;
 
   /// Evaluate one specific dataflow (used by tests and the ablation bench).
+  /// Throws std::invalid_argument on a shape above kMaxShapeMacs, where
+  /// the traffic sums would wrap.
   [[nodiscard]] MappingStats map_with(const MatmulShape& shape,
                                       Dataflow df) const;
 

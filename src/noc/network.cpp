@@ -71,6 +71,7 @@ void MeshNetwork::finalize() {
     }
   }
   injecting_.assign((endpoints_.size() + 63) / 64, 0);
+  delivered_.assign(injecting_.size(), 0);
   // Routing table: dimension-order routes are fixed by the topology, so
   // each (router, destination) pair is routed once, here.
   port_of_.resize(routers_.size() * endpoints_.size());
@@ -242,6 +243,7 @@ void MeshNetwork::phase_arrive() {
                      hops_between(m.src, m.dst), m.payload_bytes);
     }
     ep.delivery.push_back(m);
+    delivered_[m.dst / 64] |= std::uint64_t{1} << (m.dst % 64);
   }
   links_due_.clear();
 }

@@ -15,9 +15,11 @@
 // memory controller's 32-entry queue — on top).
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <deque>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/stats.hpp"
@@ -84,6 +86,19 @@ class MeshNetwork {
   /// it.
   [[nodiscard]] Cycle next_event(Cycle now) const {
     return quiescent() ? kNeverCycle : now;
+  }
+
+  /// Call `f(ep)` for each endpoint that received a message since the
+  /// last call, in ascending order, and forget them: the simulator wakes
+  /// the units behind those endpoints (DESIGN.md §17).
+  template <class F>
+  void take_deliveries(F&& f) {
+    for (std::size_t w = 0; w < delivered_.size(); ++w) {
+      for (std::uint64_t m = std::exchange(delivered_[w], 0); m != 0;
+           m &= m - 1) {
+        f(static_cast<EndpointId>(w * 64 + std::countr_zero(m)));
+      }
+    }
   }
 
   /// Jump the clock forward to `t` (>= now()). Only valid while
@@ -177,6 +192,8 @@ class MeshNetwork {
   std::vector<EndpointState> endpoints_;
   // Bit e set: endpoint e has flits awaiting injection.
   std::vector<std::uint64_t> injecting_;
+  // Bit e set: endpoint e received a message since take_deliveries().
+  std::vector<std::uint64_t> delivered_;
   // Flits on a link: made this tick (arrive next tick) / arriving now. A
   // push-ordered vector each; phase_arrive consumes links_due_ in order.
   std::vector<LinkEntry> links_;

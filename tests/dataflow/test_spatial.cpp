@@ -161,16 +161,34 @@ TEST(Mapper, DegenerateShapesAreSafe) {
   }
 }
 
-TEST(Mapper, TileSearchStopsBeforeDoublingWraps) {
-  // Doubling a tile size of 13 (rows) or 14 (columns) toward a limit
-  // near 2^64 wraps it below the limit again; the search must stop before
-  // that instead of pushing candidates until memory runs out.
+TEST(Mapper, MapWithRejectsShapesAboveTheCap) {
+  // Above 2^48 MACs the traffic sums wrap: output-stationary divided by
+  // mt + nt == 0 for m = n = 2^63, and ceil_div(m, 13) wrapped for m near
+  // 2^64. Such shapes are refused; the cap itself still maps.
   const Mapper m(kArray);
+  const std::uint64_t half = std::uint64_t{1} << 63;
   const std::uint64_t big = ~std::uint64_t{0};
-  for (const MatmulShape& s : {MatmulShape{big, 1, 1, 1.0},
-                               MatmulShape{1, 1, big, 1.0}}) {
-    const MappingStats st = m.map_with(s, Dataflow::kOutputStationary);
-    EXPECT_EQ(st.total_macs, big);
+  for (const MatmulShape& s :
+       {MatmulShape{half, 1, half, 1.0}, MatmulShape{big, 1, 1, 1.0},
+        MatmulShape{1, 1, big, 1.0}, MatmulShape{kMaxShapeMacs + 1, 1, 1, 1.0},
+        MatmulShape{1 << 24, 1 << 24, 2, 1.0}}) {
+    EXPECT_FALSE(within_mac_cap(s));
+    for (const Dataflow df :
+         {Dataflow::kOutputStationary, Dataflow::kWeightStationary,
+          Dataflow::kReductionSpread}) {
+      EXPECT_THROW((void)m.map_with(s, df), std::invalid_argument);
+    }
+  }
+  for (const MatmulShape& s :
+       {MatmulShape{kMaxShapeMacs, 1, 1, 1.0},
+        MatmulShape{1 << 24, 0, 1 << 24, 1.0}}) {
+    for (const Dataflow df :
+         {Dataflow::kOutputStationary, Dataflow::kWeightStationary,
+          Dataflow::kReductionSpread}) {
+      const MappingStats st = m.map_with(s, df);
+      EXPECT_EQ(st.total_macs, kMaxShapeMacs);
+      EXPECT_GE(st.compute_cycles, kMaxShapeMacs / kArray.num_pes());
+    }
   }
 }
 
