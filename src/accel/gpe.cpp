@@ -297,10 +297,11 @@ Cycle Gpe::spin(Cycle next, Cycle horizon) {
     // closed form, so no state need be captured.
     for (; next < horizon; next = next_event(next + 1)) {
       assert(spinning());
-      tick(next);
+      run(next);
     }
     return next;
   }
+  if (next >= horizon) return next;
   const std::uint32_t stalled = count(Thread::State::kStalled);
   Cycle from = next;
   capture(from, spin_from_);
@@ -309,7 +310,7 @@ Cycle Gpe::spin(Cycle next, Cycle horizon) {
     while (next < horizon &&
            stats_.actions.value() < before.actions.value() + stalled) {
       assert(spinning());
-      tick(next);
+      run(next);
       next = next_event(next + 1);
     }
     if (next >= horizon) break;
@@ -339,9 +340,6 @@ Cycle Gpe::spin(Cycle next, Cycle horizon) {
 }
 
 void Gpe::tick(Cycle now) {
-  const std::uint64_t end = ratio_.at(now);
-  gpe_time_ = resume_time(now);
-
   // Wake threads whose blocking loads completed (flit buffer -> scratchpad
   // happens without core intervention; the wake is free).
   while (auto m = net_.poll(ep_gpe_)) {
@@ -352,6 +350,12 @@ void Gpe::tick(Cycle now) {
     assert(t.state == Thread::State::kWaitMem && t.pending_responses > 0);
     if (--t.pending_responses == 0) set_state(t, Thread::State::kRunnable);
   }
+  run(now);
+}
+
+void Gpe::run(Cycle now) {
+  const std::uint64_t end = ratio_.at(now);
+  gpe_time_ = resume_time(now);
 
   // Single-threaded core: execute micro-actions until we catch up with the
   // NoC clock.

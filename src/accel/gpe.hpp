@@ -75,13 +75,25 @@ class Gpe {
   /// Tick a spinning GPE at each of its event cycles from `next`, its next
   /// event, up to `horizon`, before which nothing else can wake it; returns
   /// its next event from there. This is the only code that advances a GPE
-  /// outside the simulator's passes. Untraced, whenever one rotation of the
-  /// stall ring (a retry by every stalled thread) leaves the scheduler as
-  /// it found it, shifted by some cycles, every later rotation repeats it,
-  /// and the rotations that end by `horizon` are retired at once
-  /// (DESIGN.md §17). With a tracer attached every event is ticked, since
-  /// a trace records every retry.
+  /// outside its tile's ticks, and it reads no message (below).
+  /// Untraced, whenever one rotation of the stall ring (a retry by every
+  /// stalled thread) leaves the scheduler as it found it, shifted by some
+  /// cycles, every later rotation repeats it, and the rotations that end
+  /// by `horizon` are retired at once (DESIGN.md §17). With a tracer
+  /// attached every event is ticked, since a trace records every retry.
   Cycle spin(Cycle next, Cycle horizon);
+
+  /// Replay a spinning GPE's retries before `now` through spin(), so that
+  /// its state and stats read as if it had ticked at each; a GPE that is
+  /// not spinning, or has no retry before `now`, is left as it is.
+  /// Untraced, a spinning GPE's retries wake nothing (its tile leaves them
+  /// out of its next event), so it lags until this is called: before its
+  /// tile ticks, and before anything reads its state or stats. No message
+  /// is read: every delivery wakes the tile, so a message waiting at the
+  /// GPE's endpoint arrived at `now`, after every retry replayed.
+  void catch_up(Cycle now) {
+    if (spinning()) spin(next_event(ratio_.ceil_cycle(gpe_time_)), now);
+  }
 
   [[nodiscard]] bool idle() const;
   [[nodiscard]] const GpeStats& stats() const { return stats_; }
@@ -126,6 +138,10 @@ class Gpe {
     std::array<WalkFrame, 9> walk{};
     std::uint32_t walk_depth = 0;
   };
+
+  /// Execute micro-actions from resume_time(now) until the core passes
+  /// NoC cycle `now`: tick() without waking threads whose loads landed.
+  void run(Cycle now);
 
   /// Execute one micro-action of `t`; returns its cost in core cycles.
   std::uint32_t step(Thread& t);

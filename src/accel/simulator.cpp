@@ -1,9 +1,9 @@
 #include "accel/simulator.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <fstream>
 #include <iostream>
-#include <span>
 #include <sstream>
 #include <stdexcept>
 
@@ -141,6 +141,7 @@ void AcceleratorSim::begin_sampling() {
 }
 
 void AcceleratorSim::sample(const std::string& phase_name) {
+  catch_up();
   const Cycle now = net_->now();
   const Cycle window = now - last_sample_cycle_;
   last_sample_cycle_ = now;
@@ -211,7 +212,12 @@ void AcceleratorSim::sample(const std::string& phase_name) {
   }
 }
 
-void AcceleratorSim::trip_watchdog(const std::string& phase) const {
+void AcceleratorSim::catch_up() {
+  for (const auto& t : tiles_) t->gpe().catch_up(net_->now());
+}
+
+void AcceleratorSim::trip_watchdog(const std::string& phase) {
+  catch_up();
   std::string report = deadlock_report(phase);
   const std::string& path = trace_.deadlock_report_path;
   if (!path.empty() && !(std::ofstream(path) << report << std::flush)) {
@@ -255,8 +261,11 @@ void AcceleratorSim::settle(std::size_t u, bool idle,
 void AcceleratorSim::tick_tile(std::size_t i, Cycle now) {
   Tile& tile = *tiles_[i];
   tile.tick();
-  calendar_[i].due = tile.next_event(now + 1);
-  calendar_[i].retry = tile.next_retry(now + 1);
+  Cycle due = tile.next_event(now + 1);
+  // Traced, a spinning GPE ticks at each of its retries, here or in
+  // advance_spinning, so that its trace events keep their order.
+  if (sink_ != nullptr) due = std::min(due, tile.gpe().next_event(now + 1));
+  calendar_[i].due = due;
   settle(i, tile.idle(), tile.retired());
 }
 
@@ -272,30 +281,46 @@ Cycle AcceleratorSim::next_event(Cycle now) const {
   // On a busy mesh the NoC is due every cycle, and nothing else matters.
   Cycle t = net_->next_event(now);
   if (t <= now) return now;
-  for (const CalendarEntry& e : calendar_) t = std::min(t, e.due);
+  for (std::size_t u = 0; u < calendar_.size(); ++u) {
+    // Traced, a spinning GPE's tile is due at its retries, which are
+    // advance_spinning's, at its other units' events and when a delivery
+    // woke it; the tile's next event and its mail give the last two.
+    Cycle due = calendar_[u].due;
+    if (sink_ != nullptr && u < tiles_.size() &&
+        tiles_[u]->gpe().spinning()) {
+      due = tiles_[u]->has_mail() ? now : tiles_[u]->next_event(now);
+    }
+    t = std::min(t, due);
+  }
   return t;
 }
 
-void AcceleratorSim::advance_spinning(Cycle to) {
-  const std::span<CalendarEntry> tiles(calendar_.data(), tiles_.size());
-  const auto spinning = static_cast<std::size_t>(std::count_if(
-      tiles.begin(), tiles.end(),
-      [to](const CalendarEntry& e) { return e.retry < to; }));
-  most_spinning_ = std::max(most_spinning_, spinning);
+void AcceleratorSim::advance_spinning(Cycle at, Cycle to) {
+  spinning_.clear();
+  for (std::size_t i = 0; i < tiles_.size(); ++i) {
+    const Gpe& gpe = tiles_[i]->gpe();
+    if (gpe.spinning()) spinning_.emplace_back(i, gpe.next_event(at));
+  }
+  most_spinning_ = std::max(most_spinning_, spinning_.size());
+  // Untraced, the GPEs lag, and Gpe::catch_up replays their retries.
+  if (sink_ == nullptr) return;
   // A spinning GPE's ticks touch no other unit, so each GPE can spin
   // straight to `to`. A trace, though, orders the events of several GPEs
   // by cycle and, within a cycle, by tile, as passes of the loop would, so
   // then each spins one cycle at a time.
-  const bool interleave = sink_ != nullptr && spinning > 1;
+  const bool interleave = spinning_.size() > 1;
   for (;;) {
     Cycle c = kNeverCycle;
-    for (const CalendarEntry& e : tiles) c = std::min(c, e.retry);
-    if (c >= to) return;
-    for (std::size_t i = 0; i < tiles.size(); ++i) {
-      if (tiles[i].retry == c) {
-        tiles[i].retry = tiles_[i]->gpe().spin(c, interleave ? c + 1 : to);
+    for (const auto& [i, retry] : spinning_) c = std::min(c, retry);
+    if (c >= to) break;
+    for (auto& [i, retry] : spinning_) {
+      if (retry == c) {
+        retry = tiles_[i]->gpe().spin(c, interleave ? c + 1 : to);
       }
     }
+  }
+  for (const auto& [i, retry] : spinning_) {
+    calendar_[i].due = std::min(tiles_[i]->next_event(to), retry);
   }
 }
 
@@ -357,10 +382,7 @@ RunStats AcceleratorSim::run(const CompiledProgram& prog,
     while (!idle) {
       const Cycle now = net_->now();
       for (std::size_t i = 0; i < tiles_.size(); ++i) {
-        const CalendarEntry& e = calendar_[i];
-        if (reference_loop_ || std::min(e.due, e.retry) <= now) {
-          tick_tile(i, now);
-        }
+        if (reference_loop_ || calendar_[i].due <= now) tick_tile(i, now);
       }
       for (std::size_t i = 0; i < mems_.size(); ++i) {
         if (reference_loop_ || calendar_[tiles_.size() + i].due <= now) {
@@ -369,8 +391,15 @@ RunStats AcceleratorSim::run(const CompiledProgram& prog,
       }
       net_->tick();
       const Cycle at = net_->now();
-      net_->take_deliveries(
-          [this, at](EndpointId ep) { calendar_[ep_unit_[ep]].due = at; });
+      net_->take_deliveries([this, at](EndpointId ep) {
+        // A controller with a full queue (in-order) or window (FR-FCFS)
+        // admits nothing; the retirement that frees a slot is its own
+        // next event, and that wakes it.
+        const std::uint32_t u = ep_unit_[ep];
+        if (u < tiles_.size() || mems_[u - tiles_.size()]->has_free_slot()) {
+          calendar_[u].due = at;
+        }
+      });
       const std::uint64_t sig = progress_signature();
       if (sig != last_sig) {
         last_sig = sig;
@@ -387,7 +416,7 @@ RunStats AcceleratorSim::run(const CompiledProgram& prog,
       if (next > at) {
         // Only spinning GPEs tick before `next`, and they retire no work,
         // so the progress signature cannot move.
-        advance_spinning(next);
+        advance_spinning(at, next);
         net_->skip_to(next);
       }
       if (net_->now() >= next_sample_) sample(phase.name);
@@ -396,6 +425,10 @@ RunStats AcceleratorSim::run(const CompiledProgram& prog,
       }
     }
 
+    // A spinning GPE has stalled threads, so it is not idle: no GPE lags
+    // at the barrier, and the stats below need no catch-up.
+    assert(std::none_of(tiles_.begin(), tiles_.end(),
+                        [](const auto& t) { return t->gpe().spinning(); }));
     if (sink_ != nullptr) {
       sink_->phase_end(phase.name.c_str(), static_cast<double>(net_->now()));
     }

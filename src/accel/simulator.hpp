@@ -175,8 +175,8 @@ class AcceleratorSim {
   /// same output either way.
   void set_reference_loop(bool on) { reference_loop_ = on; }
 
-  /// The most GPEs that one jump advanced together while they spun
-  /// (DESIGN.md §17), for tests; 0 if none spun.
+  /// The most GPEs spinning at once when the loop jumped (DESIGN.md §17),
+  /// for tests; 0 if none spun at a jump.
   [[nodiscard]] std::size_t most_spinning() const { return most_spinning_; }
 
   /// Attach observability outputs; must be called before run(). Throws
@@ -204,9 +204,11 @@ class AcceleratorSim {
   /// Emit one sampler row (and counter events) for the current cycle and
   /// schedule the next.
   void sample(const std::string& phase_name);
+  /// Catch every spinning GPE up to the current cycle (Gpe::catch_up).
+  void catch_up();
   /// The watchdog trip: throws std::runtime_error with deadlock_report(),
   /// which also goes to TraceOptions::deadlock_report_path if set.
-  [[noreturn]] void trip_watchdog(const std::string& phase) const;
+  [[noreturn]] void trip_watchdog(const std::string& phase);
   /// True when every tile and memory controller was idle after its last
   /// tick and the NoC is idle.
   [[nodiscard]] bool everything_idle() const {
@@ -219,7 +221,8 @@ class AcceleratorSim {
   /// Earliest cycle >= `now` at which the NoC's, any tile's or any memory
   /// controller's tick could change state (kNeverCycle if none can),
   /// leaving out spinning GPEs: the NoC's next event and the calendar's
-  /// earliest due cycle. Nothing is polled.
+  /// earliest due cycle. Traced, a spinning GPE's retries count in its
+  /// tile's due cycle, and its other units' next event replaces that.
   [[nodiscard]] Cycle next_event(Cycle now) const;
   /// Tick tile `i` or memory controller `i` in the pass of cycle `now`,
   /// then set its calendar entry from its next event after `now`.
@@ -228,12 +231,14 @@ class AcceleratorSim {
   /// Record unit `u`'s idleness and retired work after a tick or a
   /// begin_phase.
   void settle(std::size_t u, bool idle, std::uint64_t retired);
-  /// Advance every spinning GPE through its retries before `to`, as the
-  /// calendar lists them, all through Gpe::spin, in (cycle, tile) order:
-  /// GPEs due at the earliest cycle c spin to `to`, or to c + 1 when a
-  /// trace sink orders the events of several, so trace events keep the
-  /// order passes of the loop would give them (DESIGN.md §17).
-  void advance_spinning(Cycle to);
+  /// At a jump from `at` to `to`: count the spinning GPEs, and, traced,
+  /// tick each through its retries before `to` with Gpe::spin, in (cycle,
+  /// tile) order. GPEs due at the earliest cycle c spin to `to`, or to
+  /// c + 1 when several spin, so trace events keep the order passes of
+  /// the loop would give them. Untraced, spinning GPEs lag instead, and
+  /// catch up (Gpe::catch_up) before their tile ticks, before a sample
+  /// row and before a watchdog report (DESIGN.md §17).
+  void advance_spinning(Cycle at, Cycle to);
 
   AcceleratorConfig cfg_;
   graph::PartitionPolicy partition_;
@@ -274,14 +279,15 @@ class AcceleratorSim {
   std::unique_ptr<AddressMap> addr_map_;
   std::vector<std::unique_ptr<Tile>> tiles_;
   std::size_t most_spinning_ = 0;
+  // advance_spinning's (tile, next retry) of each spinning GPE.
+  std::vector<std::pair<std::size_t, Cycle>> spinning_;
   std::vector<std::unique_ptr<mem::MemoryController>> mems_;
 
   // The event calendar (DESIGN.md §17): one entry per unit, the tiles
   // first, then the memory controllers. A pass ticks a unit once its
-  // `due` or `retry` cycle has come.
+  // `due` cycle has come.
   struct CalendarEntry {
     Cycle due = 0;  // next_event() after the last tick, or a wake-up
-    Cycle retry = kNeverCycle;  // a tile's spinning GPE's next retry
     std::uint64_t retired = 0;  // the unit's retired work at settle()
     bool idle = true;           // the unit's idle() at settle()
   };

@@ -10,6 +10,8 @@ Tile::Tile(const AcceleratorConfig& cfg, noc::MeshNetwork& net,
            const AddressMap& addr_map)
     : cfg_(cfg),
       net_(net),
+      ep_gpe_(ep_gpe),
+      ep_agg_(ep_agg),
       ep_dnq_(ep_dnq),
       addr_map_(addr_map),
       ratio_(cfg.clock_ratio()),
@@ -72,6 +74,7 @@ void Tile::dump_state(std::ostream& os) const {
 }
 
 void Tile::tick() {
+  gpe_.catch_up(net_.now());
   // Dispatch DNQ/DNA endpoint traffic (weight fills vs entry fills).
   while (auto msg = net_.poll(ep_dnq_)) {
     if (msg->kind == noc::MsgKind::kMemReadResp &&

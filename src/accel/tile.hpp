@@ -31,20 +31,24 @@ class Tile {
   void begin_phase(const CompiledProgram& prog, const graph::Dataset& ds,
                    const PhaseSpec& phase, std::vector<std::uint32_t> work);
 
+  /// Catch a spinning GPE up (Gpe::catch_up), then tick every unit.
   void tick();
 
   /// Earliest NoC cycle >= `now` at which tick() could change state
   /// before a message reaches one of the tile's endpoints: the earliest of
   /// its units' next events. A tick drains every endpoint, and the
   /// simulator wakes the tile on a delivery (DESIGN.md §17). A spinning
-  /// GPE's events are left out: its ticks change no other unit
-  /// (Gpe::spinning), and they are next_retry()'s.
+  /// GPE's retries are left out: they change no other unit, and the next
+  /// tick replays them first if nothing has yet.
   [[nodiscard]] Cycle next_event(Cycle now) const;
 
-  /// A spinning GPE's next retry (>= `now`), kNeverCycle if the GPE is
-  /// not spinning.
-  [[nodiscard]] Cycle next_retry(Cycle now) const {
-    return gpe_.spinning() ? gpe_.next_event(now) : kNeverCycle;
+  /// True when a message waits at one of the tile's endpoints: one was
+  /// delivered since the tile's last tick, which drains them all.
+  [[nodiscard]] bool has_mail() const {
+    return net_.delivery_queue_depth(ep_gpe_) +
+               net_.delivery_queue_depth(ep_agg_) +
+               net_.delivery_queue_depth(ep_dnq_) !=
+           0;
   }
 
   /// Work retired so far: tasks completed, DNA entries processed and AGG
@@ -74,6 +78,8 @@ class Tile {
  private:
   const AcceleratorConfig& cfg_;
   noc::MeshNetwork& net_;
+  EndpointId ep_gpe_;
+  EndpointId ep_agg_;
   EndpointId ep_dnq_;
   const AddressMap& addr_map_;
   ClockRatio ratio_;

@@ -749,13 +749,6 @@ const char* lint_code_name(LintCode code) {
   return "GV???";
 }
 
-const char* lint_code_summary(LintCode code) {
-  for (const auto& e : kLintTable) {
-    if (e.code == code) return e.summary;
-  }
-  return "unknown lint code";
-}
-
 std::vector<LintCodeInfo> lint_code_table() {
   return {std::begin(kLintTable), std::end(kLintTable)};
 }

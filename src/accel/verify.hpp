@@ -123,8 +123,6 @@ enum class LintFamily : std::uint8_t { kError, kWarning, kPerf };
 
 /// "GV001", "GV102", ... — the stable identifier printed in diagnostics.
 [[nodiscard]] const char* lint_code_name(LintCode code);
-/// One-line description of what the code means (for --list-codes).
-[[nodiscard]] const char* lint_code_summary(LintCode code);
 [[nodiscard]] constexpr Severity lint_code_severity(LintCode code) {
   return static_cast<std::uint16_t>(code) >= 100 ? Severity::kWarning
                                                  : Severity::kError;

@@ -16,11 +16,6 @@ std::shared_ptr<const Dataset> DatasetCache::get(DatasetId id,
   return ds;
 }
 
-void DatasetCache::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  entries_.clear();
-}
-
 std::size_t DatasetCache::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return entries_.size();

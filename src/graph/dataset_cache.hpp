@@ -30,9 +30,6 @@ class DatasetCache {
   [[nodiscard]] std::shared_ptr<const Dataset> get(DatasetId id,
                                                    std::uint64_t seed);
 
-  /// Drop all cached datasets (outstanding shared_ptrs stay valid).
-  void clear();
-
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] std::uint64_t hits() const;
   [[nodiscard]] std::uint64_t misses() const;

@@ -72,7 +72,7 @@ void MemoryController::admit(double now) {
   // Admit new requests while the queue (in-order) / scheduling window
   // (FR-FCFS) has room. Requests beyond that wait, unseen, in the NoC
   // delivery queue — the backpressure the paper's model implies.
-  while (queue_.size() < capacity()) {
+  while (has_free_slot()) {
     const noc::Message* head = net_.peek(endpoint_);
     if (head == nullptr) break;
     auto msg = net_.poll(endpoint_);

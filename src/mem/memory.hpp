@@ -138,8 +138,7 @@ class MemoryController {
   /// dram_free_at_ <= c + 1. kNeverCycle when only a NoC delivery can
   /// wake it.
   [[nodiscard]] Cycle next_event(Cycle now) const {
-    if (queue_.size() < capacity() &&
-        net_.delivery_queue_depth(endpoint_) != 0) {
+    if (has_free_slot() && net_.delivery_queue_depth(endpoint_) != 0) {
       return now;
     }
     if (queue_.empty()) return kNeverCycle;
@@ -169,6 +168,11 @@ class MemoryController {
 
   /// Requests currently occupying queue/window slots.
   [[nodiscard]] std::size_t queue_depth() const { return queue_.size(); }
+  /// True while the queue (in-order) or window (FR-FCFS) can admit a
+  /// request. O(1).
+  [[nodiscard]] bool has_free_slot() const {
+    return queue_.size() < capacity();
+  }
 
   /// Attach an event tracer (request admissions, DRAM bus occupancy,
   /// responses; under FR-FCFS also row_hit/row_miss instants and

@@ -12,6 +12,7 @@
 // untraced, and requires the same output.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <ostream>
@@ -625,6 +626,74 @@ TEST(LoopReferenceMesh, SeveralGpesSpinAtOnce) {
       const MostSpinning most = expect_loops_agree(sc.prog, sc.ds, sc.cfg);
       EXPECT_EQ(most.untraced, 8U);
       EXPECT_EQ(most.traced, 8U);
+    }
+  }
+}
+
+/// What the sampler and the watchdog saw of a run: its sampler CSV, and
+/// its watchdog report, empty if the watchdog did not trip.
+struct Observed {
+  std::string samples;
+  std::string report;
+};
+
+/// Runs `sc` untraced, sampling every `sample_every` cycles, with a
+/// `watchdog`-cycle watchdog, on the reference loop or the jumping one.
+Observed observe(const SweepCase& sc, bool reference, Cycle sample_every,
+                 Cycle watchdog) {
+  AcceleratorSim sim(sc.cfg);
+  sim.set_reference_loop(reference);
+  sim.set_watchdog_cycles(watchdog);
+  std::ostringstream samples;
+  TraceOptions topts;
+  topts.sample_every = sample_every;
+  topts.sample_out = &samples;
+  sim.set_trace(topts);
+  Observed seen;
+  try {
+    (void)sim.run(sc.prog, sc.ds);
+  } catch (const std::runtime_error& e) {
+    seen.report = e.what();
+  }
+  seen.samples = samples.str();
+  return seen;
+}
+
+// The same case, untraced, where spinning GPEs lag behind the clock until
+// something reads them: every sampler row, 97 cycles apart, and the report
+// of a watchdog that trips while GPEs spin must read them as the reference
+// loop, which ticks every retry, does.
+TEST(LoopReferenceMesh, SamplesAndWatchdogReadCaughtUpGpes) {
+  const auto mpnn_case = [](std::uint32_t threads, double ghz) {
+    return sweep_case(Program::kMpnn, 1001,
+                      AcceleratorConfig::gpu_iso_bw().with_core_clock(ghz),
+                      threads, false);
+  };
+  for (const std::uint32_t threads : {16U, 64U}) {
+    for (const double ghz : {2.4, 1.8}) {
+      SCOPED_TRACE(std::to_string(threads) + " threads, " +
+                   std::to_string(ghz) + " GHz");
+      const SweepCase sc = mpnn_case(threads, ghz);
+      const Observed reference = observe(sc, true, 97, 2'000'000);
+      EXPECT_TRUE(reference.report.empty()) << reference.report;
+      EXPECT_GT(std::count(reference.samples.begin(),
+                           reference.samples.end(), '\n'),
+                10);
+      EXPECT_EQ(observe(sc, false, 97, 2'000'000).samples, reference.samples);
+    }
+    // A slow core stretches the DNA's work, so for hundreds of cycles no
+    // work retires and no packet lands while the GPEs spin, and a watchdog
+    // that short trips there (at cycles 10,430 and 17,538).
+    for (const auto& [ghz, watchdog] :
+         {std::pair{0.2, Cycle{300}}, std::pair{0.1, Cycle{500}}}) {
+      SCOPED_TRACE(std::to_string(threads) + " threads, " +
+                   std::to_string(ghz) + " GHz, watchdog " +
+                   std::to_string(watchdog));
+      const SweepCase sc = mpnn_case(threads, ghz);
+      const Observed reference = observe(sc, true, 0, watchdog);
+      EXPECT_NE(reference.report.find("stalled_until="), std::string::npos)
+          << "no GPE spins at the trip\n" << reference.report;
+      EXPECT_EQ(observe(sc, false, 0, watchdog).report, reference.report);
     }
   }
 }
